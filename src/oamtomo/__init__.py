@@ -20,6 +20,7 @@ from .optics import (
     FieldGrid,
     OpticsConfig,
     apply_phase_mask,
+    effective_operators,
     farfield,
     fiber_overlap,
     four_f_image,

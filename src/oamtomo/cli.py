@@ -33,7 +33,7 @@ from .config import (
     parse_state,
 )
 from .counts import CountRecord, exact_counts, simulate_counts
-from .optics import lens_fourier, optical_projection_probability, phase_mask_of, superposition_field
+from .optics import effective_operators, lens_fourier, phase_mask_of, superposition_field
 from .qudit import apply_channel_kraus, process_fidelity, projector_of, state_fidelity
 from .tomography import (
     DegenerateDataError,
@@ -55,32 +55,21 @@ EXIT_DEGENERATE = 5
 
 
 def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.ndarray:
-    """Projection probabilities for the given inputs, one row per input.
+    """Projection probabilities Tr(mu_i C(rho_j)) for the given inputs, one row per input.
 
-    Abstract mode evaluates Tr(mu_i E(rho_j)) directly; the optical modes
-    decompose each channel output into pure components and send every
-    component through the physical projection chain.
+    Abstract mode takes the input projectors and the settings' projectors.
+    The optical modes take the chain's effective operators
+    (optics.effective_operators): each input's prepared field reduced to the
+    LG triple the memory stores, and the measurement chain as a POVM on it.
     """
-    rho_out = []
-    for s in input_states:
-        rho = projector_of(s)
-        rho_out.append(apply_channel_kraus(channel, rho) if channel is not None
-                       else np.zeros_like(rho))
-    rho_out = np.stack(rho_out)
     if cfg.measurement_mode == "abstract":
-        return np.einsum("iab,jba->ji", settings.projectors, rho_out).real
-    modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
-    table = np.zeros((len(input_states), settings.n_settings))
-    for j, rho in enumerate(rho_out):
-        w, v = np.linalg.eigh(rho)
-        for k in range(w.size):
-            if w[k] < 1e-12:
-                continue
-            for i, meas in enumerate(settings.inputs):
-                table[j, i] += w[k] * optical_projection_probability(
-                    v[:, k], meas, cfg.optics, modulation
-                )
-    return table
+        rho_in, povm = [projector_of(s) for s in input_states], settings.projectors
+    else:
+        modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
+        rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics, modulation)
+    rho_out = np.stack([apply_channel_kraus(channel, rho) if channel is not None
+                        else np.zeros_like(rho) for rho in rho_in])
+    return np.einsum("iab,jba->ji", povm, rho_out).real
 
 
 def _make_records(table: np.ndarray, cfg: RunConfig):

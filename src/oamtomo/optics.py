@@ -13,6 +13,14 @@ preparation masks.  By default configurations use the grid's self-Fourier
 waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
+optical_projection_probability runs the whole sampled chain for one pure
+input and one measurement state.  effective_operators reduces it to the
+qutrit the memory stores: each prepared field becomes a 3x3 effective input
+in the LG triple, and each measurement a rank-1 effective POVM element on
+that triple.  Two identities make this cost one transform: 4-f imaging is
+the parity flip, and by Parseval the far-field fiber overlap is an inner
+product with the fiber Gaussian traced back through the lens.
+
 Reference hardware values from the modeled experiment (beam waist 2.5 mm,
 300 mm lenses, 1920x1080 phase-only SLMs, 2.5 m far-field arm) are
 documentation metadata only; see EXPERIMENT_REFERENCE.
@@ -133,10 +141,23 @@ def _check_geometry(a: FieldGrid, b) -> None:
         raise ValueError("grid geometries do not match")
 
 
+def _xy(cfg: OpticsConfig):
+    """Sample coordinates as broadcastable (1, N) x and (N, 1) y axes."""
+    x = cfg.axis()
+    return x[None, :], x[:, None]
+
+
+def _qutrit(state) -> np.ndarray:
+    psi = state_vector(state)
+    if psi.size != 3:
+        raise ValueError(f"optical fields are defined for 3-component states, got {psi.size}")
+    return psi
+
+
 def _lg_profile(l: int, cfg: OpticsConfig) -> np.ndarray:
     """Unnormalized LG(p=0, l) samples; the vortex factor is the polynomial
     (x + i sign(l) y)^|l|, exact at grid zeros."""
-    xx, yy = cfg.meshgrid()
+    xx, yy = _xy(cfg)
     field = np.exp(-(xx * xx + yy * yy) / cfg.waist**2).astype(complex)
     if l != 0:
         field *= ((np.sqrt(2.0) / cfg.waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
@@ -161,15 +182,13 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power fundamental Gaussian of the given waist."""
     if waist <= 0:
         raise ValueError("waist must be positive")
-    xx, yy = cfg.meshgrid()
+    xx, yy = _xy(cfg)
     return _normalized(np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex), cfg)
 
 
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple."""
-    psi = state_vector(state)
-    if psi.size != 3:
-        raise ValueError("superposition fields are defined for 3-component states")
+    psi = _qutrit(state)
     total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(psi, MODE_WINDINGS):
         if c != 0:
@@ -267,17 +286,15 @@ def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
             "ideal mode conversion needs a back-propagated fiber waist >= mode waist; "
             f"got {w_conj!r} < {w!r}"
         )
-    xx, yy = cfg.meshgrid()
-    rr = xx * xx + yy * yy
-    mask = np.zeros_like(xx, dtype=complex)
+    xx, yy = _xy(cfg)
+    mask = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(_parity_state(meas_state), MODE_WINDINGS):
         if c == 0:
             continue
         amp = np.sqrt(2.0 / (np.pi * w * w * factorial(abs(l))))
-        poly = ((np.sqrt(2.0) / w) * (xx - 1j * np.sign(l) * yy)) ** abs(l) if l else 1.0
-        mask += np.conj(c) * amp * poly
+        mask += np.conj(c) * amp * (((np.sqrt(2.0) / w) * (xx - 1j * np.sign(l) * yy)) ** abs(l))
     gauss_peak = np.sqrt(2.0 / np.pi) / w_conj
-    mask *= np.exp(rr * (1.0 / w_conj**2 - 1.0 / w**2)) / gauss_peak
+    mask *= np.exp((xx * xx + yy * yy) * (1.0 / w_conj**2 - 1.0 / w**2)) / gauss_peak
     return mask
 
 
@@ -298,10 +315,7 @@ def optical_projection_probability(
     """
     if modulation not in ("ideal", "phase_only"):
         raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
-    psi_in = state_vector(input_state)
-    psi_meas = state_vector(meas_state)
-    if psi_in.size != 3 or psi_meas.size != 3:
-        raise ValueError("projection chain is defined for 3-component states")
+    psi_in, psi_meas = _qutrit(input_state), _qutrit(meas_state)
 
     if modulation == "ideal":
         field = superposition_field(psi_in, cfg)
@@ -318,3 +332,50 @@ def optical_projection_probability(
         field = apply_phase_mask(field, phase_mask_of(flipped), conjugate=True)
 
     return abs(fiber_overlap(farfield(field), cfg)) ** 2
+
+
+def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation: str = "ideal"):
+    """The projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
+
+    Returns (rho, povm).  rho[j] = c c^H with c_k = <LG_k | prepared field of
+    input j> dA; a phase-only hologram leaves power outside the triple, so its
+    rho[j] is sub-normalized.  povm[i] = e^H e with e_k the fiber coupling
+    amplitude of LG_k through the 4-f image, the mask M of meas_states[i] and
+    the far field.  4-f imaging is the parity flip P and, by Parseval,
+    <G | F g> = <F^H G | g>, where F^H G = conj(F G) for the real fiber
+    Gaussian G; so e_k = <P(conj(M) F^H G) | LG_k> dA, and the reduction costs
+    one lens transform.  For a channel C acting on the stored qutrit,
+    Tr(povm[i] C(rho[j])) is the probability of setting (j, i).
+    """
+    if modulation not in ("ideal", "phase_only"):
+        raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
+    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg)).samples.conj()
+    modes = [oam_mode_field(l, cfg).samples for l in MODE_WINDINGS]
+    carrier = FieldGrid(modes[MODE_WINDINGS.index(0)], cfg.extent)
+
+    def superposed(psi) -> FieldGrid:
+        return FieldGrid(sum(c * m for c, m in zip(psi, modes)), cfg.extent)
+
+    def outer(field: FieldGrid) -> np.ndarray:
+        """a a^H for the amplitudes a_k = <LG_k | field> dA."""
+        a = np.array([np.vdot(m, field.samples) for m in modes]) * cfg.cell_area
+        return np.outer(a, a.conj())
+
+    def prepared(psi) -> FieldGrid:
+        if modulation == "ideal":
+            return _normalized(superposed(psi).samples, cfg)
+        return apply_phase_mask(carrier, phase_mask_of(superposed(psi)))
+
+    def traced_back(psi) -> FieldGrid:
+        """conj(M) F^H G for the measurement mask M of psi, built in place."""
+        if modulation == "phase_only":
+            mask = phase_mask_of(superposed(_parity_state(psi)))
+            return apply_phase_mask(FieldGrid(back, cfg.extent), mask)
+        h = _conversion_field(psi, cfg)
+        np.conjugate(h, out=h)
+        h *= back
+        return FieldGrid(h, cfg.extent)
+
+    rho = [outer(prepared(psi)) for psi in map(_qutrit, input_states)]
+    povm = [outer(parity_flip(traced_back(psi))) for psi in map(_qutrit, meas_states)]
+    return np.stack(rho), np.stack(povm)

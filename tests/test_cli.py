@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from oamtomo import (
+    apply_channel_kraus,
     canonical_settings,
     chi_from_kraus,
     depolarizing_channel,
+    effective_operators,
     ideal_storage_chi,
     process_fidelity,
 )
-from oamtomo.cli import main
+from oamtomo.cli import _probability_rows, main
+from oamtomo.config import load_config
 from oamtomo.fileio import read_counts
 
 
@@ -343,6 +346,38 @@ class TestOpticalModes:
               "--out", str(report)])
         fidelity = _report(report)["process_fidelity_vs_ideal"]
         assert 0.3 < fidelity < 0.99
+
+    @pytest.mark.parametrize("state", [None, "psi4"])
+    def test_ideal_counts_equal_abstract_counts(self, tmp_path, state):
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            channel="depolarizing 0.1159305993690852",
+            state=state,
+            source={"counts_per_setting": 1000000, "background": 10000.0, "seed": 7},
+            optics={"grid_size": 128, "extent": 1.0},
+        )
+        bodies = []
+        for mode in ("abstract", "optical-ideal"):
+            out = tmp_path / f"{mode}.txt"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+            bodies.append([ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")])
+        assert len(bodies[0]) == (9 if state else 81)
+        assert bodies[0] == bodies[1]
+
+    def test_phase_only_rows_are_trace_of_effective_operators(self, tmp_path):
+        cfg = load_config(_write_config(
+            tmp_path / "cfg.json",
+            channel="depolarizing 0.1159305993690852",
+            measurement_mode="optical-phase-only",
+            optics={"grid_size": 128, "extent": 1.0},
+        ))
+        settings = canonical_settings()
+        psi4 = settings.inputs[3]
+        row = _probability_rows([psi4], cfg.channel, cfg, settings)[0]
+        rho, povm = effective_operators([psi4], settings.inputs, cfg.optics, "phase_only")
+        # one operator per side, so no eigenbasis of the channel output enters the row
+        expected = np.einsum("iab,ba->i", povm, apply_channel_kraus(cfg.channel, rho[0])).real
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
 
     def test_mode_flag_overrides_config(self, tmp_path):
         cfg = _write_config(

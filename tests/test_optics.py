@@ -6,6 +6,7 @@ from oamtomo import (
     OpticsConfig,
     apply_phase_mask,
     canonical_input_states,
+    effective_operators,
     farfield,
     fiber_overlap,
     four_f_image,
@@ -295,6 +296,47 @@ class TestProjectionChain:
         states = canonical_input_states()
         with pytest.raises(ValueError):
             optical_projection_probability(states[0], states[0], cfg, "holographic")
+
+
+class TestEffectiveOperators:
+    """The 3x3 reduction against the full FFT chain it replaces."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        # waists off the self-Fourier point, so the lens changes the fiber Gaussian
+        w = self_fourier_waist(128, 1.0)
+        return OpticsConfig(128, 1.0, 0.7 * w, 0.9 * w)
+
+    def test_ideal_reproduces_chain(self, small):
+        states = canonical_input_states()
+        rho, povm = effective_operators(states, states, small, "ideal")
+        table = np.einsum("iab,jba->ji", povm, rho).real
+        chain = np.array([[optical_projection_probability(a, b, small, "ideal") for b in states]
+                          for a in states])
+        np.testing.assert_allclose(table, chain, rtol=0, atol=1e-12)
+
+    def test_phase_only_operators_match_fft_chain(self, small):
+        states = canonical_input_states()
+        modes = [oam_mode_field(l, small) for l in (1, 0, -1)]
+        rho, povm = effective_operators(states, states, small, "phase_only")
+        carrier = gaussian_field(small.waist, small)
+        for j, psi in enumerate(states):
+            field = apply_phase_mask(carrier, phase_mask_of(superposition_field(psi, small)))
+            c = np.array([np.vdot(m.samples, field.samples) for m in modes]) * small.cell_area
+            np.testing.assert_allclose(rho[j], np.outer(c, c.conj()), rtol=0, atol=1e-12)
+        for i, psi in enumerate(states):
+            # the 4-f image inverts coordinates, so l = +-1 amplitudes change sign
+            mask = phase_mask_of(superposition_field(psi * np.array([-1, 1, -1]), small))
+            imaged = [apply_phase_mask(four_f_image(m), mask, conjugate=True) for m in modes]
+            e = np.array([fiber_overlap(farfield(f), small) for f in imaged])
+            np.testing.assert_allclose(povm[i], np.outer(e.conj(), e), rtol=0, atol=1e-12)
+
+    def test_rejects_unknown_modulation_and_non_qutrits(self, small):
+        states = canonical_input_states()
+        with pytest.raises(ValueError):
+            effective_operators(states, states, small, "holographic")
+        with pytest.raises(ValueError):
+            effective_operators([[1.0, 0.0]], states, small, "ideal")
 
 
 class TestWindingNumber:
