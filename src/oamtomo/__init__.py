@@ -7,7 +7,6 @@ score them with Uhlmann fidelities.
 """
 
 from .counts import (
-    CountRecord,
     SourceConfig,
     anticorrelation_alpha,
     cross_correlation_g2,
@@ -58,7 +57,6 @@ from .qudit import (
 )
 from .tomography import (
     DegenerateDataError,
-    IncompleteSettingsError,
     MeasurementSettings,
     canonical_settings,
     hermitian_basis,
@@ -69,7 +67,6 @@ from .tomography import (
     project_to_physical_state,
     qpt_linear_inversion,
     qst_linear_inversion,
-    state_probabilities_from_counts,
 )
 
 __version__ = "0.1.0"

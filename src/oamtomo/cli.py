@@ -32,20 +32,19 @@ from .config import (
     load_config,
     parse_state,
 )
-from .counts import CountRecord, exact_counts, simulate_counts
+from .counts import exact_counts, simulate_counts
 from .optics import effective_operators, lens_fourier, phase_mask_of, superposition_field
-from .qudit import apply_channel_kraus, process_fidelity, projector_of, state_fidelity
+from .qudit import process_fidelity, projector_of, state_fidelity
 from .tomography import (
     DegenerateDataError,
-    IncompleteSettingsError,
     canonical_settings,
     ideal_storage_chi,
+    predict_probabilities,
     probabilities_from_counts,
     project_to_physical_process,
     project_to_physical_state,
     qpt_linear_inversion,
     qst_linear_inversion,
-    state_probabilities_from_counts,
 )
 
 EXIT_BAD_CONFIG = 2
@@ -63,35 +62,31 @@ def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.nda
     LG triple the memory stores, and the measurement chain as a POVM on it.
     """
     if cfg.measurement_mode == "abstract":
-        rho_in, povm = [projector_of(s) for s in input_states], settings.projectors
+        rho_in, povm = np.stack([projector_of(s) for s in input_states]), settings.projectors
     else:
         modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
         rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics, modulation)
-    rho_out = np.stack([apply_channel_kraus(channel, rho) if channel is not None
-                        else np.zeros_like(rho) for rho in rho_in])
-    return np.einsum("iab,jba->ji", povm, rho_out).real
+    return predict_probabilities(channel, settings, rho_in, povm)
 
 
-def _make_records(table: np.ndarray, cfg: RunConfig):
-    if cfg.noiseless:
-        return exact_counts(table, cfg.source)
-    return simulate_counts(table, cfg.source)
+def _read_counts(path: str, n_in: int) -> np.ndarray:
+    counts = fileio.read_counts(path)
+    if counts.shape[0] != n_in:
+        raise fileio.CountsFileError(f"expected {9 * n_in} settings, found {counts.size // 2}")
+    return counts
 
 
-def _resampled(records, rng):
-    return [
-        CountRecord(r.input_index, r.meas_index,
-                    int(rng.poisson(r.raw_counts)), int(rng.poisson(r.background_counts)))
-        for r in records
-    ]
+def _bootstrap(counts, cfg: RunConfig, reconstruct, fidelity) -> dict | None:
+    """Redo the reconstruction on B Poisson resamples of the counts, drawn at once.
 
-
-def _bootstrap(records, cfg: RunConfig, fidelity_of) -> dict | None:
-    """Poisson-resample the counts and redo the reconstruction B times."""
+    reconstruct maps counts with a leading batch axis to physical matrices;
+    fidelity scores one of them.
+    """
     if cfg.bootstrap_samples <= 0:
         return None
     rng = np.random.default_rng([cfg.source.seed, 104729])
-    fids = [fidelity_of(_resampled(records, rng)) for _ in range(cfg.bootstrap_samples)]
+    resamples = rng.poisson(counts, size=(cfg.bootstrap_samples,) + counts.shape)
+    fids = [fidelity(m) for m in reconstruct(resamples)]
     return {
         "samples": cfg.bootstrap_samples,
         "fidelity_mean": float(np.mean(fids)),
@@ -101,35 +96,21 @@ def _bootstrap(records, cfg: RunConfig, fidelity_of) -> dict | None:
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> None:
     settings = canonical_settings()
-    if cfg.state is not None:
-        table = _probability_rows([cfg.state], cfg.channel, cfg, settings)
-    else:
-        table = _probability_rows(settings.inputs, cfg.channel, cfg, settings)
-    fileio.write_counts(out_path, _make_records(table, cfg), cfg.echo)
-
-
-def _require_complete(records, n_expected: int) -> None:
-    seen = {(r.input_index, r.meas_index) for r in records}
-    if len(seen) != len(records):
-        raise IncompleteSettingsError("duplicate settings in counts file")
-    if len(records) != n_expected:
-        raise IncompleteSettingsError(
-            f"expected {n_expected} settings, found {len(records)}"
-        )
+    inputs = settings.inputs if cfg.state is None else [cfg.state]
+    table = _probability_rows(inputs, cfg.channel, cfg, settings)
+    make = exact_counts if cfg.noiseless else simulate_counts
+    fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
 
 
 def cmd_reconstruct_process(cfg: RunConfig, counts_path: str, out_path: str) -> None:
-    records = fileio.read_counts(counts_path)
-    _require_complete(records, 81)
+    counts = _read_counts(counts_path, 9)
     settings = canonical_settings()
-    basis = settings.basis
-    ideal = ideal_storage_chi(basis)
+    ideal = ideal_storage_chi(settings.basis)
 
-    def fidelity_of(recs) -> float:
-        chi = qpt_linear_inversion(probabilities_from_counts(recs), settings)
-        return process_fidelity(project_to_physical_process(chi), ideal)
+    def reconstruct(c):
+        return qpt_linear_inversion(probabilities_from_counts(c), settings)
 
-    chi_raw = qpt_linear_inversion(probabilities_from_counts(records), settings)
+    chi_raw = reconstruct(counts)
     chi_phys = project_to_physical_process(chi_raw)
     doc = {
         "report": "process",
@@ -140,7 +121,8 @@ def cmd_reconstruct_process(cfg: RunConfig, counts_path: str, out_path: str) -> 
         "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(chi_phys).min()),
         "process_fidelity_vs_ideal": process_fidelity(chi_phys, ideal),
     }
-    boot = _bootstrap(records, cfg, fidelity_of)
+    boot = _bootstrap(counts, cfg, lambda c: project_to_physical_process(reconstruct(c)),
+                      lambda chi: process_fidelity(chi, ideal))
     if boot is not None:
         doc["bootstrap"] = boot
     fileio.write_report(out_path, doc)
@@ -149,16 +131,14 @@ def cmd_reconstruct_process(cfg: RunConfig, counts_path: str, out_path: str) -> 
 def cmd_reconstruct_state(cfg: RunConfig, counts_path: str, out_path: str) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
-    records = fileio.read_counts(counts_path)
-    _require_complete(records, 9)
+    counts = _read_counts(counts_path, 1)
     settings = canonical_settings()
     target = projector_of(cfg.state)
 
-    def fidelity_of(recs) -> float:
-        rho = qst_linear_inversion(state_probabilities_from_counts(recs), settings)
-        return state_fidelity(project_to_physical_state(rho), target)
+    def reconstruct(c):
+        return qst_linear_inversion(probabilities_from_counts(c)[..., 0, :], settings)
 
-    rho_raw = qst_linear_inversion(state_probabilities_from_counts(records), settings)
+    rho_raw = reconstruct(counts)
     rho_phys = project_to_physical_state(rho_raw)
     doc = {
         "report": "state",
@@ -170,7 +150,8 @@ def cmd_reconstruct_state(cfg: RunConfig, counts_path: str, out_path: str) -> No
         "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(rho_phys).min()),
         "state_fidelity_vs_target": state_fidelity(rho_phys, target),
     }
-    boot = _bootstrap(records, cfg, fidelity_of)
+    boot = _bootstrap(counts, cfg, lambda c: project_to_physical_state(reconstruct(c)),
+                      lambda rho: state_fidelity(rho, target))
     if boot is not None:
         doc["bootstrap"] = boot
     fileio.write_report(out_path, doc)
@@ -263,7 +244,7 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         _fail(written, f"degenerate counts: {exc}")
         return EXIT_DEGENERATE
-    except (IncompleteSettingsError, fileio.CountsFileError, FileNotFoundError) as exc:
+    except (fileio.CountsFileError, FileNotFoundError) as exc:
         _fail(written, f"counts: {exc}")
         return EXIT_INCOMPLETE
     except ValueError as exc:

@@ -7,6 +7,7 @@ message; an unreadable or syntactically invalid file raises ConfigReadError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .qudit import (
 MEASUREMENT_MODES = ("abstract", "optical-ideal", "optical-phase-only")
 
 _STATE_NAMES = {"L": 0, "G": 1, "R": 2}
+
+# largest accepted counts_per_setting and background: every Poisson mean then
+# stays below numpy's limit (about 9.2e18) and every count fits int64
+_MAX_MEAN_COUNTS = 1e18
 
 
 class ConfigReadError(Exception):
@@ -75,6 +80,8 @@ def parse_channel(spec, d: int):
                 value = float(parts[1])
             except ValueError:
                 raise ConfigError("channel", f"non-numeric parameter in {spec!r}")
+            if not math.isfinite(value):
+                raise ConfigError("channel", f"non-finite parameter in {spec!r}")
             try:
                 if name == "depolarizing":
                     return depolarizing_channel(value, d)
@@ -138,6 +145,8 @@ def _require(mapping, field: str, kind, default, path: str):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got a boolean")
     if not isinstance(value, kind):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}{field}", f"expected a finite number, got {value!r}")
     return value
 
 
@@ -153,6 +162,10 @@ def _parse_source(raw: dict) -> SourceConfig:
     unknown = set(raw) - set(kwargs)
     if unknown:
         raise ConfigError(f"source.{sorted(unknown)[0]}", "unknown field")
+    for name in ("counts_per_setting", "background"):
+        if kwargs[name] > _MAX_MEAN_COUNTS:
+            raise ConfigError(f"source.{name}", f"must be at most {_MAX_MEAN_COUNTS:g}, "
+                              f"so that counts fit int64; got {kwargs[name]!r}")
     try:
         return SourceConfig(**kwargs)
     except ValueError as exc:
@@ -218,6 +231,9 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
     state = parse_state(raw.get("state"), dimension)
 
     output = _require(raw, "output", dict, {}, "")
+    unknown = set(output) - {"counts", "report", "grids"}
+    if unknown:
+        raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")
     counts_path = output.get("counts")
     report_path = output.get("report")
     grids_dir = output.get("grids")

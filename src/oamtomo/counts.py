@@ -43,22 +43,6 @@ class SourceConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Raw and background coincidence totals for one (input, projector) setting."""
-
-    input_index: int
-    meas_index: int
-    raw_counts: int
-    background_counts: int
-
-    def __post_init__(self):
-        if self.input_index < 1 or self.meas_index < 1:
-            raise ValueError("setting indices are 1-based")
-        if self.raw_counts < 0 or self.background_counts < 0:
-            raise ValueError("counts must be nonnegative")
-
-
 def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 2 or p.shape[1] != 9 or not 1 <= p.shape[0] <= 9:
@@ -68,43 +52,37 @@ def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:
     return cfg.efficiency * cfg.counts_per_setting * np.clip(p, 0.0, 1.0) + cfg.background
 
 
-def simulate_counts(probabilities, cfg: SourceConfig):
-    """Poisson-sampled CountRecords for a probability table (rows = inputs).
+def simulate_counts(probabilities, cfg: SourceConfig) -> np.ndarray:
+    """Poisson counts for a probability table (rows = inputs).
 
-    A full 9 x 9 table yields the 81 process-tomography records; a single-row
-    table yields the 9 records of a state-mode run.
+    Returns an int64 array of shape (n_in, 9, 2): counts[j, i] holds the raw
+    and background totals of input j + 1 measured on projector i + 1.  A full
+    9 x 9 table gives the process-tomography counts; a single-row table the
+    counts of a state-mode run.
     """
     means = _mean_table(probabilities, cfg)
-    records = []
-    for j in range(1, means.shape[0] + 1):
-        for i in range(1, 10):
-            rng = np.random.default_rng([cfg.seed, j, i])
-            raw = int(rng.poisson(means[j - 1, i - 1]))
-            bg = int(rng.poisson(cfg.background))
-            records.append(CountRecord(j, i, raw, bg))
-    return records
+    counts = np.empty(means.shape + (2,), dtype=np.int64)
+    for j, i in np.ndindex(means.shape):
+        rng = np.random.default_rng([cfg.seed, j + 1, i + 1])
+        counts[j, i] = rng.poisson(means[j, i]), rng.poisson(cfg.background)
+    return counts
 
 
-def exact_counts(probabilities, cfg: SourceConfig):
-    """Noise-free records: rounded expected totals instead of Poisson draws."""
+def exact_counts(probabilities, cfg: SourceConfig) -> np.ndarray:
+    """Noise-free counts: rounded expected totals instead of Poisson draws."""
     means = _mean_table(probabilities, cfg)
-    bg = int(round(cfg.background))
-    return [
-        CountRecord(j, i, int(round(means[j - 1, i - 1])), bg)
-        for j in range(1, means.shape[0] + 1)
-        for i in range(1, 10)
-    ]
+    both = np.stack([means, np.full_like(means, cfg.background)], axis=-1)
+    return np.rint(both).astype(np.int64)
 
 
-def subtract_background(records) -> np.ndarray:
-    """Corrected counts max(raw - background, 0), in record order.
+def subtract_background(counts) -> np.ndarray:
+    """Corrected counts max(raw - background, 0) over the last (raw, background) axis.
 
     Clamping introduces a small positive bias where the signal is near zero;
     accepted so downstream normalization never sees negative counts.
     """
-    return np.array(
-        [max(float(r.raw_counts - r.background_counts), 0.0) for r in records], dtype=float
-    )
+    counts = np.asarray(counts)
+    return np.maximum(counts[..., 0] - counts[..., 1], 0).astype(float)
 
 
 def anticorrelation_alpha(n_trigger: int, n_t1: int, n_t2: int, n_t12: int) -> float:

@@ -7,14 +7,15 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .counts import CountRecord
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class CountsFileError(ValueError):
-    """A counts file could not be parsed."""
+    """A counts file could not be parsed, or does not hold one complete scheme."""
 
 
 def format_sig(x) -> str:
@@ -39,16 +40,16 @@ def vector_to_pairs(vector) -> list:
 
 
 def parse_complex_entry(entry) -> complex:
-    """A JSON number or a [re, im] pair."""
+    """A finite JSON number or a [re, im] pair of them."""
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry)
-    ):
-        return complex(entry[0], entry[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {entry!r}")
+        parts = [entry, 0]
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        parts = entry
+    else:
+        parts = [None]
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in parts):
+        raise ValueError(f"expected a finite number or [re, im] pair, got {entry!r}")
+    return complex(*parts)
 
 
 def _rounded(doc):
@@ -61,39 +62,58 @@ def _rounded(doc):
     return round_sig(doc)
 
 
-def write_counts(path, records, echo: dict) -> None:
-    """One record per line (input, projector, raw, background), after a
-    comment header echoing the effective configuration and seed."""
+def write_counts(path, counts, echo: dict) -> None:
+    """One line per setting (input, projector, raw, background; indices 1-based)
+    of an (n_in, 9, 2) counts array, after a comment header echoing the
+    effective configuration and seed."""
     lines = [
         "# oamtomo counts",
         "# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
         f"# seed: {echo.get('source', {}).get('seed', 0)}",
     ]
-    for r in records:
-        lines.append(f"{r.input_index} {r.meas_index} {r.raw_counts} {r.background_counts}")
+    for (j, i), (raw, bg) in zip(np.ndindex(counts.shape[:2]), counts.reshape(-1, 2)):
+        lines.append(f"{j + 1} {i + 1} {raw} {bg}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_counts(path):
-    """Parse a counts file back into CountRecords (header lines are skipped)."""
-    records = []
+def read_counts(path) -> np.ndarray:
+    """Parse a counts file into an int64 array of shape (n_in, 9, 2).
+
+    The one check of counts that come from outside the program: it accepts
+    what write_counts writes, in any line order, and raises CountsFileError
+    naming the line or setting for anything else.  Input indices run over
+    1..n_in with n_in 1 (state mode) or 9 (process mode), each with
+    projectors 1..9 exactly once, and every count is a nonnegative integer
+    that fits int64.  Header lines are skipped.
+    """
+    found = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise CountsFileError(f"{path}:{ln}: expected 4 integers, got {line!r}")
-            try:
-                j, i, raw, bg = (int(p) for p in parts)
-                records.append(CountRecord(j, i, raw, bg))
-            except ValueError as exc:
-                raise CountsFileError(f"{path}:{ln}: {exc}") from exc
-    if not records:
+            if len(parts) != 4 or not all(p.isascii() and p.isdigit() for p in parts):
+                raise CountsFileError(
+                    f"{path}:{ln}: expected 4 nonnegative integers, got {line!r}")
+            j, i, raw, bg = (int(p) for p in parts)
+            if not (1 <= j <= 9 and 1 <= i <= 9):
+                raise CountsFileError(f"{path}:{ln}: setting ({j}, {i}) is out of range")
+            if max(raw, bg) > _INT64_MAX:
+                raise CountsFileError(f"{path}:{ln}: count exceeds the int64 range")
+            if (j, i) in found:
+                raise CountsFileError(f"{path}:{ln}: duplicate record for setting ({j}, {i})")
+            found[j, i] = raw, bg
+    if not found:
         raise CountsFileError(f"{path}: no count records found")
-    return records
+    n_in = 1 if max(j for j, _ in found) == 1 else 9
+    counts = np.empty((n_in, 9, 2), dtype=np.int64)
+    for j, i in np.ndindex(n_in, 9):
+        if (j + 1, i + 1) not in found:
+            raise CountsFileError(f"{path}: missing record for setting ({j + 1}, {i + 1})")
+        counts[j, i] = found[j + 1, i + 1]
+    return counts
 
 
 def write_report(path, doc: dict) -> None:

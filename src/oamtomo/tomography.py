@@ -6,11 +6,15 @@ reconstruction of density matrices (from 9 probabilities) and process
 matrices (from the full 81-entry table), followed by eigenvalue clamping to
 restore physicality.  Reconstruction parameterizes the unknown directly by a
 real Hermitian coordinate vector, so inverted matrices are Hermitian by
-construction and the linear systems are real-valued.
+construction and the linear systems are real-valued; their inverses are
+constants of the scheme, computed once per process (MeasurementSettings).
+Counts, probabilities and matrices may carry leading batch axes (bootstrap
+samples).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,49 +31,40 @@ from .qudit import (
 )
 
 
-class IncompleteSettingsError(ValueError):
-    """A counts collection does not cover the required settings exactly once."""
-
-
 class DegenerateDataError(ValueError):
     """Corrected counts cannot be normalized (non-positive basis-row sum)."""
 
 
 @dataclass(frozen=True)
 class MeasurementSettings:
-    """Input states, measurement projectors, and the operator basis.
+    """The canonical qutrit scheme and its linear-inversion maps.
 
-    The first three projectors must resolve the identity (the orthonormal
-    OAM basis), which is what makes per-input count normalization exact for
-    trace-preserving channels, and the projector set must be linearly
-    independent so linear inversion has a unique solution.
+    The nine canonical states serve both as inputs and as measurement
+    projectors, so projectors[j] is also the projector of inputs[j].  The
+    only instance is the one canonical_settings() returns; its arrays are
+    read-only, and each inversion map is built and rank-checked once, on
+    first use.
     """
 
-    inputs: np.ndarray      # (n, d) state vectors, one per row
-    projectors: np.ndarray  # (n, d, d) rank-1 Hermitian projectors
-    basis: OperatorBasis
+    inputs: np.ndarray      # (9, 3) state vectors, one per row
+    projectors: np.ndarray  # (9, 3, 3) rank-1 projectors of the same states
+    basis: OperatorBasis    # identity plus Gell-Mann, the process-matrix basis
 
-    def __post_init__(self):
-        d = self.basis.dim
-        n = self.inputs.shape[0]
-        if self.inputs.shape != (n, d) or self.projectors.shape != (n, d, d):
-            raise ValueError("settings arrays have inconsistent shapes")
-        if np.abs(self.projectors[:3].sum(axis=0) - np.eye(d)).max() > 1e-12:
-            raise ValueError("first three projectors do not sum to the identity")
-        gram = np.einsum("iab,jba->ij", self.projectors, self.projectors).real
-        if np.linalg.matrix_rank(gram, tol=1e-10) != n:
-            raise ValueError("projector set is linearly dependent")
+    @functools.cached_property
+    def qst_map(self) -> np.ndarray:
+        """(9, 9) map from nine probabilities to the flattened 3 x 3 rho."""
+        coords = hermitian_basis(3)
+        design = np.einsum("iab,Kba->iK", self.projectors, coords).real
+        return _inversion_map(design, coords)
 
-    @property
-    def n_settings(self) -> int:
-        return self.inputs.shape[0]
-
-
-def canonical_settings() -> MeasurementSettings:
-    """The qutrit scheme: nine canonical states used both as inputs and projectors."""
-    states = canonical_input_states()
-    projectors = np.stack([projector_of(s) for s in states])
-    return MeasurementSettings(states, projectors, gell_mann_basis(3))
+    @functools.cached_property
+    def qpt_map(self) -> np.ndarray:
+        """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi."""
+        lam, proj = self.basis.operators, self.projectors
+        transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(), optimize=True)
+        coords = hermitian_basis(9)
+        design = np.einsum("jimn,Kmn->jiK", transfer, coords).real.reshape(81, 81)
+        return _inversion_map(design, coords)
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -96,135 +91,138 @@ def hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
-def predict_probabilities(channel, settings: MeasurementSettings) -> np.ndarray:
-    """Exact probability table p[j, i] = Tr(mu_i E(|psi_j><psi_j|)).
+def _inversion_map(design: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a full-rank real design, composed with the coordinate
+    basis so that it maps probabilities straight to flattened matrices."""
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise ValueError(f"rank-deficient {design.shape} tomography design matrix")
+    out = coords.reshape(len(coords), -1).T @ np.linalg.pinv(design)
+    out.flags.writeable = False
+    return out
 
-    channel may be a KrausChannel or a process matrix (d^2 x d^2 array)
-    expressed in settings.basis.
+
+@functools.cache
+def canonical_settings() -> MeasurementSettings:
+    """The qutrit scheme: nine canonical states used both as inputs and projectors.
+
+    The first three projectors resolve the identity (the orthonormal OAM
+    basis), which makes per-input count normalization exact for
+    trace-preserving channels.
     """
-    rho_in = np.stack([projector_of(s) for s in settings.inputs])
-    if isinstance(channel, KrausChannel):
+    states = canonical_input_states()
+    projectors = np.stack([projector_of(s) for s in states])
+    if np.abs(projectors[:3].sum(axis=0) - np.eye(3)).max() > 1e-12:
+        raise ValueError("first three projectors do not sum to the identity")
+    basis = gell_mann_basis(3)
+    for array in (states, projectors, basis.operators):
+        array.flags.writeable = False
+    return MeasurementSettings(states, projectors, basis)
+
+
+def predict_probabilities(channel, settings: MeasurementSettings, rho_in=None,
+                          povm=None) -> np.ndarray:
+    """Probability table p[j, i] = Tr(mu_i C(rho_j)), the one forward model.
+
+    channel is a KrausChannel, a process matrix (9 x 9 array) in
+    settings.basis, or None (nothing is retrieved: every probability is 0).
+    rho_in and povm default to the scheme's input and measurement projectors;
+    the optical modes pass the chain's effective operators instead.
+    """
+    rho_in = settings.projectors if rho_in is None else rho_in
+    povm = settings.projectors if povm is None else povm
+    if channel is None:
+        rho_out = np.zeros((len(rho_in),) + povm.shape[1:], dtype=complex)
+    elif isinstance(channel, KrausChannel):
         rho_out = np.stack([apply_channel_kraus(channel, r) for r in rho_in])
     else:
         rho_out = np.stack([apply_channel_chi(channel, settings.basis, r) for r in rho_in])
-    return np.einsum("iab,jba->ji", settings.projectors, rho_out).real
+    return np.einsum("iab,jba->ji", povm, rho_out).real
 
 
-def _normalized_rows(corrected: np.ndarray) -> np.ndarray:
-    norms = corrected[:, :3].sum(axis=1)
-    if np.any(norms <= 0.0):
-        bad = int(np.flatnonzero(norms <= 0.0)[0]) + 1
-        raise DegenerateDataError(
-            f"input {bad}: corrected counts for the basis projectors sum to {norms[bad - 1]!r}"
-        )
-    return corrected / norms[:, None]
-
-
-def _corrected_table(records, n_inputs: int) -> np.ndarray:
-    corrected = subtract_background(records)
-    table = np.full((n_inputs, 9), np.nan)
-    for rec, c in zip(records, corrected):
-        j, i = rec.input_index, rec.meas_index
-        if not (1 <= j <= n_inputs and 1 <= i <= 9):
-            raise IncompleteSettingsError(f"setting ({j}, {i}) is out of range")
-        if not np.isnan(table[j - 1, i - 1]):
-            raise IncompleteSettingsError(f"duplicate record for setting ({j}, {i})")
-        table[j - 1, i - 1] = c
-    if np.isnan(table).any():
-        j, i = np.argwhere(np.isnan(table))[0] + 1
-        raise IncompleteSettingsError(f"missing record for setting ({j}, {i})")
-    return table
-
-
-def probabilities_from_counts(records) -> np.ndarray:
-    """Probability table from 81 coincidence records.
+def probabilities_from_counts(counts) -> np.ndarray:
+    """Probabilities from counts of shape (..., n_in, 9, 2), one row per input.
 
     Counts are background-subtracted (clamped at zero) and each input row is
     normalized by the summed counts of the three orthonormal-basis projectors,
     which resolve the identity.  The result is insensitive to per-input flux
-    drift and to any common efficiency factor.
+    drift and to any common efficiency factor.  Leading axes are batch axes.
     """
-    return _normalized_rows(_corrected_table(records, 9))
-
-
-def state_probabilities_from_counts(records) -> np.ndarray:
-    """Length-9 projection probabilities from the single-input record set."""
-    js = {rec.input_index for rec in records}
-    if len(js) > 1:
-        raise IncompleteSettingsError(f"state-mode records mix input indices {sorted(js)}")
-    shifted = [
-        type(rec)(1, rec.meas_index, rec.raw_counts, rec.background_counts) for rec in records
-    ]
-    return _normalized_rows(_corrected_table(shifted, 1))[0]
+    corrected = subtract_background(counts)
+    norms = corrected[..., :3].sum(axis=-1)
+    if np.any(norms <= 0.0):
+        *batch, j = np.argwhere(norms <= 0.0)[0]
+        where = "".join(f"sample {b + 1}, " for b in batch)
+        raise DegenerateDataError(
+            f"{where}input {j + 1}: corrected counts for the basis projectors sum to "
+            f"{norms[(*batch, j)]!r}"
+        )
+    return corrected / norms[..., None]
 
 
 def qst_linear_inversion(probabilities, settings: MeasurementSettings) -> np.ndarray:
-    """Hermitian matrix rho with Tr(mu_i rho) = p_i for all projectors.
+    """Hermitian matrices rho with Tr(mu_i rho) = p_i, for p of shape (..., 9).
 
-    Least-squares over the real Hermitian coordinates; the output is not yet
-    guaranteed physical (see project_to_physical_state).
+    Linear inversion over the real Hermitian coordinates, with the
+    precomputed settings.qst_map; the output is not yet guaranteed physical
+    (see project_to_physical_state).
     """
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
-    if p.size != settings.n_settings:
-        raise ValueError(f"expected {settings.n_settings} probabilities, got {p.size}")
-    d = settings.basis.dim
-    hb = hermitian_basis(d)
-    design = np.einsum("iab,Kba->iK", settings.projectors, hb).real
-    coeff, _, rank, _ = np.linalg.lstsq(design, p, rcond=None)
-    if rank < d * d:
-        raise ValueError("projector set is singular; state is not identifiable")
-    return np.einsum("K,Kab->ab", coeff, hb)
+    p = np.asarray(probabilities, dtype=float)
+    if p.shape[-1:] != (9,):
+        raise ValueError(f"expected 9 probabilities per state, got shape {p.shape}")
+    return (p @ settings.qst_map.T).reshape(p.shape[:-1] + (3, 3))
 
 
 def qpt_linear_inversion(probabilities, settings: MeasurementSettings) -> np.ndarray:
-    """Hermitian process matrix reproducing a full probability table.
+    """Hermitian process matrices reproducing probability tables of shape (..., 9, 9).
 
-    Solves p[j, i] = sum_mn chi_mn Tr(mu_i op_m rho_j op_n^dag) as 81 real
-    equations in the 81 real Hermitian coordinates of chi, by least squares.
-    The canonical settings give a well-conditioned square system; a
-    rank-deficient design matrix raises.
+    Solves p[j, i] = sum_mn chi_mn Tr(mu_i op_m rho_j op_n^dag), 81 real
+    equations in the 81 real Hermitian coordinates of chi, with the
+    precomputed settings.qpt_map.
     """
-    n = settings.n_settings
     p = np.asarray(probabilities, dtype=float)
-    if p.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} probability table, got shape {p.shape}")
-    lam = settings.basis.operators
-    rho_in = np.stack([projector_of(s) for s in settings.inputs])
-    transfer = np.einsum("iab,mbc,jcd,nad->jimn", settings.projectors, lam, rho_in, lam.conj())
-    hb = hermitian_basis(lam.shape[0])
-    design = np.einsum("jimn,Kmn->jiK", transfer, hb).real.reshape(n * n, -1)
-    coeff, _, rank, _ = np.linalg.lstsq(design, p.reshape(-1), rcond=None)
-    if rank < hb.shape[0]:
-        raise ValueError("rank-deficient tomography design matrix")
-    return np.einsum("K,Kmn->mn", coeff, hb)
+    if p.shape[-2:] != (9, 9):
+        raise ValueError(f"expected a 9 x 9 probability table, got shape {p.shape}")
+    flat = p.reshape(p.shape[:-2] + (81,)) @ settings.qpt_map.T
+    return flat.reshape(p.shape[:-2] + (9, 9))
+
+
+def _dagger(matrix: np.ndarray) -> np.ndarray:
+    return np.swapaxes(matrix.conj(), -1, -2)
 
 
 def _clamped_eigs(matrix, label: str):
     matrix = np.asarray(matrix, dtype=complex)
-    if np.abs(matrix - matrix.conj().T).max() > 1e-8:
+    if np.abs(matrix - _dagger(matrix)).max() > 1e-8:
         raise ValueError(f"{label} is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    w, v = np.linalg.eigh(0.5 * (matrix + _dagger(matrix)))
     return np.clip(w, 0.0, None), v
 
 
 def project_to_physical_state(rho) -> np.ndarray:
-    """Nearest-physical density matrix: clamp negative eigenvalues, renormalize."""
+    """Clamp negative eigenvalues to zero, then rescale to unit trace.
+
+    This keeps the eigenvectors and restores positivity, but it is not the
+    Frobenius-nearest density matrix.  Leading axes are batch axes.
+    """
     w, v = _clamped_eigs(rho, "density matrix")
-    total = w.sum()
-    if total <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("no positive eigenvalues; cannot form a physical state")
-    return (v * (w / total)) @ v.conj().T
+    return (v * (w / total)[..., None, :]) @ _dagger(v)
 
 
 def project_to_physical_process(chi) -> np.ndarray:
-    """PSD process matrix: clamp negative eigenvalues, restore the input trace."""
+    """PSD process matrix: clamp negative eigenvalues, restore the input trace.
+
+    Leading axes are batch axes.
+    """
     chi = np.asarray(chi, dtype=complex)
-    trace_in = np.trace(chi).real
+    trace_in = np.trace(chi, axis1=-2, axis2=-1).real[..., None]
     w, v = _clamped_eigs(chi, "process matrix")
-    total = w.sum()
-    if total <= 1e-12 or trace_in <= 1e-12:
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 1e-12) or np.any(trace_in <= 1e-12):
         raise ValueError("process matrix trace vanished under physicality projection")
-    return (v * (w * (trace_in / total))) @ v.conj().T
+    return (v * (w * (trace_in / total))[..., None, :]) @ _dagger(v)
 
 
 def ideal_storage_chi(basis: OperatorBasis) -> np.ndarray:

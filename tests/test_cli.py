@@ -10,7 +10,10 @@ from oamtomo import (
     depolarizing_channel,
     effective_operators,
     ideal_storage_chi,
+    probabilities_from_counts,
     process_fidelity,
+    project_to_physical_process,
+    qpt_linear_inversion,
 )
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
@@ -38,11 +41,10 @@ class TestSimulate:
         cfg = _write_config(tmp_path / "cfg.json")
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        records = read_counts(out)
-        assert len(records) == 81
+        counts = read_counts(out)
+        assert counts.shape == (9, 9, 2)
         # for the identity channel, the matched setting dominates input row 1
-        row1 = {r.meas_index: r.raw_counts for r in records if r.input_index == 1}
-        assert row1[1] == max(row1.values())
+        assert counts[0, :, 0].argmax() == 0
 
     def test_header_echoes_config_and_seed(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
@@ -61,7 +63,7 @@ class TestSimulate:
         )
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        raws = np.array([r.raw_counts for r in read_counts(out)])
+        raws = read_counts(out)[..., 0]
         assert abs(raws.mean() - 50.0) < 5 * np.sqrt(50.0 / 81)
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -76,6 +78,26 @@ class TestSimulate:
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert "source" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"source": {"counts_per_setting": 100, "window": float("nan")}}, "source.window"),
+        ({"optics": {"extent": float("nan")}}, "optics.extent"),
+        ({"source": {"counts_per_setting": 100, "background": float("nan")}},
+         "source.background"),
+        ({"source": {"counts_per_setting": 1e19}}, "source.counts_per_setting"),
+        ({"source": {"counts_per_setting": 1e30}}, "source.counts_per_setting"),
+        ({"source": {"counts_per_setting": float("inf")}}, "source.counts_per_setting"),
+        ({"channel": "unitary inf"}, "channel"),
+        ({"state": [float("nan"), 1, 0]}, "state"),
+        ({"output": {"countz": "x.txt"}}, "output.countz: unknown field"),
+    ])
+    def test_non_finite_or_oversized_exits_3(self, tmp_path, capsys, overrides, field):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert f"invalid configuration: {field}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_json_exits_2(self, tmp_path):
@@ -162,6 +184,18 @@ class TestReconstructProcess:
         ) == 4
         assert not report.exists()
 
+    def test_state_counts_exit_4(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4")
+        counts = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        report = tmp_path / "report.json"
+        assert main(
+            ["reconstruct-process", "--config", cfg, "--counts", str(counts),
+             "--out", str(report)]
+        ) == 4
+        assert "expected 81 settings, found 9" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_degenerate_rows_exit_5(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         lines = ["# degenerate fixture"]
@@ -195,6 +229,32 @@ class TestReconstructProcess:
         assert 0.5 < boot["fidelity_mean"] <= 1.0
 
 
+    def test_bootstrap_is_one_poisson_draw(self, tmp_path):
+        # oracle: the record-by-record resampling loop the batched draw replaced,
+        # then one library reconstruction per resample
+        cfg = _write_config(tmp_path / "cfg.json", bootstrap_samples=7,
+                            source={"counts_per_setting": 10000, "background": 50.0,
+                                    "seed": 4})
+        counts = tmp_path / "counts.txt"
+        report = tmp_path / "report.json"
+        main(["simulate", "--config", cfg, "--out", str(counts)])
+        assert main(["reconstruct-process", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 0
+        settings = canonical_settings()
+        ideal = ideal_storage_chi(settings.basis)
+        observed = read_counts(counts)
+        rng = np.random.default_rng([4, 104729])
+        fids = []
+        for _ in range(7):
+            resample = np.array([[[rng.poisson(raw), rng.poisson(bg)] for raw, bg in row]
+                                 for row in observed])
+            chi = qpt_linear_inversion(probabilities_from_counts(resample), settings)
+            fids.append(process_fidelity(project_to_physical_process(chi), ideal))
+        boot = _report(report)["bootstrap"]
+        assert boot["fidelity_mean"] == pytest.approx(np.mean(fids), abs=1e-8)
+        assert boot["fidelity_std"] == pytest.approx(np.std(fids, ddof=1), abs=1e-8)
+
+
 class TestReconstructState:
     def test_noiseless_balanced_state(self, tmp_path):
         cfg = _write_config(
@@ -206,8 +266,7 @@ class TestReconstructState:
         counts = tmp_path / "counts.txt"
         report = tmp_path / "report.json"
         assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
-        records = read_counts(counts)
-        assert len(records) == 9
+        assert read_counts(counts).shape == (1, 9, 2)
         assert main(
             ["reconstruct-state", "--config", cfg, "--counts", str(counts),
              "--out", str(report)]
@@ -229,6 +288,28 @@ class TestReconstructState:
             ["reconstruct-state", "--config", cfg2, "--counts", str(counts),
              "--out", str(report)]
         ) == 3
+
+    def test_process_counts_exit_4(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4")
+        counts = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", _write_config(tmp_path / "qpt.json"),
+                     "--out", str(counts)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["reconstruct-state", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 4
+        assert "expected 9 settings, found 81" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_single_input_other_than_1_exits_4(self, tmp_path, capsys):
+        # state-mode counts must use input index 1
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4")
+        counts = tmp_path / "counts.txt"
+        counts.write_text("".join(f"4 {i} 100 0\n" for i in range(1, 10)))
+        report = tmp_path / "report.json"
+        assert main(["reconstruct-state", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 4
+        assert "missing record for setting (1, 1)" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_named_state(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", state="psi4", noiseless=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oamtomo import (
-    CountRecord,
     SourceConfig,
     anticorrelation_alpha,
     cross_correlation_g2,
@@ -10,6 +9,7 @@ from oamtomo import (
     simulate_counts,
     subtract_background,
 )
+from oamtomo.fileio import CountsFileError, read_counts, write_counts
 
 # p[j][i] = |<psi_i|psi_j>|^2 for the canonical states (identity channel)
 IDENTITY_TABLE = np.array(
@@ -51,34 +51,32 @@ class TestSourceConfig:
 class TestSimulateCounts:
     def test_zero_probability_zero_background(self):
         cfg = SourceConfig(counts_per_setting=1000, background=0.0, seed=1)
-        records = simulate_counts(np.zeros((9, 9)), cfg)
-        assert len(records) == 81
-        assert all(r.raw_counts == 0 and r.background_counts == 0 for r in records)
+        counts = simulate_counts(np.zeros((9, 9)), cfg)
+        assert counts.shape == (9, 9, 2)
+        assert not counts.any()
 
     def test_reproducible(self):
         cfg = SourceConfig(counts_per_setting=500, background=20, seed=99)
         a = simulate_counts(IDENTITY_TABLE, cfg)
         b = simulate_counts(IDENTITY_TABLE, cfg)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_output(self):
         cfg1 = SourceConfig(counts_per_setting=500, background=20, seed=1)
         cfg2 = SourceConfig(counts_per_setting=500, background=20, seed=2)
-        assert simulate_counts(IDENTITY_TABLE, cfg1) != simulate_counts(IDENTITY_TABLE, cfg2)
+        assert not np.array_equal(simulate_counts(IDENTITY_TABLE, cfg1),
+                                  simulate_counts(IDENTITY_TABLE, cfg2))
 
     def test_large_n_rates_close(self):
         # law of large numbers at N = 1e6, fixed seed
         cfg = SourceConfig(counts_per_setting=1e6, background=0.0, seed=7)
-        records = simulate_counts(IDENTITY_TABLE, cfg)
-        for r in records:
-            expected = IDENTITY_TABLE[r.input_index - 1, r.meas_index - 1]
-            assert abs(r.raw_counts / 1e6 - expected) < 0.005
+        raw = simulate_counts(IDENTITY_TABLE, cfg)[..., 0]
+        assert np.abs(raw / 1e6 - IDENTITY_TABLE).max() < 0.005
 
     def test_nonnegative_integers(self):
         cfg = SourceConfig(counts_per_setting=50, background=5, seed=3)
-        for r in simulate_counts(IDENTITY_TABLE, cfg):
-            assert isinstance(r.raw_counts, int) and r.raw_counts >= 0
-            assert isinstance(r.background_counts, int) and r.background_counts >= 0
+        counts = simulate_counts(IDENTITY_TABLE, cfg)
+        assert counts.dtype == np.int64 and counts.min() >= 0
 
     def test_expectation_matches_model(self):
         # per-setting sample mean over seeded draws within 3 standard errors
@@ -88,8 +86,7 @@ class TestSimulateCounts:
         means = np.zeros((3, 9))
         for seed in range(draws):
             cfg = SourceConfig(counts_per_setting=n, background=b, efficiency=eta, seed=seed)
-            for r in simulate_counts(table, cfg):
-                means[r.input_index - 1, r.meas_index - 1] += r.raw_counts
+            means += simulate_counts(table, cfg)[..., 0]
         means /= draws
         expected = eta * n * table + b
         stderr = np.sqrt(expected / draws)
@@ -97,9 +94,7 @@ class TestSimulateCounts:
 
     def test_single_row_table(self):
         cfg = SourceConfig(counts_per_setting=100, seed=5)
-        records = simulate_counts(IDENTITY_TABLE[:1], cfg)
-        assert len(records) == 9
-        assert all(r.input_index == 1 for r in records)
+        assert simulate_counts(IDENTITY_TABLE[:1], cfg).shape == (1, 9, 2)
 
     def test_rejects_bad_table(self):
         cfg = SourceConfig(counts_per_setting=100)
@@ -110,20 +105,19 @@ class TestSimulateCounts:
 class TestExactCounts:
     def test_rounded_expectations(self):
         cfg = SourceConfig(counts_per_setting=1000, background=7, efficiency=0.5, seed=0)
-        records = exact_counts(IDENTITY_TABLE, cfg)
-        for r in records:
-            p = IDENTITY_TABLE[r.input_index - 1, r.meas_index - 1]
-            assert r.raw_counts == int(round(0.5 * 1000 * p + 7))
-            assert r.background_counts == 7
+        counts = exact_counts(IDENTITY_TABLE, cfg)
+        for (j, i), p in np.ndenumerate(IDENTITY_TABLE):
+            assert counts[j, i, 0] == int(round(0.5 * 1000 * p + 7))
+            assert counts[j, i, 1] == 7
 
 
 class TestSubtractBackground:
     def test_plain_subtraction(self):
-        out = subtract_background([CountRecord(1, 1, 120, 20)])
+        out = subtract_background([[120, 20]])
         assert out[0] == 100.0
 
     def test_clamps_negative(self):
-        out = subtract_background([CountRecord(1, 1, 5, 9)])
+        out = subtract_background([[5, 9]])
         assert out[0] == 0.0
 
     def test_unbiased_before_clamping(self):
@@ -199,11 +193,85 @@ class TestCrossCorrelation:
             cross_correlation_g2(10, 0, 1000, 50e-9, 1.0)
 
 
-class TestCountRecord:
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            CountRecord(1, 1, -1, 0)
+def _counts_file(path, lines):
+    path.write_text("# oamtomo counts\n" + "".join(f"{line}\n" for line in lines))
+    return path
 
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            CountRecord(0, 1, 10, 0)
+
+def _full_lines(n_in=9):
+    return [f"{j} {i} 10 1" for j in range(1, n_in + 1) for i in range(1, 10)]
+
+
+class TestCountsFile:
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_round_trip(self, tmp_path, rows):
+        cfg = SourceConfig(counts_per_setting=500, background=20, seed=4)
+        counts = simulate_counts(IDENTITY_TABLE[:rows], cfg)
+        path = tmp_path / "counts.txt"
+        write_counts(path, counts, {"source": {"seed": 4}})
+        back = read_counts(path)
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, counts)
+
+    def test_any_line_order(self, tmp_path):
+        lines = [f"{j} {i} {10 * j + i} {i}" for j in range(1, 10) for i in range(1, 10)]
+        counts = read_counts(_counts_file(tmp_path / "c.txt", lines[::-1]))
+        assert counts[3, 7].tolist() == [48, 8]
+
+    def test_rejects_negative_counts(self, tmp_path):
+        lines = _full_lines()
+        lines[0] = "1 1 -1 0"
+        with pytest.raises(CountsFileError, match=":2: expected 4 nonnegative integers"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_rejects_zero_index(self, tmp_path):
+        lines = _full_lines()
+        lines[0] = "0 1 10 0"
+        with pytest.raises(CountsFileError, match=r"setting \(0, 1\) is out of range"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_rejects_out_of_range_projector(self, tmp_path):
+        lines = _full_lines() + ["1 10 10 0"]
+        with pytest.raises(CountsFileError, match=r"setting \(1, 10\) is out of range"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_missing_setting(self, tmp_path):
+        with pytest.raises(CountsFileError, match=r"missing record for setting \(9, 9\)"):
+            read_counts(_counts_file(tmp_path / "c.txt", _full_lines()[:-1]))
+
+    def test_duplicate_setting(self, tmp_path):
+        lines = _full_lines()
+        lines[-1] = lines[0]
+        with pytest.raises(CountsFileError, match=r":82: duplicate record for setting \(1, 1\)"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_rejects_mixed_inputs(self, tmp_path):
+        # a state-mode file whose last record names another input
+        lines = _full_lines(1)[:-1] + ["2 9 10 0"]
+        with pytest.raises(CountsFileError, match="missing record"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_single_input_must_be_input_1(self, tmp_path):
+        lines = [f"4 {i} 10 0" for i in range(1, 10)]
+        with pytest.raises(CountsFileError, match=r"missing record for setting \(1, 1\)"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_rejects_count_beyond_int64(self, tmp_path):
+        lines = _full_lines()
+        lines[5] = f"1 6 {2**63} 0"
+        with pytest.raises(CountsFileError, match=":7: count exceeds the int64 range"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+        lines[5] = f"1 6 {2**63 - 1} 0"
+        assert read_counts(_counts_file(tmp_path / "c.txt", lines))[0, 5, 0] == 2**63 - 1
+
+    @pytest.mark.parametrize("line",
+                             ["1 1 10", "1 1 10 0 0", "1 1 1e3 0", "1 1 +5 0", "1 1 ten 0"])
+    def test_rejects_malformed_line(self, tmp_path, line):
+        lines = _full_lines()
+        lines[0] = line
+        with pytest.raises(CountsFileError, match=":2: expected 4 nonnegative integers"):
+            read_counts(_counts_file(tmp_path / "c.txt", lines))
+
+    def test_rejects_empty_file(self, tmp_path):
+        with pytest.raises(CountsFileError, match="no count records"):
+            read_counts(_counts_file(tmp_path / "c.txt", []))

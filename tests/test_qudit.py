@@ -359,3 +359,31 @@ class TestProcessFidelity:
     def test_rejects_zero_trace(self):
         with pytest.raises(ValueError):
             process_fidelity(np.zeros((9, 9)), self.ideal)
+
+    # process_fidelity against ideal storage is chi_00 / Tr chi in the
+    # identity-plus-Gell-Mann basis (Tr I^2 = 3, Tr lambda^2 = 2).  For a
+    # trace-preserving channel, Tr chi = (3 - F_e) / 2 with the entanglement
+    # fidelity F_e = sum_k |Tr K_k|^2 / 9, so the fidelity is 2 F_e / (3 - F_e).
+    # The tolerance is 1e-7 because process_fidelity carries rounding noise of
+    # up to ~1e-8: square roots of eigenvalues at rounding level enter its sum.
+    @staticmethod
+    def _entanglement_fidelity(channel):
+        return sum(abs(np.trace(k)) ** 2 for k in channel.kraus) / 9
+
+    def test_relation_to_entanglement_fidelity(self):
+        rng = np.random.default_rng(31)
+        for n_kraus in (1, 2, 3, 5, 9):
+            for _ in range(4):
+                ch = random_cptp_channel(3, n_kraus, rng)
+                fe = self._entanglement_fidelity(ch)
+                got = process_fidelity(chi_from_kraus(ch, self.basis), self.ideal)
+                assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-7)
+
+    def test_demo_channel_conventions(self):
+        ch = depolarizing_channel(0.1159305993690852, 3)
+        fe = self._entanglement_fidelity(ch)
+        got = process_fidelity(chi_from_kraus(ch, self.basis), self.ideal)
+        assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-7)
+        assert round(got, 3) == 0.853
+        assert round(fe, 3) == 0.897
+        assert round((3 * fe + 1) / 4, 3) == 0.923

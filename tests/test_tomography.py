@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from oamtomo import (
-    CountRecord,
     DegenerateDataError,
-    IncompleteSettingsError,
     SourceConfig,
     canonical_settings,
     chi_from_kraus,
@@ -23,7 +21,6 @@ from oamtomo import (
     random_cptp_channel,
     random_density_matrix,
     simulate_counts,
-    state_probabilities_from_counts,
 )
 from oamtomo.tomography import hermitian_basis
 
@@ -33,14 +30,9 @@ def settings():
     return canonical_settings()
 
 
-def _records_from_table(corrected, backgrounds=None):
-    backgrounds = np.zeros_like(corrected) if backgrounds is None else backgrounds
-    return [
-        CountRecord(j + 1, i + 1, int(corrected[j, i] + backgrounds[j, i]),
-                    int(backgrounds[j, i]))
-        for j in range(corrected.shape[0])
-        for i in range(corrected.shape[1])
-    ]
+def _counts_from_table(corrected):
+    # raw = corrected + 5 over a background of 5
+    return np.stack([corrected + 5, np.full_like(corrected, 5)], axis=-1).astype(np.int64)
 
 
 class TestSettings:
@@ -60,6 +52,15 @@ class TestSettings:
         )
         design = np.einsum("jimn,Kmn->jiK", transfer, hermitian_basis(9)).real.reshape(81, 81)
         assert np.linalg.cond(design) < 1e3
+        # the map sends each design column to its flattened Hermitian basis element
+        np.testing.assert_allclose(settings.qpt_map @ design,
+                                   hermitian_basis(9).reshape(81, 81).T, atol=1e-12)
+
+    def test_one_read_only_instance(self, settings):
+        assert canonical_settings() is settings
+        for array in (settings.inputs, settings.projectors, settings.qst_map, settings.qpt_map):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestPredictProbabilities:
@@ -95,7 +96,7 @@ class TestProbabilitiesFromCounts:
         corrected = np.zeros((9, 9))
         corrected[:, 0] = 100.0
         corrected[:, 3] = 50.0
-        p = probabilities_from_counts(_records_from_table(corrected))
+        p = probabilities_from_counts(_counts_from_table(corrected))
         assert p[0, 0] == pytest.approx(1.0)
         assert p[0, 3] == pytest.approx(0.5)
 
@@ -103,7 +104,7 @@ class TestProbabilitiesFromCounts:
         corrected = np.ones((9, 9)) * 10
         corrected[4, :3] = 0.0
         with pytest.raises(DegenerateDataError):
-            probabilities_from_counts(_records_from_table(corrected))
+            probabilities_from_counts(_counts_from_table(corrected))
 
     def test_poisson_counts_match_prediction(self, settings):
         # statistical closeness at N = 1e6, fixed seed
@@ -115,34 +116,49 @@ class TestProbabilitiesFromCounts:
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         corrected = rng.integers(10, 1000, size=(9, 9)).astype(float)
-        p1 = probabilities_from_counts(_records_from_table(corrected))
+        p1 = probabilities_from_counts(_counts_from_table(corrected))
         scaled = corrected.copy()
         scaled[4] *= 7
-        p2 = probabilities_from_counts(_records_from_table(scaled))
+        p2 = probabilities_from_counts(_counts_from_table(scaled))
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
-    def test_missing_setting(self):
-        records = _records_from_table(np.ones((9, 9)))[:-1]
-        with pytest.raises(IncompleteSettingsError):
-            probabilities_from_counts(records)
-
-    def test_duplicate_setting(self):
-        records = _records_from_table(np.ones((9, 9)))
-        records[-1] = records[0]
-        with pytest.raises(IncompleteSettingsError):
-            probabilities_from_counts(records)
-
     def test_state_mode_row(self):
-        records = [CountRecord(1, i + 1, c, 0)
-                   for i, c in enumerate([100, 0, 0, 50, 50, 50, 50, 0, 0])]
-        p = state_probabilities_from_counts(records)
-        np.testing.assert_allclose(p, [1, 0, 0, 0.5, 0.5, 0.5, 0.5, 0, 0])
+        counts = _counts_from_table(np.array([[100, 0, 0, 50, 50, 50, 50, 0, 0]]))
+        p = probabilities_from_counts(counts)
+        np.testing.assert_allclose(p, [[1, 0, 0, 0.5, 0.5, 0.5, 0.5, 0, 0]])
 
-    def test_state_mode_rejects_mixed_inputs(self):
-        records = [CountRecord(1, i + 1, 10, 0) for i in range(8)]
-        records.append(CountRecord(2, 9, 10, 0))
-        with pytest.raises(IncompleteSettingsError):
-            state_probabilities_from_counts(records)
+
+class TestBatchAxis:
+    """Leading batch axes give the same numbers as one call per sample."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, settings):
+        p_true = predict_probabilities(depolarizing_channel(0.3, 3), settings)
+        cfg = SourceConfig(counts_per_setting=300, background=20, seed=8)
+        rng = np.random.default_rng(9)
+        return rng.poisson(simulate_counts(p_true, cfg), size=(6, 9, 9, 2))
+
+    def test_process_pipeline(self, settings, batch):
+        chis = project_to_physical_process(
+            qpt_linear_inversion(probabilities_from_counts(batch), settings))
+        assert chis.shape == (6, 9, 9)
+        for counts, chi in zip(batch, chis):
+            one = qpt_linear_inversion(probabilities_from_counts(counts), settings)
+            np.testing.assert_allclose(chi, project_to_physical_process(one), atol=1e-14)
+
+    def test_state_pipeline(self, settings, batch):
+        rhos = project_to_physical_state(
+            qst_linear_inversion(probabilities_from_counts(batch[:, 3]), settings))
+        assert rhos.shape == (6, 3, 3)
+        for counts, rho in zip(batch[:, 3], rhos):
+            one = qst_linear_inversion(probabilities_from_counts(counts), settings)
+            np.testing.assert_allclose(rho, project_to_physical_state(one), atol=1e-14)
+
+    def test_degenerate_sample_is_named(self, batch):
+        bad = batch.copy()
+        bad[4, 2, :3] = 0
+        with pytest.raises(DegenerateDataError, match="sample 5, input 3"):
+            probabilities_from_counts(bad)
 
 
 class TestQstInversion:
