@@ -60,13 +60,21 @@ def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.nda
     The optical modes take the chain's effective operators
     (optics.effective_operators): each input's prepared field reduced to the
     LG triple the memory stores, and the measurement chain as a POVM on it.
+    An optics geometry that the sampled chain cannot realize is a ConfigError.
     """
     if cfg.measurement_mode == "abstract":
         rho_in, povm = np.stack([projector_of(s) for s in input_states]), settings.projectors
     else:
         modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
-        rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics, modulation)
-    return predict_probabilities(channel, settings, rho_in, povm)
+        try:
+            rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics,
+                                               modulation)
+        except (ValueError, ArithmeticError) as exc:  # a geometry the chain cannot realize
+            raise ConfigError("optics", str(exc))
+    table = predict_probabilities(channel, settings, rho_in, povm)
+    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: only an unresolved optics grid gets here
+        raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
+    return table
 
 
 def _read_counts(path: str, n_in: int) -> np.ndarray:
@@ -80,13 +88,13 @@ def _bootstrap(counts, cfg: RunConfig, reconstruct, fidelity) -> dict | None:
     """Redo the reconstruction on B Poisson resamples of the counts, drawn at once.
 
     reconstruct maps counts with a leading batch axis to physical matrices;
-    fidelity scores one of them.
+    fidelity maps that batch to a vector of scores.
     """
     if cfg.bootstrap_samples <= 0:
         return None
     rng = np.random.default_rng([cfg.source.seed, 104729])
     resamples = rng.poisson(counts, size=(cfg.bootstrap_samples,) + counts.shape)
-    fids = [fidelity(m) for m in reconstruct(resamples)]
+    fids = fidelity(reconstruct(resamples))
     return {
         "samples": cfg.bootstrap_samples,
         "fidelity_mean": float(np.mean(fids)),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,26 +139,29 @@ def parse_state(spec, d: int, field: str = "state"):
     raise ConfigError(field, f"expected null, a name, or an amplitude list, got {spec!r}")
 
 
-def _require(mapping, field: str, kind, default, path: str):
+# JSON value kinds that _require checks, by the name its messages give them
+_KINDS = {"an integer": int, "a number": (int, float), "a boolean": bool, "a string": str,
+          "an object": dict}
+
+
+def _require(mapping, field: str, kind: str, default, path: str):
     value = mapping.get(field, default)
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if bool not in kinds and isinstance(value, bool):
+    if kind != "a boolean" and isinstance(value, bool):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got a boolean")
-    if not isinstance(value, kind):
+    if not isinstance(value, _KINDS[kind]):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}{field}", f"expected a finite number, got {value!r}")
     return value
 
 
 def _parse_source(raw: dict) -> SourceConfig:
-    num = (int, float)
     kwargs = dict(
-        counts_per_setting=_require(raw, "counts_per_setting", num, 10000, "source."),
-        background=_require(raw, "background", num, 0.0, "source."),
-        efficiency=_require(raw, "efficiency", num, 1.0, "source."),
-        window=_require(raw, "window", num, 50e-9, "source."),
-        seed=_require(raw, "seed", int, 0, "source."),
+        counts_per_setting=_require(raw, "counts_per_setting", "a number", 10000, "source."),
+        background=_require(raw, "background", "a number", 0.0, "source."),
+        efficiency=_require(raw, "efficiency", "a number", 1.0, "source."),
+        window=_require(raw, "window", "a number", 50e-9, "source."),
+        seed=_require(raw, "seed", "an integer", 0, "source."),
     )
     unknown = set(raw) - set(kwargs)
     if unknown:
@@ -173,12 +177,11 @@ def _parse_source(raw: dict) -> SourceConfig:
 
 
 def _parse_optics(raw: dict) -> OpticsConfig:
-    num = (int, float)
-    n = _require(raw, "grid_size", int, 512, "optics.")
-    extent = _require(raw, "extent", num, 1.0, "optics.")
+    n = _require(raw, "grid_size", "an integer", 512, "optics.")
+    extent = _require(raw, "extent", "a number", 1.0, "optics.")
     default_waist = self_fourier_waist(n, extent) if n > 0 and extent > 0 else 1.0
-    waist = _require(raw, "waist", num, default_waist, "optics.")
-    fiber = _require(raw, "fiber_waist", num, default_waist, "optics.")
+    waist = _require(raw, "waist", "a number", default_waist, "optics.")
+    fiber = _require(raw, "fiber_waist", "a number", default_waist, "optics.")
     unknown = set(raw) - {"grid_size", "extent", "waist", "fiber_waist"}
     if unknown:
         raise ConfigError(f"optics.{sorted(unknown)[0]}", "unknown field")
@@ -202,35 +205,35 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
 
-    dimension = _require(raw, "dimension", int, 3, "")
+    dimension = _require(raw, "dimension", "an integer", 3, "")
     if dimension != 3:
         raise ConfigError("dimension", f"only dimension 3 is supported, got {dimension}")
 
-    source_raw = dict(_require(raw, "source", dict, {}, ""))
+    source_raw = dict(_require(raw, "source", "an object", {}, ""))
     if seed is not None:
         source_raw["seed"] = seed
     source = _parse_source(source_raw)
 
-    optics_raw = _require(raw, "optics", dict, {}, "")
+    optics_raw = _require(raw, "optics", "an object", {}, "")
     optics = _parse_optics(optics_raw)
 
     measurement_mode = mode if mode is not None else _require(
-        raw, "measurement_mode", str, "abstract", ""
+        raw, "measurement_mode", "a string", "abstract", ""
     )
     if measurement_mode not in MEASUREMENT_MODES:
         raise ConfigError(
             "measurement_mode", f"must be one of {MEASUREMENT_MODES}, got {measurement_mode!r}"
         )
 
-    noiseless = _require(raw, "noiseless", bool, False, "")
-    bootstrap = _require(raw, "bootstrap_samples", int, 0, "")
+    noiseless = _require(raw, "noiseless", "a boolean", False, "")
+    bootstrap = _require(raw, "bootstrap_samples", "an integer", 0, "")
     if bootstrap < 0:
         raise ConfigError("bootstrap_samples", "must be nonnegative")
 
     channel = parse_channel(raw.get("channel", "identity"), dimension)
     state = parse_state(raw.get("state"), dimension)
 
-    output = _require(raw, "output", dict, {}, "")
+    output = _require(raw, "output", "an object", {}, "")
     unknown = set(output) - {"counts", "report", "grids"}
     if unknown:
         raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")

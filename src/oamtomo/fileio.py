@@ -7,7 +7,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -40,16 +40,13 @@ def vector_to_pairs(vector) -> list:
 
 
 def parse_complex_entry(entry) -> complex:
-    """A finite JSON number or a [re, im] pair of them."""
-    if isinstance(entry, (int, float)):
-        parts = [entry, 0]
-    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-        parts = entry
-    else:
-        parts = [None]
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in parts):
-        raise ValueError(f"expected a finite number or [re, im] pair, got {entry!r}")
-    return complex(*parts)
+    """A finite JSON number or a [re, im] pair of them; booleans are not numbers."""
+    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else [entry, 0]
+    # abs(v) <= max float rejects NaN, infinities and integers beyond the float range
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           and abs(v) <= sys.float_info.max for v in parts):
+        return complex(*parts)
+    raise ValueError(f"expected a finite number or [re, im] pair, got {entry!r}")
 
 
 def _rounded(doc):

@@ -270,60 +270,77 @@ def apply_channel_chi(chi, basis: OperatorBasis, rho) -> np.ndarray:
     return np.einsum("mn,mab,bc,ndc->ad", chi, lam, rho, lam.conj())
 
 
-def matrix_sqrt_psd(h) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def dagger(matrix) -> np.ndarray:
+    """Conjugate transpose over the last two axes; leading axes are batch axes."""
+    return np.swapaxes(np.conj(matrix), -1, -2)
 
-    Eigenvalues in [-1e-8, 0) are clamped to zero; anything lower raises.
+
+def _raise_first(bad, message: str, values=None) -> None:
+    """Raise ValueError for the first set entry of bad, prefixed by its batch sample."""
+    if np.any(bad):
+        index = tuple(np.argwhere(bad)[0])
+        where = "".join(f"sample {b + 1}: " for b in index)
+        raise ValueError(where + message.format(None if values is None else values[index]))
+
+
+def hermitian_part(matrix, label: str = "matrix") -> np.ndarray:
+    """(m + m^dag) / 2 of complex matrices that are Hermitian within 1e-8."""
+    m = np.asarray(matrix, dtype=complex)
+    _raise_first(np.abs(m - dagger(m)).max(axis=(-2, -1)) > _HERM_ATOL,
+                 f"{label} is not Hermitian within 1e-8")
+    return 0.5 * (m + dagger(m))
+
+
+def _floored(w) -> np.ndarray:
+    """Ascending eigenvalues, zero at or below the eigensolver's rounding floor
+    d * eps * max(w): a square root would turn ~1e-17 of noise into ~3e-9."""
+    w = np.clip(w, 0.0, None)
+    return np.where(w > w.shape[-1] * np.finfo(float).eps * w[..., -1:], w, 0.0)
+
+
+def matrix_sqrt_psd(h, not_psd: str = "matrix is not PSD: min eigenvalue {!r}") -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition; leading axes are batch axes.
+
+    Eigenvalues in [-1e-8, 0) and at rounding level (_floored) are taken as
+    zero; anything lower raises ValueError(not_psd).
     """
-    h = np.asarray(h, dtype=complex)
-    if np.abs(h - h.conj().T).max() > _HERM_ATOL:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    if w.min() < -_EIG_CLAMP:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min()!r}")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (s + s.conj().T)
+    w, v = np.linalg.eigh(hermitian_part(h))
+    _raise_first(w[..., 0] < -_EIG_CLAMP, not_psd, w[..., 0])
+    s = (v * np.sqrt(_floored(w))[..., None, :]) @ dagger(v)
+    return 0.5 * (s + dagger(s))
 
 
-def _uhlmann(a, b) -> float:
-    """[Tr sqrt(sqrt(a) b sqrt(a))]^2 for trace-1 Hermitian PSD inputs."""
-    sa = matrix_sqrt_psd(a)
-    if np.abs(b - b.conj().T).max() > _HERM_ATOL:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    if np.linalg.eigvalsh(b).min() < -_EIG_CLAMP:
-        raise ValueError("matrix is not PSD within tolerance")
-    inner = sa @ b @ sa
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    w = np.clip(w, 0.0, None)
-    f = float(np.sqrt(w).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+def _uhlmann(a, b):
+    """[Tr sqrt(sqrt(a) b sqrt(a))]^2 for trace-1 Hermitian PSD inputs, per batch sample.
+
+    The inner matrix is formed as m m^dag, m = sqrt(a) sqrt(b), so that its
+    rounding scales with its own largest eigenvalue, as _floored assumes."""
+    m = matrix_sqrt_psd(a) @ matrix_sqrt_psd(b, "matrix is not PSD within tolerance")
+    w = _floored(np.linalg.eigvalsh(m @ dagger(m)))
+    f = np.clip(np.sqrt(w).sum(axis=-1) ** 2, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
-def state_fidelity(rho1, rho2) -> float:
-    """Uhlmann fidelity of two density matrices, in [0, 1].
+def _unit_trace(matrix, bad_trace, message: str) -> np.ndarray:
+    m = np.asarray(matrix, dtype=complex)
+    t = np.trace(m, axis1=-2, axis2=-1).real
+    _raise_first(bad_trace(t), message, t)
+    return m / t[..., None, None]
+
+
+def state_fidelity(rho1, rho2):
+    """Uhlmann fidelity of two density matrices, in [0, 1], exact to rounding.
 
     Traces are renormalized internally when within 10% of 1; larger
-    deviations raise (the input is then not a near-physical state).
+    deviations raise (the input is then not a near-physical state).  Leading
+    axes are batch axes: a (B, d, d) stack gives a (B,) array, one matrix a float.
     """
-    out = []
-    for rho in (rho1, rho2):
-        rho = np.asarray(rho, dtype=complex)
-        t = np.trace(rho).real
-        if abs(t - 1.0) > 0.1:
-            raise ValueError(f"density matrix trace {t!r} deviates from 1 by more than 10%")
-        out.append(rho / t)
-    return _uhlmann(out[0], out[1])
+    msg = "density matrix trace {!r} deviates from 1 by more than 10%"
+    return _uhlmann(*(_unit_trace(r, lambda t: abs(t - 1.0) > 0.1, msg) for r in (rho1, rho2)))
 
 
-def process_fidelity(chi, chi_ideal) -> float:
-    """Uhlmann fidelity of two process matrices after trace normalization."""
-    out = []
-    for c in (chi, chi_ideal):
-        c = np.asarray(c, dtype=complex)
-        t = np.trace(c).real
-        if t <= 1e-12:
-            raise ValueError("process matrix has non-positive trace")
-        out.append(c / t)
-    return _uhlmann(out[0], out[1])
+def process_fidelity(chi, chi_ideal):
+    """Uhlmann fidelity of two process matrices after trace normalization, batched
+    as state_fidelity."""
+    msg = "process matrix has non-positive trace"
+    return _uhlmann(*(_unit_trace(c, lambda t: t <= 1e-12, msg) for c in (chi, chi_ideal)))

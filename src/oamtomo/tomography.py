@@ -26,7 +26,9 @@ from .qudit import (
     apply_channel_chi,
     apply_channel_kraus,
     canonical_input_states,
+    dagger,
     gell_mann_basis,
+    hermitian_part,
     projector_of,
 )
 
@@ -186,15 +188,8 @@ def qpt_linear_inversion(probabilities, settings: MeasurementSettings) -> np.nda
     return flat.reshape(p.shape[:-2] + (9, 9))
 
 
-def _dagger(matrix: np.ndarray) -> np.ndarray:
-    return np.swapaxes(matrix.conj(), -1, -2)
-
-
 def _clamped_eigs(matrix, label: str):
-    matrix = np.asarray(matrix, dtype=complex)
-    if np.abs(matrix - _dagger(matrix)).max() > 1e-8:
-        raise ValueError(f"{label} is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh(0.5 * (matrix + _dagger(matrix)))
+    w, v = np.linalg.eigh(hermitian_part(matrix, label))
     return np.clip(w, 0.0, None), v
 
 
@@ -208,7 +203,7 @@ def project_to_physical_state(rho) -> np.ndarray:
     total = w.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("no positive eigenvalues; cannot form a physical state")
-    return (v * (w / total)[..., None, :]) @ _dagger(v)
+    return (v * (w / total)[..., None, :]) @ dagger(v)
 
 
 def project_to_physical_process(chi) -> np.ndarray:
@@ -222,7 +217,7 @@ def project_to_physical_process(chi) -> np.ndarray:
     total = w.sum(axis=-1, keepdims=True)
     if np.any(total <= 1e-12) or np.any(trace_in <= 1e-12):
         raise ValueError("process matrix trace vanished under physicality projection")
-    return (v * (w * (trace_in / total))[..., None, :]) @ _dagger(v)
+    return (v * (w * (trace_in / total))[..., None, :]) @ dagger(v)
 
 
 def ideal_storage_chi(basis: OperatorBasis) -> np.ndarray:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oamtomo import (
     apply_channel_kraus,
@@ -17,7 +23,7 @@ from oamtomo import (
 )
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
-from oamtomo.fileio import read_counts
+from oamtomo.fileio import read_counts, round_sig
 
 
 def _write_config(path, **overrides):
@@ -91,6 +97,17 @@ class TestSimulate:
         ({"channel": "unitary inf"}, "channel"),
         ({"state": [float("nan"), 1, 0]}, "state"),
         ({"output": {"countz": "x.txt"}}, "output.countz: unknown field"),
+        ({"state": [True, 1, 0]}, "state"),
+        ({"channel": {"kraus": [[[True, 0, 0], [0, 1, 0], [0, 0, 1]]]}}, "channel.kraus"),
+        ({"state": [10**400, 1, 0]}, "state"),
+        ({"optics": {"extent": 10**400}}, "optics.extent"),
+        ({"optics": {"grid_size": 2**2000}}, "optics.grid_size"),
+        # an optical geometry the chain cannot realize: a fiber waist below the
+        # mode waist, or a grid too coarse to resolve the modes
+        ({"measurement_mode": "optical-ideal",
+          "optics": {"grid_size": 128, "extent": 1, "fiber_waist": 1}}, "optics"),
+        ({"measurement_mode": "optical-ideal",
+          "optics": {"grid_size": 128, "extent": 43, "waist": 1, "fiber_waist": 1}}, "optics"),
     ])
     def test_non_finite_or_oversized_exits_3(self, tmp_path, capsys, overrides, field):
         # json.dumps writes NaN and Infinity, which json.load reads back
@@ -98,6 +115,19 @@ class TestSimulate:
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert f"invalid configuration: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"source": {"counts_per_setting": True}},
+         "source.counts_per_setting: expected a number, got a boolean"),
+        ({"source": {"seed": 1.5}}, "source.seed: expected an integer, got 1.5"),
+        ({"optics": [128]}, "optics: expected an object, got [128]"),
+    ])
+    def test_type_errors_name_the_kind(self, tmp_path, capsys, overrides, message):
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"oamtomo: invalid configuration: {message}\n"
         assert not out.exists()
 
     def test_malformed_json_exits_2(self, tmp_path):
@@ -250,9 +280,10 @@ class TestReconstructProcess:
                                  for row in observed])
             chi = qpt_linear_inversion(probabilities_from_counts(resample), settings)
             fids.append(process_fidelity(project_to_physical_process(chi), ideal))
+        # the report carries 9 significant digits, so compare with the oracle written alike
         boot = _report(report)["bootstrap"]
-        assert boot["fidelity_mean"] == pytest.approx(np.mean(fids), abs=1e-8)
-        assert boot["fidelity_std"] == pytest.approx(np.std(fids, ddof=1), abs=1e-8)
+        assert boot["fidelity_mean"] == pytest.approx(round_sig(np.mean(fids)), abs=1e-12)
+        assert boot["fidelity_std"] == pytest.approx(round_sig(np.std(fids, ddof=1)), abs=1e-12)
 
 
 class TestReconstructState:
@@ -507,3 +538,74 @@ class TestKrausConfig:
     def test_bad_kraus_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", channel={"kraus": [[["x"]]]})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "c.txt")]) == 3
+
+
+# JSON numbers as a hand-written config may hold them: NaN, infinities,
+# booleans (a bool is an int to Python), integers beyond the float range,
+# huge and negative values, and ordinary ones
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.booleans(),
+    st.sampled_from([0, 1, 0.1, 1000, 1e18, 1e19, 2**63, -1, 10**400, -(10**400), 1e-300]),
+)
+_CHANNEL_NAMES = ["identity", "depolarizing", "dephasing", "unitary", "bogus", ""]
+_STATE_NAMES = ["L", "G", "R", "psi1", "psi4", "psi9", "psi0", "psi10", "nonsense"]
+_AMPLITUDE = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2), st.just("x"))
+
+
+@st.composite
+def _simulate_configs(draw):
+    """A simulate config with any subset of keys, each valid or not."""
+    mode = draw(st.sampled_from(["abstract", "optical-ideal", "optical-phase-only", "bogus"]))
+    optics = draw(st.fixed_dictionaries({}, optional={
+        "grid_size": _NUMBERS, "extent": _NUMBERS, "waist": _NUMBERS, "fiber_waist": _NUMBERS}))
+    if mode.startswith("optical"):
+        # the optics chain allocates grid_size^2 fields: keep it at the smallest valid grid
+        optics["grid_size"] = 128
+    doc = draw(st.fixed_dictionaries({"measurement_mode": st.one_of(st.just(mode), _NUMBERS)},
+                                     optional={
+        "dimension": st.one_of(st.just(3), _NUMBERS),
+        "channel": st.one_of(
+            st.none(),
+            st.sampled_from(_CHANNEL_NAMES),
+            st.builds("{} {}".format, st.sampled_from(_CHANNEL_NAMES), _NUMBERS),
+            st.builds(lambda k: {"kraus": k}, st.lists(
+                st.lists(st.lists(_AMPLITUDE, min_size=3, max_size=3), min_size=3, max_size=3),
+                min_size=1, max_size=2)),
+            _NUMBERS,
+        ),
+        "state": st.one_of(st.none(), st.sampled_from(_STATE_NAMES),
+                           st.lists(_AMPLITUDE, min_size=2, max_size=4), _NUMBERS),
+        "source": st.fixed_dictionaries({}, optional={
+            "counts_per_setting": _NUMBERS, "background": _NUMBERS, "efficiency": _NUMBERS,
+            "window": _NUMBERS, "seed": _NUMBERS}),
+        "noiseless": st.one_of(st.booleans(), _NUMBERS),
+        "bootstrap_samples": _NUMBERS,
+    }))
+    if optics or draw(st.booleans()):
+        doc["optics"] = optics
+    return doc
+
+
+class TestConfigContract:
+    @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(doc=_simulate_configs())
+    def test_simulate_exits_cleanly(self, doc):
+        # a run either succeeds, or exits with a documented code naming a
+        # field of the config it was given, and leaves no counts file behind
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "counts.txt")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg, "--out", out])
+            if code == 0:
+                assert read_counts(out).shape[1:] == (9, 2)
+                return
+            assert code in (2, 3, 4, 5)
+            assert not os.path.exists(out)
+            named = re.search(r"^oamtomo: invalid configuration: (\w+)", err.getvalue(), re.M)
+            assert named is not None and named.group(1) in doc, err.getvalue()

@@ -364,8 +364,6 @@ class TestProcessFidelity:
     # identity-plus-Gell-Mann basis (Tr I^2 = 3, Tr lambda^2 = 2).  For a
     # trace-preserving channel, Tr chi = (3 - F_e) / 2 with the entanglement
     # fidelity F_e = sum_k |Tr K_k|^2 / 9, so the fidelity is 2 F_e / (3 - F_e).
-    # The tolerance is 1e-7 because process_fidelity carries rounding noise of
-    # up to ~1e-8: square roots of eigenvalues at rounding level enter its sum.
     @staticmethod
     def _entanglement_fidelity(channel):
         return sum(abs(np.trace(k)) ** 2 for k in channel.kraus) / 9
@@ -377,13 +375,110 @@ class TestProcessFidelity:
                 ch = random_cptp_channel(3, n_kraus, rng)
                 fe = self._entanglement_fidelity(ch)
                 got = process_fidelity(chi_from_kraus(ch, self.basis), self.ideal)
-                assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-7)
+                assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-12)
 
     def test_demo_channel_conventions(self):
         ch = depolarizing_channel(0.1159305993690852, 3)
         fe = self._entanglement_fidelity(ch)
         got = process_fidelity(chi_from_kraus(ch, self.basis), self.ideal)
-        assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-7)
+        assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-12)
         assert round(got, 3) == 0.853
         assert round(fe, 3) == 0.897
         assert round((3 * fe + 1) / 4, 3) == 0.923
+
+
+def _random_rank_deficient_chi(rng, basis):
+    """chi of a random channel with some eigenvalues below the largest squashed by 1e-10."""
+    chi = chi_from_kraus(random_cptp_channel(3, int(rng.integers(1, 10)), rng), basis)
+    w, v = np.linalg.eigh(chi)
+    w = w * np.where((rng.random(9) < 0.5) & (np.arange(9) < 8), 1e-10, 1.0)
+    return (v * w) @ v.conj().T
+
+
+class TestExactFidelity:
+    """Fidelities against a pure target or the rank-1 ideal chi are exact to rounding."""
+
+    def test_pure_target_state_fidelity_is_expectation(self):
+        rng = np.random.default_rng(41)
+        for k in range(120):
+            rho = random_density_matrix(3, rng) * rng.uniform(0.95, 1.05)
+            if k % 2:  # rank-deficient: drop the smallest eigenvalue
+                w, v = np.linalg.eigh(rho)
+                rho = (v * np.where(np.arange(3) == 0, 0.0, w)) @ v.conj().T
+                rho /= np.trace(rho).real
+            t = state_vector(rng.standard_normal(3) + 1j * rng.standard_normal(3), True)
+            expected = (t.conj() @ rho @ t).real / np.trace(rho).real
+            assert state_fidelity(rho, projector_of(t)) == pytest.approx(expected, abs=1e-12)
+            assert state_fidelity(projector_of(t), rho) == pytest.approx(expected, abs=1e-12)
+
+    def test_ideal_process_fidelity_is_chi00_over_trace(self):
+        rng = np.random.default_rng(42)
+        basis = gell_mann_basis(3)
+        ideal = np.zeros((9, 9), dtype=complex)
+        ideal[0, 0] = 1.0
+        for k in range(120):
+            chi = (_random_rank_deficient_chi(rng, basis) if k % 2
+                   else chi_from_kraus(random_cptp_channel(3, 1 + k % 9, rng), basis))
+            expected = chi[0, 0].real / np.trace(chi).real
+            assert process_fidelity(chi, ideal) == pytest.approx(expected, abs=1e-12)
+
+
+class TestBatchedFidelity:
+    def test_state_batch_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(43)
+        rhos = np.stack([random_density_matrix(3, rng) for _ in range(20)])
+        target = projector_of(canonical_input_states()[4])
+        mixed = random_density_matrix(3, rng)
+        for other in (target, mixed):
+            got = state_fidelity(rhos, other)
+            assert got.shape == (20,)
+            expected = [state_fidelity(r, other) for r in rhos]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(state_fidelity(other, rhos), expected, rtol=0, atol=1e-14)
+        assert isinstance(state_fidelity(rhos[0], mixed), float)
+
+    def test_process_batch_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(44)
+        basis = gell_mann_basis(3)
+        chis = np.stack([_random_rank_deficient_chi(rng, basis) for _ in range(20)])
+        ideal = np.zeros((9, 9), dtype=complex)
+        ideal[0, 0] = 1.0
+        for other in (ideal, chis[0]):
+            got = process_fidelity(chis, other)
+            assert got.shape == (20,)
+            expected = [process_fidelity(c, other) for c in chis]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_matrix_sqrt_batch(self):
+        rng = np.random.default_rng(45)
+        hs = np.stack([random_density_matrix(3, rng) for _ in range(5)])
+        s = matrix_sqrt_psd(hs)
+        np.testing.assert_allclose(s, [matrix_sqrt_psd(h) for h in hs], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s @ s, hs, atol=1e-12)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda r: r + np.diag([0.0, 0.0, 0.5]), "sample 3: density matrix trace"),
+        (lambda r: r + np.triu(np.ones((3, 3)), 1) * 1e-3, "sample 3: matrix is not Hermitian"),
+        (lambda r: np.diag([0.6, 0.6, -0.2]), "sample 3: matrix is not PSD"),
+    ])
+    def test_bad_sample_is_named(self, corrupt, message):
+        rng = np.random.default_rng(46)
+        rhos = np.stack([random_density_matrix(3, rng) for _ in range(4)])
+        rhos[2] = corrupt(rhos[2])
+        rhos[3] = corrupt(rhos[3])
+        with pytest.raises(ValueError, match=message):
+            state_fidelity(rhos, np.eye(3) / 3)
+
+    def test_bad_process_sample_is_named(self):
+        chis = np.stack([np.eye(9) / 9] * 3)
+        chis[1] = 0.0
+        with pytest.raises(ValueError, match="^sample 2: process matrix has non-positive trace$"):
+            process_fidelity(chis, np.eye(9))
+
+    def test_single_matrix_messages_unchanged(self):
+        with pytest.raises(ValueError, match="^matrix is not PSD: min eigenvalue"):
+            matrix_sqrt_psd(np.diag([1.0, -0.5]))
+        with pytest.raises(ValueError, match="^density matrix trace .* by more than 10%$"):
+            state_fidelity(np.eye(3), np.eye(3) / 3)
+        with pytest.raises(ValueError, match="^process matrix has non-positive trace$"):
+            process_fidelity(np.zeros((9, 9)), np.eye(9))
