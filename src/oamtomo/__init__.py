@@ -34,7 +34,6 @@ from .optics import (
     winding_number,
 )
 from .qudit import (
-    BASIS_LABELS,
     KrausChannel,
     OperatorBasis,
     apply_channel_chi,
@@ -53,7 +52,6 @@ from .qudit import (
     random_density_matrix,
     state_fidelity,
     state_vector,
-    unitary_channel,
 )
 from .tomography import (
     DegenerateDataError,

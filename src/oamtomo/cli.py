@@ -16,6 +16,7 @@ removed on failure; identical config and seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -53,6 +54,18 @@ EXIT_INCOMPLETE = 4
 EXIT_DEGENERATE = 5
 
 
+@contextlib.contextmanager
+def _optics_guard():
+    """Turn a failure of the sampled optics chain, floating-point overflow, division
+    by zero and invalid values included, into ConfigError("optics"): the
+    geometry is one the chain cannot realize."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError("optics", str(exc))
+
+
 def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.ndarray:
     """Projection probabilities Tr(mu_i C(rho_j)) for the given inputs, one row per input.
 
@@ -60,17 +73,14 @@ def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.nda
     The optical modes take the chain's effective operators
     (optics.effective_operators): each input's prepared field reduced to the
     LG triple the memory stores, and the measurement chain as a POVM on it.
-    An optics geometry that the sampled chain cannot realize is a ConfigError.
     """
     if cfg.measurement_mode == "abstract":
         rho_in, povm = np.stack([projector_of(s) for s in input_states]), settings.projectors
     else:
         modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
-        try:
+        with _optics_guard():
             rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics,
                                                modulation)
-        except (ValueError, ArithmeticError) as exc:  # a geometry the chain cannot realize
-            raise ConfigError("optics", str(exc))
     table = predict_probabilities(channel, settings, rho_in, povm)
     if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: only an unresolved optics grid gets here
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
@@ -102,7 +112,7 @@ def _bootstrap(counts, cfg: RunConfig, reconstruct, fidelity) -> dict | None:
     }
 
 
-def cmd_simulate(cfg: RunConfig, out_path: str) -> None:
+def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     settings = canonical_settings()
     inputs = settings.inputs if cfg.state is None else [cfg.state]
     table = _probability_rows(inputs, cfg.channel, cfg, settings)
@@ -110,8 +120,8 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> None:
     fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
 
 
-def cmd_reconstruct_process(cfg: RunConfig, counts_path: str, out_path: str) -> None:
-    counts = _read_counts(counts_path, 9)
+def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
+    counts = _read_counts(args.counts, 9)
     settings = canonical_settings()
     ideal = ideal_storage_chi(settings.basis)
 
@@ -136,10 +146,10 @@ def cmd_reconstruct_process(cfg: RunConfig, counts_path: str, out_path: str) -> 
     fileio.write_report(out_path, doc)
 
 
-def cmd_reconstruct_state(cfg: RunConfig, counts_path: str, out_path: str) -> None:
+def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
-    counts = _read_counts(counts_path, 1)
+    counts = _read_counts(args.counts, 1)
     settings = canonical_settings()
     target = projector_of(cfg.state)
 
@@ -165,13 +175,14 @@ def cmd_reconstruct_state(cfg: RunConfig, counts_path: str, out_path: str) -> No
     fileio.write_report(out_path, doc)
 
 
-def cmd_modes(cfg: RunConfig, out_dir: str, written: list) -> None:
+def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a state is required for mode export")
-    os.makedirs(out_dir, exist_ok=True)
-    mask = superposition_field(cfg.state, cfg.optics)
-    fourier = lens_fourier(mask)
-    image = lens_fourier(fourier)
+    with _optics_guard():
+        mask = superposition_field(cfg.state, cfg.optics)
+        fourier = lens_fourier(mask)
+        image = lens_fourier(fourier)
+    os.makedirs(out_dir, exist_ok=True)  # only once the fields exist: a bad geometry leaves none
     for plane, field in (("mask", mask), ("fourier", fourier), ("image", image)):
         for kind, values in (
             ("intensity", np.abs(field.samples) ** 2),
@@ -180,6 +191,15 @@ def cmd_modes(cfg: RunConfig, out_dir: str, written: list) -> None:
             path = os.path.join(out_dir, f"{plane}_{kind}.txt")
             written.append(path)
             fileio.write_grid(path, values, cfg.optics.extent)
+
+
+# command -> (handler, key of its path in the config's output section)
+COMMANDS = {
+    "simulate": (cmd_simulate, "counts"),
+    "reconstruct-process": (cmd_reconstruct_process, "report"),
+    "reconstruct-state": (cmd_reconstruct_state, "report"),
+    "modes": (cmd_modes, "grids"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,36 +232,19 @@ def main(argv=None) -> int:
     written: list = []
     try:
         cfg = load_config(args.config, seed=args.seed, mode=args.mode)
-        if args.command == "modes" and args.state is not None:
+        if getattr(args, "state", None) is not None:  # only modes takes --state
             try:
                 spec = json.loads(args.state)
             except json.JSONDecodeError:
                 spec = args.state
             cfg = dataclasses.replace(cfg, state=parse_state(spec, cfg.dimension))
-
-        if args.command == "simulate":
-            out = args.out or cfg.counts_path
-            if not out:
-                raise ConfigError("output.counts", "no output path given (config or --out)")
-            written.append(out)
-            cmd_simulate(cfg, out)
-        elif args.command == "reconstruct-process":
-            out = args.out or cfg.report_path
-            if not out:
-                raise ConfigError("output.report", "no output path given (config or --out)")
-            written.append(out)
-            cmd_reconstruct_process(cfg, args.counts, out)
-        elif args.command == "reconstruct-state":
-            out = args.out or cfg.report_path
-            if not out:
-                raise ConfigError("output.report", "no output path given (config or --out)")
-            written.append(out)
-            cmd_reconstruct_state(cfg, args.counts, out)
-        else:
-            out = args.out or cfg.grids_dir
-            if not out:
-                raise ConfigError("output.grids", "no output directory given (config or --out)")
-            cmd_modes(cfg, out, written)
+        handler, key = COMMANDS[args.command]
+        out = args.out or cfg.output.get(key)
+        if not out:
+            what = "directory" if key == "grids" else "path"
+            raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
+        written.append(out)  # removed on failure; os.remove leaves a grids directory alone
+        handler(cfg, args, out, written)
         return 0
     except ConfigReadError as exc:
         _fail(written, f"config: {exc}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,10 @@ _STATE_NAMES = {"L": 0, "G": 1, "R": 2}
 # stays below numpy's limit (about 9.2e18) and every count fits int64
 _MAX_MEAN_COUNTS = 1e18
 
+# largest accepted bootstrap_samples: the resamples are drawn and reconstructed
+# all at once, and reconstruct-process peaks near 0.14 GB per 10^4 of them
+_MAX_BOOTSTRAP = 100000
+
 
 class ConfigReadError(Exception):
     """The configuration file could not be read or parsed as JSON."""
@@ -50,27 +54,26 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     dimension: int
-    channel: KrausChannel | None
+    channel: KrausChannel
     state: np.ndarray | None
     source: SourceConfig
     optics: OpticsConfig
     measurement_mode: str
     noiseless: bool
     bootstrap_samples: int
-    counts_path: str | None
-    report_path: str | None
-    grids_dir: str | None
+    output: dict  # "counts", "report" and "grids" paths, each optional
     echo: dict
 
 
 def parse_channel(spec, d: int):
     """Channel spec: null, a named family string, or {"kraus": [...]}.
 
-    Named families: "identity", "depolarizing p", "dephasing p", "unitary theta".
+    null is the zero channel: nothing is retrieved from the memory.  Named
+    families: "identity", "depolarizing p", "dephasing p", "unitary theta".
     Kraus entries are nested rows of numbers or [re, im] pairs.
     """
     if spec is None:
-        return None
+        return KrausChannel((np.zeros((d, d)),))
     if isinstance(spec, str):
         parts = spec.split()
         name = parts[0] if parts else ""
@@ -229,6 +232,9 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
     bootstrap = _require(raw, "bootstrap_samples", "an integer", 0, "")
     if bootstrap < 0:
         raise ConfigError("bootstrap_samples", "must be nonnegative")
+    if bootstrap > _MAX_BOOTSTRAP:
+        raise ConfigError("bootstrap_samples", f"must be at most {_MAX_BOOTSTRAP}, "
+                          f"so that the resamples fit in memory; got {bootstrap}")
 
     channel = parse_channel(raw.get("channel", "identity"), dimension)
     state = parse_state(raw.get("state"), dimension)
@@ -237,10 +243,8 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
     unknown = set(output) - {"counts", "report", "grids"}
     if unknown:
         raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")
-    counts_path = output.get("counts")
-    report_path = output.get("report")
-    grids_dir = output.get("grids")
-    for key, value in (("counts", counts_path), ("report", report_path), ("grids", grids_dir)):
+    for key in ("counts", "report", "grids"):
+        value = output.get(key)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"output.{key}", f"expected a path string, got {value!r}")
 
@@ -256,19 +260,8 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         "dimension": dimension,
         "channel": raw.get("channel", "identity"),
         "state": raw.get("state"),
-        "source": {
-            "counts_per_setting": source.counts_per_setting,
-            "background": source.background,
-            "efficiency": source.efficiency,
-            "window": source.window,
-            "seed": source.seed,
-        },
-        "optics": {
-            "grid_size": optics.grid_size,
-            "extent": optics.extent,
-            "waist": optics.waist,
-            "fiber_waist": optics.fiber_waist,
-        },
+        "source": asdict(source),
+        "optics": asdict(optics),
         "measurement_mode": measurement_mode,
         "noiseless": noiseless,
         "bootstrap_samples": bootstrap,
@@ -282,8 +275,6 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         measurement_mode=measurement_mode,
         noiseless=noiseless,
         bootstrap_samples=bootstrap,
-        counts_path=counts_path,
-        report_path=report_path,
-        grids_dir=grids_dir,
+        output=output,
         echo=echo,
     )

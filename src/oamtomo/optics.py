@@ -97,8 +97,9 @@ class OpticsConfig:
         return (np.arange(self.grid_size) - self.grid_size // 2) * self.step
 
     def meshgrid(self):
+        """Sample coordinates (x, y) over the grid: broadcast views of one axis, not copies."""
         x = self.axis()
-        return np.meshgrid(x, x, indexing="xy")
+        return np.meshgrid(x, x, indexing="xy", copy=False)
 
     def conjugate_waist(self, waist: float) -> float:
         """Waist of the unitary-DFT image of a Gaussian of the given waist."""
@@ -132,21 +133,6 @@ class FieldGrid:
         return float((np.abs(self.samples) ** 2).sum() * self.cell_area)
 
 
-def _check_geometry(a: FieldGrid, b) -> None:
-    if isinstance(b, FieldGrid):
-        same = a.samples.shape == b.samples.shape and a.extent == b.extent
-    else:
-        same = a.samples.shape == np.shape(b)
-    if not same:
-        raise ValueError("grid geometries do not match")
-
-
-def _xy(cfg: OpticsConfig):
-    """Sample coordinates as broadcastable (1, N) x and (N, 1) y axes."""
-    x = cfg.axis()
-    return x[None, :], x[:, None]
-
-
 def _qutrit(state) -> np.ndarray:
     psi = state_vector(state)
     if psi.size != 3:
@@ -154,13 +140,13 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
-def _lg_profile(l: int, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized LG(p=0, l) samples; the vortex factor is the polynomial
-    (x + i sign(l) y)^|l|, exact at grid zeros."""
-    xx, yy = _xy(cfg)
-    field = np.exp(-(xx * xx + yy * yy) / cfg.waist**2).astype(complex)
+def _lg_profile(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized LG(p=0, l) samples of the given waist; the vortex factor is
+    the polynomial (x + i sign(l) y)^|l|, exact at grid zeros."""
+    xx, yy = cfg.meshgrid()
+    field = np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
     if l != 0:
-        field *= ((np.sqrt(2.0) / cfg.waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
+        field *= ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
     return field
 
 
@@ -175,25 +161,30 @@ def oam_mode_field(l: int, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power Laguerre-Gauss p=0 mode with winding number l."""
     if abs(l) > _MAX_WINDING:
         raise ValueError(f"|l| <= {_MAX_WINDING} supported, got l={l}")
-    return _normalized(_lg_profile(l, cfg), cfg)
+    return _normalized(_lg_profile(l, cfg.waist, cfg), cfg)
 
 
 def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power fundamental Gaussian of the given waist."""
     if waist <= 0:
         raise ValueError("waist must be positive")
-    xx, yy = _xy(cfg)
-    return _normalized(np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex), cfg)
+    return _normalized(_lg_profile(0, waist, cfg), cfg)
+
+
+def _superposed(psi, mode_samples, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized sum of psi_k mode_samples(l_k) over the (l=+1, 0, -1) triple;
+    the samples of a mode with zero amplitude are never requested."""
+    total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
+    for c, l in zip(psi, MODE_WINDINGS):
+        if c != 0:
+            total += c * mode_samples(l)
+    return total
 
 
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple."""
     psi = _qutrit(state)
-    total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
-    for c, l in zip(psi, MODE_WINDINGS):
-        if c != 0:
-            total += c * oam_mode_field(l, cfg).samples
-    return _normalized(total, cfg)
+    return _normalized(_superposed(psi, lambda l: oam_mode_field(l, cfg).samples, cfg), cfg)
 
 
 def phase_mask_of(field: FieldGrid) -> np.ndarray:
@@ -205,7 +196,8 @@ def phase_mask_of(field: FieldGrid) -> np.ndarray:
 
 def apply_phase_mask(field: FieldGrid, mask: np.ndarray, conjugate: bool = False) -> FieldGrid:
     """Multiply by e^{+i mask} (or e^{-i mask} with conjugate=True)."""
-    _check_geometry(field, mask)
+    if np.shape(mask) != field.samples.shape:
+        raise ValueError("grid geometries do not match")
     sign = -1.0 if conjugate else 1.0
     return FieldGrid(field.samples * np.exp(1j * sign * mask), field.extent)
 
@@ -286,7 +278,7 @@ def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
             "ideal mode conversion needs a back-propagated fiber waist >= mode waist; "
             f"got {w_conj!r} < {w!r}"
         )
-    xx, yy = _xy(cfg)
+    xx, yy = cfg.meshgrid()
     mask = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(_parity_state(meas_state), MODE_WINDINGS):
         if c == 0:
@@ -350,15 +342,15 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
     if modulation not in ("ideal", "phase_only"):
         raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
     back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg)).samples.conj()
-    modes = [oam_mode_field(l, cfg).samples for l in MODE_WINDINGS]
-    carrier = FieldGrid(modes[MODE_WINDINGS.index(0)], cfg.extent)
+    modes = {l: oam_mode_field(l, cfg).samples for l in MODE_WINDINGS}
+    carrier = FieldGrid(modes[0], cfg.extent)
 
     def superposed(psi) -> FieldGrid:
-        return FieldGrid(sum(c * m for c, m in zip(psi, modes)), cfg.extent)
+        return FieldGrid(_superposed(psi, modes.__getitem__, cfg), cfg.extent)
 
     def outer(field: FieldGrid) -> np.ndarray:
         """a a^H for the amplitudes a_k = <LG_k | field> dA."""
-        a = np.array([np.vdot(m, field.samples) for m in modes]) * cfg.cell_area
+        a = np.array([np.vdot(m, field.samples) for m in modes.values()]) * cfg.cell_area
         return np.outer(a, a.conj())
 
     def prepared(psi) -> FieldGrid:

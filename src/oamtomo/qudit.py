@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BASIS_LABELS = ("L", "G", "R")
-
 # sqrt(machine epsilon) scale; eigenvalues above -CLAMP are treated as zero
 _EIG_CLAMP = 1e-8
 _HERM_ATOL = 1e-8
@@ -161,11 +159,6 @@ def identity_channel(d: int = 3) -> KrausChannel:
     return KrausChannel((np.eye(d, dtype=complex),))
 
 
-def unitary_channel(u) -> KrausChannel:
-    """Channel rho -> U rho U^dag for a single unitary U."""
-    return KrausChannel((np.asarray(u, dtype=complex),))
-
-
 def phase_rotation_channel(theta: float, d: int = 3) -> KrausChannel:
     """Unitary channel diag(1, ..., 1, e^{i theta}) phasing the last basis state."""
     u = np.eye(d, dtype=complex)
@@ -229,14 +222,14 @@ def random_density_matrix(d: int, rng=None) -> np.ndarray:
 
 
 def apply_channel_kraus(channel: KrausChannel, rho) -> np.ndarray:
-    """sum_k K_k rho K_k^dag.  Output trace <= input trace for valid channels."""
+    """sum_k K_k rho K_k^dag, with leading batch axes.  Output trace <= input trace."""
     rho = np.asarray(rho, dtype=complex)
     d = channel.dim
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} does not match channel dimension {d}")
     out = np.zeros_like(rho)
     for k in channel.kraus:
-        out += k @ rho @ k.conj().T
+        out += k @ rho @ dagger(k)
     return out
 
 

@@ -1,13 +1,13 @@
 """State and process tomography over the 9-input x 9-projector scheme.
 
 Forward direction: exact projection probabilities for a channel given as
-Kraus operators or as a process matrix.  Inverse direction: linear-inversion
-reconstruction of density matrices (from 9 probabilities) and process
-matrices (from the full 81-entry table), followed by eigenvalue clamping to
-restore physicality.  Reconstruction parameterizes the unknown directly by a
-real Hermitian coordinate vector, so inverted matrices are Hermitian by
-construction and the linear systems are real-valued; their inverses are
-constants of the scheme, computed once per process (MeasurementSettings).
+Kraus operators.  Inverse direction: linear-inversion reconstruction of
+density matrices (from 9 probabilities) and process matrices (from the full
+81-entry table), followed by eigenvalue clamping to restore physicality.
+Reconstruction parameterizes the unknown directly by a real Hermitian
+coordinate vector, so inverted matrices are Hermitian by construction and
+the linear systems are real-valued; their inverses are constants of the
+scheme, computed once per process (MeasurementSettings).
 Counts, probabilities and matrices may carry leading batch axes (bootstrap
 samples).
 """
@@ -23,7 +23,6 @@ from .counts import subtract_background
 from .qudit import (
     OperatorBasis,
     KrausChannel,
-    apply_channel_chi,
     apply_channel_kraus,
     canonical_input_states,
     dagger,
@@ -121,24 +120,16 @@ def canonical_settings() -> MeasurementSettings:
     return MeasurementSettings(states, projectors, basis)
 
 
-def predict_probabilities(channel, settings: MeasurementSettings, rho_in=None,
+def predict_probabilities(channel: KrausChannel, settings: MeasurementSettings, rho_in=None,
                           povm=None) -> np.ndarray:
     """Probability table p[j, i] = Tr(mu_i C(rho_j)), the one forward model.
 
-    channel is a KrausChannel, a process matrix (9 x 9 array) in
-    settings.basis, or None (nothing is retrieved: every probability is 0).
     rho_in and povm default to the scheme's input and measurement projectors;
     the optical modes pass the chain's effective operators instead.
     """
     rho_in = settings.projectors if rho_in is None else rho_in
     povm = settings.projectors if povm is None else povm
-    if channel is None:
-        rho_out = np.zeros((len(rho_in),) + povm.shape[1:], dtype=complex)
-    elif isinstance(channel, KrausChannel):
-        rho_out = np.stack([apply_channel_kraus(channel, r) for r in rho_in])
-    else:
-        rho_out = np.stack([apply_channel_chi(channel, settings.basis, r) for r in rho_in])
-    return np.einsum("iab,jba->ji", povm, rho_out).real
+    return np.einsum("iab,jba->ji", povm, apply_channel_kraus(channel, rho_in)).real
 
 
 def probabilities_from_counts(counts) -> np.ndarray:

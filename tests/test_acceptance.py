@@ -131,13 +131,14 @@ def test_criterion_05_optics_abstract_consistency():
     start = time.monotonic()
     cfg = OpticsConfig.matched(512, 1.0)
     states = canonical_input_states()
-    worst = 0.0
+    worst, pair = 0.0, None
     for j in range(9):
         for i in range(9):
             p_opt = optical_projection_probability(states[j], states[i], cfg)
             p_abs = abs(np.vdot(states[i], states[j])) ** 2
-            worst = max(worst, abs(p_opt - p_abs))
-    assert worst < 1e-3, worst
+            if abs(p_opt - p_abs) >= worst:
+                worst, pair = abs(p_opt - p_abs), (j + 1, i + 1)
+    assert worst < 1e-3, f"|p_opt - p_abs| = {worst} at (input, projector) = {pair}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.2f} s"
     _ok(5, "81-setting optics/abstract consistency")

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from oamtomo import (
     apply_channel_kraus,
@@ -403,6 +405,32 @@ class TestModes:
                             optics={"grid_size": 128, "extent": 1.0})
         assert main(["modes", "--config", cfg, "--out", str(tmp_path / "grids")]) == 3
 
+    @pytest.mark.parametrize("command, extent", [
+        ("modes", 1.34e155), ("modes", 1.4e155), ("modes", 1.4e-241), ("simulate", 1.4e-241),
+    ])
+    def test_unrealizable_scale_exits_3(self, tmp_path, capsys, command, extent):
+        # squared coordinates or waists leave the float range: the optics guard
+        # turns the first overflow or invalid value into one error line, with
+        # no numpy warning before it and no output behind it
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4", measurement_mode="optical-ideal",
+                            optics={"grid_size": 128, "extent": extent})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("oamtomo: invalid configuration: optics: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failed_export_keeps_an_existing_directory(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4",
+                            optics={"grid_size": 128, "extent": 1.4e-241})
+        out = tmp_path / "grids"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
+        assert os.listdir(out) == ["keep.txt"]
+
 
 class TestDeterminism:
     def test_counts_and_reports_byte_identical(self, tmp_path):
@@ -554,17 +582,26 @@ _STATE_NAMES = ["L", "G", "R", "psi1", "psi4", "psi9", "psi0", "psi10", "nonsens
 _AMPLITUDE = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2), st.just("x"))
 
 
+# bootstrap_samples for the reconstruct commands: the generated values, with
+# valid sample counts above 30 folded down so that every run stays cheap
+_BOOTSTRAP = _NUMBERS.map(lambda v: v % 31 if type(v) is int and 0 <= v <= 100000 else v)
+
+
 @st.composite
-def _simulate_configs(draw):
-    """A simulate config with any subset of keys, each valid or not."""
+def _configs(draw, command):
+    """A config for the command with any subset of keys, each valid or not.
+
+    modes and reconstruct-state always carry a state key (null included),
+    since they name it when it is missing.
+    """
     mode = draw(st.sampled_from(["abstract", "optical-ideal", "optical-phase-only", "bogus"]))
     optics = draw(st.fixed_dictionaries({}, optional={
         "grid_size": _NUMBERS, "extent": _NUMBERS, "waist": _NUMBERS, "fiber_waist": _NUMBERS}))
-    if mode.startswith("optical"):
+    if mode.startswith("optical") or command == "modes":
         # the optics chain allocates grid_size^2 fields: keep it at the smallest valid grid
         optics["grid_size"] = 128
-    doc = draw(st.fixed_dictionaries({"measurement_mode": st.one_of(st.just(mode), _NUMBERS)},
-                                     optional={
+    required = {"measurement_mode": st.one_of(st.just(mode), _NUMBERS)}
+    optional = {
         "dimension": st.one_of(st.just(3), _NUMBERS),
         "channel": st.one_of(
             st.none(),
@@ -581,31 +618,84 @@ def _simulate_configs(draw):
             "counts_per_setting": _NUMBERS, "background": _NUMBERS, "efficiency": _NUMBERS,
             "window": _NUMBERS, "seed": _NUMBERS}),
         "noiseless": st.one_of(st.booleans(), _NUMBERS),
-        "bootstrap_samples": _NUMBERS,
-    }))
+        "bootstrap_samples": _BOOTSTRAP if command.startswith("reconstruct") else _NUMBERS,
+    }
+    if command in ("modes", "reconstruct-state"):
+        required["state"] = optional.pop("state")
+    doc = draw(st.fixed_dictionaries(required, optional=optional))
     if optics or draw(st.booleans()):
         doc["optics"] = optics
     return doc
 
 
+@pytest.fixture(scope="module")
+def valid_counts(tmp_path_factory):
+    """Counts files every reconstruct run reads: process counts and psi4 state counts."""
+    tmp = tmp_path_factory.mktemp("contract")
+    paths = {}
+    for command, state in (("reconstruct-process", None), ("reconstruct-state", "psi4")):
+        paths[command] = str(tmp / f"{command}.txt")
+        cfg = _write_config(tmp / f"{command}.json", state=state)
+        assert main(["simulate", "--config", cfg, "--out", paths[command]]) == 0
+    return paths
+
+
+# what a successful run of each command must leave at its output path
+_OUTPUT_OK = {
+    "simulate": lambda out: read_counts(out).shape[1:] == (9, 2),
+    "modes": lambda out: len(os.listdir(out)) == 6,
+    "reconstruct-process": lambda out: _report(pathlib.Path(out))["report"] == "process",
+    "reconstruct-state": lambda out: _report(pathlib.Path(out))["report"] == "state",
+}
+
+
 class TestConfigContract:
-    @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(doc=_simulate_configs())
-    def test_simulate_exits_cleanly(self, doc):
-        # a run either succeeds, or exits with a documented code naming a
-        # field of the config it was given, and leaves no counts file behind
+    """Every command either succeeds, or exits with a documented code naming a
+    field of the config it was given, and leaves no output behind."""
+
+    @staticmethod
+    def _check(command, doc, *extra):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "cfg.json")
             with open(cfg, "w") as fh:
                 json.dump(doc, fh)
-            out = os.path.join(tmp, "counts.txt")
+            out = os.path.join(tmp, "out")
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = main(["simulate", "--config", cfg, "--out", out])
+                code = main([command, "--config", cfg, "--out", out, *extra])
             if code == 0:
-                assert read_counts(out).shape[1:] == (9, 2)
+                assert _OUTPUT_OK[command](out)
                 return
             assert code in (2, 3, 4, 5)
             assert not os.path.exists(out)
             named = re.search(r"^oamtomo: invalid configuration: (\w+)", err.getvalue(), re.M)
             assert named is not None and named.group(1) in doc, err.getvalue()
+
+    @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(doc=_configs("simulate"))
+    def test_simulate_exits_cleanly(self, doc):
+        self._check("simulate", doc)
+
+    # the explicit examples are faults the random search seldom reaches, since
+    # they need every other field valid: optics scales whose squares leave the
+    # float range, and a bootstrap too large to allocate
+    @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(doc=_configs("modes"))
+    @example(doc={"measurement_mode": "abstract", "state": "psi4",
+                  "optics": {"grid_size": 128, "extent": 1.4e155}})
+    @example(doc={"measurement_mode": "abstract", "state": "psi4",
+                  "optics": {"grid_size": 128, "extent": 1.4e-241}})
+    def test_modes_exits_cleanly(self, doc):
+        self._check("modes", doc)
+
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(doc=_configs("reconstruct-process"))
+    @example(doc={"measurement_mode": "abstract", "bootstrap_samples": 10**15})
+    def test_reconstruct_process_exits_cleanly(self, valid_counts, doc):
+        self._check("reconstruct-process", doc, "--counts", valid_counts["reconstruct-process"])
+
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(doc=_configs("reconstruct-state"))
+    @example(doc={"measurement_mode": "abstract", "state": "psi4", "bootstrap_samples": 10**15})
+    def test_reconstruct_state_exits_cleanly(self, valid_counts, doc):
+        self._check("reconstruct-state", doc, "--counts", valid_counts["reconstruct-state"])

@@ -75,15 +75,6 @@ class TestPredictProbabilities:
         p = predict_probabilities(depolarizing_channel(1.0, 3), settings)
         np.testing.assert_allclose(p, np.full((9, 9), 1 / 3), atol=1e-12)
 
-    def test_accepts_process_matrix(self, settings):
-        ch = random_cptp_channel(3, 3, np.random.default_rng(0))
-        chi = chi_from_kraus(ch, settings.basis)
-        np.testing.assert_allclose(
-            predict_probabilities(chi, settings),
-            predict_probabilities(ch, settings),
-            atol=1e-12,
-        )
-
     def test_rows_sum_to_one_for_tp_channels(self, settings):
         rng = np.random.default_rng(2)
         p = predict_probabilities(random_cptp_channel(3, 4, rng), settings)
