@@ -113,6 +113,7 @@ def _bootstrap(counts, cfg: RunConfig, reconstruct, fidelity) -> dict | None:
 
 
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
+    written.append(out_path)
     settings = canonical_settings()
     inputs = settings.inputs if cfg.state is None else [cfg.state]
     table = _probability_rows(inputs, cfg.channel, cfg, settings)
@@ -121,6 +122,7 @@ def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
 
 
 def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
+    written.append(out_path)
     counts = _read_counts(args.counts, 9)
     settings = canonical_settings()
     ideal = ideal_storage_chi(settings.basis)
@@ -147,6 +149,7 @@ def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) 
 
 
 def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) -> None:
+    written.append(out_path)
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1)
@@ -193,12 +196,14 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
             fileio.write_grid(path, values, cfg.optics.extent)
 
 
-# command -> (handler, key of its path in the config's output section)
+# command -> (handler, key of its output in the config's output section, what
+# that output is).  A handler lists in `written` the files it writes to; a
+# failed run removes them, so it leaves no partial or stale file there.
 COMMANDS = {
-    "simulate": (cmd_simulate, "counts"),
-    "reconstruct-process": (cmd_reconstruct_process, "report"),
-    "reconstruct-state": (cmd_reconstruct_state, "report"),
-    "modes": (cmd_modes, "grids"),
+    "simulate": (cmd_simulate, "counts", "path"),
+    "reconstruct-process": (cmd_reconstruct_process, "report", "path"),
+    "reconstruct-state": (cmd_reconstruct_state, "report", "path"),
+    "modes": (cmd_modes, "grids", "directory"),
 }
 
 
@@ -238,12 +243,10 @@ def main(argv=None) -> int:
             except json.JSONDecodeError:
                 spec = args.state
             cfg = dataclasses.replace(cfg, state=parse_state(spec, cfg.dimension))
-        handler, key = COMMANDS[args.command]
+        handler, key, what = COMMANDS[args.command]
         out = args.out or cfg.output.get(key)
         if not out:
-            what = "directory" if key == "grids" else "path"
             raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
-        written.append(out)  # removed on failure; os.remove leaves a grids directory alone
         handler(cfg, args, out, written)
         return 0
     except ConfigReadError as exc:

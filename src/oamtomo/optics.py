@@ -171,20 +171,21 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     return _normalized(_lg_profile(0, waist, cfg), cfg)
 
 
-def _superposed(psi, mode_samples, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized sum of psi_k mode_samples(l_k) over the (l=+1, 0, -1) triple;
-    the samples of a mode with zero amplitude are never requested."""
+def _superposed(psi, modes, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized sum of psi_k modes[l_k] over the (l=+1, 0, -1) triple;
+    modes maps l to samples and needs no entry for a zero amplitude."""
     total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(psi, MODE_WINDINGS):
         if c != 0:
-            total += c * mode_samples(l)
+            total += c * modes[l]
     return total
 
 
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple."""
     psi = _qutrit(state)
-    return _normalized(_superposed(psi, lambda l: oam_mode_field(l, cfg).samples, cfg), cfg)
+    modes = {l: oam_mode_field(l, cfg).samples for c, l in zip(psi, MODE_WINDINGS) if c != 0}
+    return _normalized(_superposed(psi, modes, cfg), cfg)
 
 
 def phase_mask_of(field: FieldGrid) -> np.ndarray:
@@ -346,7 +347,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
     carrier = FieldGrid(modes[0], cfg.extent)
 
     def superposed(psi) -> FieldGrid:
-        return FieldGrid(_superposed(psi, modes.__getitem__, cfg), cfg.extent)
+        return FieldGrid(_superposed(psi, modes, cfg), cfg.extent)
 
     def outer(field: FieldGrid) -> np.ndarray:
         """a a^H for the amplitudes a_k = <LG_k | field> dA."""

@@ -431,6 +431,25 @@ class TestModes:
         assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
         assert os.listdir(out) == ["keep.txt"]
 
+    # one run fails for want of a state, the other in the optics guard
+    @pytest.mark.parametrize("state, extent", [(None, 1.0), ("psi4", 1.4e-241)])
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_failed_export_keeps_an_existing_path(self, tmp_path, state, extent, kind):
+        cfg = _write_config(tmp_path / "cfg.json", state=state,
+                            optics={"grid_size": 128, "extent": extent})
+        target = tmp_path / "keep.txt"
+        target.write_text("kept\n")
+        out = tmp_path / "grids"
+        if kind == "file":
+            out = target
+        else:
+            grids = tmp_path / "real_grids"
+            grids.mkdir()
+            out.symlink_to(grids)
+        assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
+        assert target.read_text() == "kept\n"
+        assert os.path.lexists(out) and (kind == "file" or os.readlink(out) == str(grids))
+
 
 class TestDeterminism:
     def test_counts_and_reports_byte_identical(self, tmp_path):
