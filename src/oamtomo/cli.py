@@ -88,7 +88,10 @@ def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.nda
 
 
 def _read_counts(path: str, n_in: int) -> np.ndarray:
-    counts = fileio.read_counts(path)
+    try:
+        counts = fileio.read_counts(path)
+    except OSError as exc:  # missing, a directory, unreadable: a counts fault, exit 4
+        raise fileio.CountsFileError(f"{path}: {exc.strerror or exc}") from exc
     if counts.shape[0] != n_in:
         raise fileio.CountsFileError(f"expected {9 * n_in} settings, found {counts.size // 2}")
     return counts
@@ -185,7 +188,10 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         mask = superposition_field(cfg.state, cfg.optics)
         fourier = lens_fourier(mask)
         image = lens_fourier(fourier)
-    os.makedirs(out_dir, exist_ok=True)  # only once the fields exist: a bad geometry leaves none
+    try:  # only once the fields exist: a bad geometry leaves no directory
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name, which is left alone
+        raise ConfigError("output.grids", f"cannot create directory {out_dir!r}: {exc.strerror}")
     for plane, field in (("mask", mask), ("fourier", fourier), ("image", image)):
         for kind, values in (
             ("intensity", np.abs(field.samples) ** 2),

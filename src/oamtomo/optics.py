@@ -14,12 +14,14 @@ waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
 optical_projection_probability runs the whole sampled chain for one pure
-input and one measurement state.  effective_operators reduces it to the
-qutrit the memory stores: each prepared field becomes a 3x3 effective input
-in the LG triple, and each measurement a rank-1 effective POVM element on
-that triple.  Two identities make this cost one transform: 4-f imaging is
-the parity flip, and by Parseval the far-field fiber overlap is an inner
-product with the fiber Gaussian traced back through the lens.
+input and one measurement state, the reference.  effective_operators reduces
+it to the qutrit the memory stores: a 3x3 effective input per prepared field
+and a rank-1 POVM element per measurement, on the LG triple.  4-f imaging is
+the parity flip, applied to one field, and by Parseval the far-field fiber
+overlap is an inner product with the fiber Gaussian traced back through the
+lens: one transform in all.  Ideal modulation is linear in the state, so its
+inputs follow from the triple's 3x3 Gram matrix and its POVM from a 3x3
+coupling matrix, one grid pass per winding; phase-only takes one per state.
 
 Reference hardware values from the modeled experiment (beam waist 2.5 mm,
 300 mm lenses, 1920x1080 phase-only SLMs, 2.5 m far-field arm) are
@@ -44,6 +46,9 @@ EXPERIMENT_REFERENCE = {
 
 # winding numbers of the qutrit basis (|L>, |G>, |R>)
 MODE_WINDINGS = (1, 0, -1)
+
+# state * _PARITY holds the amplitudes of the parity-flipped field: LG_l picks up (-1)^l
+_PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 
 _MAX_WINDING = 5
 
@@ -140,13 +145,20 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
+def _vortex(l: int, waist: float, cfg: OpticsConfig):
+    """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l|, exact at grid zeros."""
+    if l == 0:
+        return 1.0
+    xx, yy = cfg.meshgrid()
+    return ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
+
+
 def _lg_profile(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized LG(p=0, l) samples of the given waist; the vortex factor is
-    the polynomial (x + i sign(l) y)^|l|, exact at grid zeros."""
+    """Unnormalized LG(p=0, l) samples of the given waist."""
     xx, yy = cfg.meshgrid()
     field = np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
     if l != 0:
-        field *= ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
+        field *= _vortex(l, waist, cfg)
     return field
 
 
@@ -257,21 +269,11 @@ def winding_number(field: FieldGrid, radius: float) -> int:
     return int(round(wrapped.sum() / (2.0 * np.pi)))
 
 
-def _parity_state(state: np.ndarray) -> np.ndarray:
-    """Amplitudes of the parity-flipped field: each mode picks up (-1)^l."""
-    signs = np.array([(-1.0) ** l for l in MODE_WINDINGS])
-    return state * signs
-
-
-def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
-    """Complex mask converting the image-plane measurement mode into the
-    far-field fiber's back-propagated Gaussian.
-
-    Built analytically as conj(flipped mode field) / Gaussian so the
-    exponential factors combine before evaluation; requires the
-    back-propagated fiber waist to be at least the mode waist, otherwise
-    the mask amplitude would diverge faster than the fields decay.
-    """
+def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
+    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
+    with the exponentials combined before evaluation; requires the
+    back-propagated fiber waist to be at least the mode waist, otherwise E
+    would diverge faster than the fields decay."""
     w = cfg.waist
     w_conj = cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
@@ -280,15 +282,22 @@ def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
             f"got {w_conj!r} < {w!r}"
         )
     xx, yy = cfg.meshgrid()
-    mask = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
-    for c, l in zip(_parity_state(meas_state), MODE_WINDINGS):
-        if c == 0:
-            continue
-        amp = np.sqrt(2.0 / (np.pi * w * w * factorial(abs(l))))
-        mask += np.conj(c) * amp * (((np.sqrt(2.0) / w) * (xx - 1j * np.sign(l) * yy)) ** abs(l))
     gauss_peak = np.sqrt(2.0 / np.pi) / w_conj
-    mask *= np.exp((xx * xx + yy * yy) * (1.0 / w_conj**2 - 1.0 / w**2)) / gauss_peak
-    return mask
+    return np.exp((xx * xx + yy * yy) * (1.0 / w_conj**2 - 1.0 / w**2)) / gauss_peak
+
+
+def _conversion_term(l: int, cfg: OpticsConfig):
+    """t_l = amp_l Q_l, the normalized vortex factor of LG_l: t_l E is conj of
+    the conversion mask of the flipped basis mode (-1)^l LG_l."""
+    return np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l)))) * _vortex(l, cfg.waist, cfg)
+
+
+def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
+    """Complex mask converting the image-plane measurement mode into the
+    far-field fiber's back-propagated Gaussian: conj(flipped mode field) /
+    Gaussian, built analytically from the terms of the flipped state."""
+    terms = zip(meas_state * _PARITY, MODE_WINDINGS)
+    return np.conj(sum(c * _conversion_term(l, cfg) for c, l in terms) * _conversion_envelope(cfg))
 
 
 def optical_projection_probability(
@@ -321,7 +330,7 @@ def optical_projection_probability(
     if modulation == "ideal":
         field = FieldGrid(field.samples * _conversion_field(psi_meas, cfg), cfg.extent)
     else:
-        flipped = superposition_field(_parity_state(psi_meas), cfg)
+        flipped = superposition_field(psi_meas * _PARITY, cfg)
         field = apply_phase_mask(field, phase_mask_of(flipped), conjugate=True)
 
     return abs(fiber_overlap(farfield(field), cfg)) ** 2
@@ -330,45 +339,60 @@ def optical_projection_probability(
 def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation: str = "ideal"):
     """The projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
 
-    Returns (rho, povm).  rho[j] = c c^H with c_k = <LG_k | prepared field of
+    Returns (rho, povm).  rho[j] = a a^H with a_k = <LG_k | prepared field of
     input j> dA; a phase-only hologram leaves power outside the triple, so its
-    rho[j] is sub-normalized.  povm[i] = e^H e with e_k the fiber coupling
-    amplitude of LG_k through the 4-f image, the mask M of meas_states[i] and
-    the far field.  4-f imaging is the parity flip P and, by Parseval,
-    <G | F g> = <F^H G | g>, where F^H G = conj(F G) for the real fiber
-    Gaussian G; so e_k = <P(conj(M) F^H G) | LG_k> dA, and the reduction costs
-    one lens transform.  For a channel C acting on the stored qutrit,
-    Tr(povm[i] C(rho[j])) is the probability of setting (j, i).
+    rho[j] is sub-normalized.  povm[i] = e e^H with e_k = <LG_k | P(conj(M) F^H
+    G)> dA for the measurement mask M of meas_states[i]: 4-f imaging is the
+    parity flip P, and by Parseval the far-field fiber overlap <G | F g> is
+    <F^H G | g>, with F^H G = conj(F G) for the real fiber Gaussian G.  For a
+    channel C on the stored qutrit, Tr(povm[i] C(rho[j])) is the probability
+    of setting (j, i).
+
+    Ideal modulation is linear in the state: a = G psi / sqrt(psi^H G psi) for
+    the Gram matrix G_kl = <LG_k | LG_l> dA, and e = B c for the parity-signed
+    state c, where column l of B is the e of conj(M) = t_l E (_conversion_term).
+    Phase-only is not: each state costs one pass over the grid.
     """
     if modulation not in ("ideal", "phase_only"):
         raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
+    inputs = np.array([_qutrit(s) for s in input_states])
+    signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
     back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg)).samples.conj()
     modes = {l: oam_mode_field(l, cfg).samples for l in MODE_WINDINGS}
-    carrier = FieldGrid(modes[0], cfg.extent)
 
-    def superposed(psi) -> FieldGrid:
-        return FieldGrid(_superposed(psi, modes, cfg), cfg.extent)
+    def amplitudes(field: np.ndarray) -> np.ndarray:
+        return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
 
-    def outer(field: FieldGrid) -> np.ndarray:
-        """a a^H for the amplitudes a_k = <LG_k | field> dA."""
-        a = np.array([np.vdot(m, field.samples) for m in modes.values()]) * cfg.cell_area
-        return np.outer(a, a.conj())
+    def flipped(field: np.ndarray) -> np.ndarray:
+        return parity_flip(FieldGrid(field, cfg.extent)).samples
 
-    def prepared(psi) -> FieldGrid:
-        if modulation == "ideal":
-            return _normalized(superposed(psi).samples, cfg)
-        return apply_phase_mask(carrier, phase_mask_of(superposed(psi)))
+    if modulation == "ideal":
+        # amplitudes(LG_l) is column l of G, so row j of a is G psi_j
+        a = inputs @ np.array([amplitudes(m) for m in modes.values()])
+        power = np.einsum("jk,jk->j", inputs.conj(), a).real
+        if not (power > 0.0).all():
+            raise ValueError("cannot normalize a zero field")
+        a /= np.sqrt(power)[:, None]
+        back *= _conversion_envelope(cfg)
+        # likewise row l of coupling is column l of B, so row i of e is B c_i
+        coupling = np.array([amplitudes(flipped(back * _conversion_term(l, cfg)))
+                             for l in MODE_WINDINGS])
+        e = signed @ coupling
+    else:
+        def hologram(psi, field: np.ndarray) -> np.ndarray:
+            """field e^{i arg u}, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are divided
+            by |u| as real arrays, as a complex division can overflow on subnormals."""
+            u = _superposed(psi, modes, cfg)
+            u[u == 0] = 1.0
+            mag = np.abs(u)
+            u.real /= mag
+            u.imag /= mag
+            u *= field
+            return u
 
-    def traced_back(psi) -> FieldGrid:
-        """conj(M) F^H G for the measurement mask M of psi, built in place."""
-        if modulation == "phase_only":
-            mask = phase_mask_of(superposed(_parity_state(psi)))
-            return apply_phase_mask(FieldGrid(back, cfg.extent), mask)
-        h = _conversion_field(psi, cfg)
-        np.conjugate(h, out=h)
-        h *= back
-        return FieldGrid(h, cfg.extent)
-
-    rho = [outer(prepared(psi)) for psi in map(_qutrit, input_states)]
-    povm = [outer(parity_flip(traced_back(psi))) for psi in map(_qutrit, meas_states)]
-    return np.stack(rho), np.stack(povm)
+        a = np.array([amplitudes(hologram(psi, modes[0])) for psi in inputs])
+        e = np.array([amplitudes(flipped(hologram(c, back))) for c in signed])
+    rho, povm = (v[:, :, None] * v[:, None, :].conj() for v in (a, e))
+    if not (np.isfinite(rho).all() and np.isfinite(povm).all()):
+        raise ValueError("field contains non-finite samples")
+    return rho, povm

@@ -12,6 +12,7 @@ step keeps the algebra valid); fidelities normalize traces internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,18 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
         ValueError: dimension < 2, zero vector, or (with normalize=False)
             norm deviating from 1 by more than 1e-12.
     """
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    psi = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 2:
         raise ValueError("state dimension must be >= 2")
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
+    largest = float(np.abs(psi.view(float)).max())
+    if largest == 0.0:
         raise ValueError("zero state vector")
+    # scaled by a power of two, which is exact, so that the norm neither overflows nor underflows
+    exponent = math.frexp(largest)[1] - 1
+    unit = np.ldexp(psi.view(float), -exponent).view(complex)
     if normalize:
-        return psi / norm
+        return unit / np.linalg.norm(unit)
+    norm = float(np.linalg.norm(unit)) * math.ldexp(1.0, exponent)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
     return psi

@@ -216,6 +216,20 @@ class TestReconstructProcess:
         ) == 4
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct-process", "reconstruct-state"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_counts_exit_4(self, tmp_path, capsys, command, kind):
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4")
+        counts = tmp_path / "adir"
+        if kind == "directory":
+            counts.mkdir()
+        report = tmp_path / "report.json"
+        assert main([command, "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamtomo: counts: {counts}: ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_state_counts_exit_4(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", state="psi4")
         counts = tmp_path / "counts.txt"
@@ -449,6 +463,17 @@ class TestModes:
         assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
         assert target.read_text() == "kept\n"
         assert os.path.lexists(out) and (kind == "file" or os.readlink(out) == str(grids))
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", state="L",
+                            optics={"grid_size": 128, "extent": 1.0})
+        target = tmp_path / "keep.txt"
+        target.write_text("kept\n")
+        assert main(["modes", "--config", cfg, "--out", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("oamtomo: invalid configuration: output.grids: ")
+        assert err.count("\n") == 1
+        assert target.read_text() == "kept\n"
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from oamtomo import (
     superposition_field,
     winding_number,
 )
+from oamtomo.optics import _conversion_field
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +325,49 @@ class TestEffectiveOperators:
             imaged = [apply_phase_mask(four_f_image(m), mask, conjugate=True) for m in modes]
             e = np.array([fiber_overlap(farfield(f), small) for f in imaged])
             np.testing.assert_allclose(povm[i], np.outer(e.conj(), e), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("modulation", ["ideal", "phase_only"])
+    def test_default_grid_matches_field_chain(self, modulation):
+        # the CLI's default grid, under the floating-point checks of its optics
+        # guard; underflow is left out, as the sampled Gaussian tails underflow
+        cfg = OpticsConfig.matched(512, 1.0)
+        states = canonical_input_states()
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rho, povm = effective_operators(states, states, cfg, modulation)
+        modes = [oam_mode_field(l, cfg) for l in (1, 0, -1)]
+        imaged = [four_f_image(m) for m in modes]
+        carrier = gaussian_field(cfg.waist, cfg)
+        ref_rho, ref_povm = [], []
+        for psi in states:
+            field = superposition_field(psi, cfg)
+            if modulation == "phase_only":
+                field = apply_phase_mask(carrier, phase_mask_of(field))
+            c = np.array([np.vdot(m.samples, field.samples) for m in modes]) * cfg.cell_area
+            ref_rho.append(np.outer(c, c.conj()))
+            if modulation == "ideal":
+                mask = _conversion_field(psi, cfg)
+                converted = [FieldGrid(f.samples * mask, cfg.extent) for f in imaged]
+            else:
+                mask = phase_mask_of(superposition_field(psi * np.array([-1, 1, -1]), cfg))
+                converted = [apply_phase_mask(f, mask, conjugate=True) for f in imaged]
+            e = np.array([fiber_overlap(farfield(f), cfg) for f in converted])
+            ref_povm.append(np.outer(e.conj(), e))
+        table = np.einsum("iab,jba->ji", povm, rho).real
+        ref_table = np.einsum("iab,jba->ji", np.array(ref_povm), np.array(ref_rho)).real
+        np.testing.assert_allclose(table, ref_table, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("modulation", ["ideal", "phase_only"])
+    def test_memory_stays_flat(self, modulation):
+        # grid work runs one field at a time: no stack of per-state or per-mode grids
+        cfg = OpticsConfig.matched(256, 1.0)
+        states = canonical_input_states()
+        tracemalloc.start()
+        try:
+            effective_operators(states, states, cfg, modulation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cfg.grid_size**2 * np.dtype(complex).itemsize
 
     def test_rejects_unknown_modulation_and_non_qutrits(self, small):
         states = canonical_input_states()

@@ -112,6 +112,14 @@ class TestStateVector:
         psi = state_vector([1, 1, 1], normalize=True)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    def test_normalizes_amplitudes_at_the_float_limits(self, scale):
+        # the norm is taken after scaling by the largest modulus: no overflow
+        # to an all-zero vector, no underflow to a division by a subnormal
+        with np.errstate(all="raise"):
+            psi = state_vector([scale, scale, 0], normalize=True)
+        np.testing.assert_allclose(psi, np.array([1, 1, 0]) / np.sqrt(2), rtol=0, atol=1e-15)
+
     def test_rejects_qubit_of_one(self):
         with pytest.raises(ValueError):
             state_vector([1.0])
