@@ -8,8 +8,9 @@ reconstruct-process  counts file -> process matrix report with fidelity
 reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
-Exit codes: 0 success, 2 unreadable config, 3 invalid parameters,
-4 incomplete counts, 5 degenerate count normalization.  Partial outputs are
+Exit codes: 0 success, 2 unreadable config, 3 invalid parameters (an output
+that cannot be written or that is an input file included), 4 incomplete
+counts, 5 degenerate count normalization.  Partial outputs are
 removed on failure; identical config and seed give byte-identical files.
 """
 
@@ -34,7 +35,13 @@ from .config import (
     parse_state,
 )
 from .counts import exact_counts, simulate_counts
-from .optics import effective_operators, lens_fourier, phase_mask_of, superposition_field
+from .optics import (
+    effective_operators,
+    lens_fourier,
+    parity_index,
+    phase_mask_of,
+    superposition_field,
+)
 from .qudit import process_fidelity, projector_of, state_fidelity
 from .tomography import (
     DegenerateDataError,
@@ -187,19 +194,24 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     with _optics_guard():
         mask = superposition_field(cfg.state, cfg.optics)
         fourier = lens_fourier(mask)
-        image = lens_fourier(fourier)
     try:  # only once the fields exist: a bad geometry leaves no directory
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. a file of that name, which is left alone
         raise ConfigError("output.grids", f"cannot create directory {out_dir!r}: {exc.strerror}")
-    for plane, field in (("mask", mask), ("fourier", fourier), ("image", image)):
-        for kind, values in (
-            ("intensity", np.abs(field.samples) ** 2),
-            ("phase", phase_mask_of(field)),
-        ):
-            path = os.path.join(out_dir, f"{plane}_{kind}.txt")
-            written.append(path)
-            fileio.write_grid(path, values, cfg.optics.extent)
+    # ideal 4-f imaging is the parity flip (optics.parity_flip): the image grids
+    # are the mask grids' text, rows and values permuted by the parity index
+    flip = parity_index(cfg.optics.grid_size)
+    planes = ((mask, (("mask", None), ("image", flip))), (fourier, (("fourier", None),)))
+    kinds = (("intensity", lambda f: np.abs(f.samples) ** 2), ("phase", phase_mask_of))
+    for field, copies in planes:
+        for kind, values in kinds:
+            rows = fileio.grid_rows(values(field))
+            for plane, order in copies:
+                path = os.path.join(out_dir, f"{plane}_{kind}.txt")
+                _refuse_input(path, args, "output.grids")
+                written.append(path)
+                fileio.write_grid(path, rows, cfg.optics.extent, order)
+            del rows  # one grid's text at a time
 
 
 # command -> (handler, key of its output in the config's output section, what
@@ -253,7 +265,12 @@ def main(argv=None) -> int:
         out = args.out or cfg.output.get(key)
         if not out:
             raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
-        handler(cfg, args, out, written)
+        _refuse_input(out, args, f"output.{key}")
+        try:
+            handler(cfg, args, out, written)
+        except OSError as exc:  # --counts faults arrive as CountsFileError
+            raise ConfigError(f"output.{key}",
+                              f"cannot write {exc.filename or out!r}: {exc.strerror or exc}")
         return 0
     except ConfigReadError as exc:
         _fail(written, f"config: {exc}")
@@ -264,12 +281,25 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         _fail(written, f"degenerate counts: {exc}")
         return EXIT_DEGENERATE
-    except (fileio.CountsFileError, FileNotFoundError) as exc:
+    except fileio.CountsFileError as exc:
         _fail(written, f"counts: {exc}")
         return EXIT_INCOMPLETE
     except ValueError as exc:
         _fail(written, f"invalid parameters: {exc}")
         return EXIT_BAD_PARAMS
+
+
+def _refuse_input(path: str, args, field: str) -> None:
+    """Raise ConfigError(field) if path is the file --config or --counts names:
+    a finished run would overwrite that input, and a failed one delete it."""
+    for flag in ("config", "counts"):
+        source = getattr(args, flag, None)
+        try:
+            same = source is not None and os.path.samefile(path, source)
+        except OSError:  # either path missing: not the same file
+            same = False
+        if same:
+            raise ConfigError(field, f"{path!r} is the --{flag} file, an input")
 
 
 def _fail(written, message: str) -> None:

@@ -118,13 +118,28 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_grid(path, values, extent: float) -> None:
-    """Row-major space-separated grid with an 'N extent' header line."""
+def grid_rows(values) -> list:
+    """Text rows of a 2-D grid, each value '%.9g' and space-separated: the
+    rows np.savetxt writes, formatted one row at a time so that no more than
+    one row of Python floats exists at once."""
     values = np.asarray(values, dtype=float)
-    np.savetxt(
-        path,
-        values,
-        fmt="%.9g",
-        header=f"{values.shape[0]} {format_sig(extent)}",
-        comments="",
-    )
+    fmt = " ".join(["%.9g"] * values.shape[1])
+    return [fmt % tuple(row.tolist()) for row in values]
+
+
+def write_grid(path, rows, extent: float, order=None) -> None:
+    """grid_rows text under an 'N extent' header line.  An index array order
+    permutes the grid without formatting it again: line r holds row order[r],
+    its values taken at order."""
+    header = f"{len(rows)} {format_sig(extent)}\n"
+    if order is not None:
+        rows = _permuted(rows, order.tolist())
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(row + "\n" for row in rows)
+
+
+def _permuted(rows, order):
+    for r in order:
+        values = rows[r].split(" ")
+        yield " ".join([values[k] for k in order])

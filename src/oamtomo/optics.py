@@ -183,21 +183,21 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     return _normalized(_lg_profile(0, waist, cfg), cfg)
 
 
-def _superposed(psi, modes, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized sum of psi_k modes[l_k] over the (l=+1, 0, -1) triple;
-    modes maps l to samples and needs no entry for a zero amplitude."""
+def _superposed(psi, mode, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized sum of psi_k mode(l_k) over the (l=+1, 0, -1) triple; mode
+    maps l to samples and is not called for a zero amplitude."""
     total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(psi, MODE_WINDINGS):
         if c != 0:
-            total += c * modes[l]
+            total += c * mode(l)
     return total
 
 
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
-    """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple."""
+    """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple,
+    built one mode at a time."""
     psi = _qutrit(state)
-    modes = {l: oam_mode_field(l, cfg).samples for c, l in zip(psi, MODE_WINDINGS) if c != 0}
-    return _normalized(_superposed(psi, modes, cfg), cfg)
+    return _normalized(_superposed(psi, lambda l: oam_mode_field(l, cfg).samples, cfg), cfg)
 
 
 def phase_mask_of(field: FieldGrid) -> np.ndarray:
@@ -236,14 +236,22 @@ def four_f_image(field: FieldGrid) -> FieldGrid:
     return lens_fourier(lens_fourier(field))
 
 
-def parity_flip(field: FieldGrid) -> FieldGrid:
-    """Coordinate inversion (x, y) -> (-x, -y) on the centered grid.
+def _inverted(a: np.ndarray, axes) -> np.ndarray:
+    """a with index k -> (-k) mod n along each given axis: reversed, then rolled by one."""
+    return np.roll(np.flip(a, axis=axes), 1, axis=axes)
 
-    Exactly the index permutation realized by a squared DFT; the row/column
-    at the grid edge (whose mirror falls off the grid) maps to itself.
-    """
-    flipped = np.roll(np.flip(field.samples, axis=(0, 1)), 1, axis=(0, 1))
-    return FieldGrid(flipped, field.extent)
+
+def parity_index(n: int) -> np.ndarray:
+    """Index map k -> (-k) mod n of the coordinate inversion on a centered
+    n-point axis; the edge index 0, whose mirror falls off the grid, maps to
+    itself."""
+    return _inverted(np.arange(n), 0)
+
+
+def parity_flip(field: FieldGrid) -> FieldGrid:
+    """Coordinate inversion (x, y) -> (-x, -y) on the centered grid: the
+    parity index on both axes, exactly the permutation a squared DFT realizes."""
+    return FieldGrid(_inverted(field.samples, (0, 1)), field.extent)
 
 
 def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
@@ -382,7 +390,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
         def hologram(psi, field: np.ndarray) -> np.ndarray:
             """field e^{i arg u}, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are divided
             by |u| as real arrays, as a complex division can overflow on subnormals."""
-            u = _superposed(psi, modes, cfg)
+            u = _superposed(psi, modes.__getitem__, cfg)
             u[u == 0] = 1.0
             mag = np.abs(u)
             u.real /= mag

@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,14 +19,17 @@ from oamtomo import (
     depolarizing_channel,
     effective_operators,
     ideal_storage_chi,
+    lens_fourier,
+    phase_mask_of,
     probabilities_from_counts,
     process_fidelity,
     project_to_physical_process,
     qpt_linear_inversion,
+    superposition_field,
 )
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
-from oamtomo.fileio import read_counts, round_sig
+from oamtomo.fileio import grid_rows, read_counts, round_sig, write_grid
 
 
 def _write_config(path, **overrides):
@@ -474,6 +478,133 @@ class TestModes:
         assert err.startswith("oamtomo: invalid configuration: output.grids: ")
         assert err.count("\n") == 1
         assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("state", ["L", "psi4", [1, -1, 1], [0.3, -0.5, 0.8]])
+    def test_grid_text(self, tmp_path, state):
+        # mask and Fourier grids are np.savetxt's text of the fields; the image
+        # grids are the mask text with coordinates inverted, k -> (-k) mod N
+        cfg = _write_config(tmp_path / "cfg.json", state=state,
+                            optics={"grid_size": 128, "extent": 1.0})
+        out = tmp_path / "grids"
+        assert main(["modes", "--config", cfg, "--out", str(out)]) == 0
+        run = load_config(cfg)
+        mask = superposition_field(run.state, run.optics)
+        for plane, field in (("mask", mask), ("fourier", lens_fourier(mask))):
+            for kind, values in (("intensity", np.abs(field.samples) ** 2),
+                                 ("phase", phase_mask_of(field))):
+                expected = io.StringIO()
+                np.savetxt(expected, values, fmt="%.9g", header="128 1", comments="")
+                text = (out / f"{plane}_{kind}.txt").read_text()
+                assert text.split("\n") == expected.getvalue().split("\n")
+        for kind in ("intensity", "phase"):
+            header, *rows = (out / f"mask_{kind}.txt").read_text().splitlines()
+            values = np.array([row.split(" ") for row in rows])
+            flipped = np.roll(np.flip(values, axis=(0, 1)), 1, axis=(0, 1))
+            image = (out / f"image_{kind}.txt").read_text()
+            assert image.split("\n") == [header] + [" ".join(row) for row in flipped] + [""]
+
+    @pytest.mark.parametrize("state", ["L", "psi4", "[1,1,1]", "[1,-1,1]"])
+    def test_export_memory(self, tmp_path, state):
+        # one transform, the image grids as permuted text, and one grid's text
+        # at a time: the traced peak stays below 4.5 complex grids (5.0-5.1
+        # with a second transform and all six grids formatted)
+        n = 256
+        cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": n, "extent": 1.0})
+        argv = ["modes", "--config", cfg, "--out", str(tmp_path / "grids"), "--state"]
+        assert main(argv + ["G"]) == 0  # first-use imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv + [state]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * n * np.dtype(complex).itemsize
+
+
+class TestGridFile:
+    VALUES = np.array([
+        [0.0, -0.0, 5e-324, -5e-324],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1e-5, -1.23456789e-5],
+        [9.99999999e-5, 1e-4, -9.9999999949e-6, 1e9],
+        [123456789.5, 999999999.5, -123456789.5, -999999999.5],
+    ])
+
+    def test_text_equals_savetxt(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        write_grid(path, grid_rows(self.VALUES), 0.25)
+        expected = io.StringIO()
+        np.savetxt(expected, self.VALUES, fmt="%.9g", header="4 0.25", comments="")
+        assert path.read_text() == expected.getvalue()
+
+    def test_order_permutes_rows_and_values(self, tmp_path):
+        order = np.array([2, 0, 3, 1])
+        path = tmp_path / "grid.txt"
+        write_grid(path, grid_rows(self.VALUES), 0.25, order)
+        expected = io.StringIO()
+        np.savetxt(expected, self.VALUES[np.ix_(order, order)], fmt="%.9g", header="4 0.25",
+                   comments="")
+        assert path.read_text() == expected.getvalue()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "counts"), ("reconstruct-process", "report"), ("reconstruct-state", "report"),
+    ])
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, command, key, kind):
+        cfg = _write_config(tmp_path / "cfg.json",
+                            state="psi4" if command == "reconstruct-state" else None)
+        counts = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "adir"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out = out / "x.txt"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command != "simulate":
+            argv += ["--counts", str(counts)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamtomo: invalid configuration: output.{key}: cannot write ")
+        assert err.count("\n") == 1
+        assert out.is_dir() if kind == "directory" else not out.parent.exists()
+
+    # runs that would fail (no state; the optics guard) and runs that would succeed
+    @pytest.mark.parametrize("command, out, overrides", [
+        ("reconstruct-state", "counts", {}),
+        ("reconstruct-process", "counts", {}),
+        ("simulate", "config", {"measurement_mode": "optical-ideal",
+                                "optics": {"grid_size": 128, "extent": 1.4e-241}}),
+        ("simulate", "config", {}),
+        ("simulate", "link to config", {}),
+        ("modes", "grids holding config", {"state": "L", "optics": {"grid_size": 128}}),
+    ])
+    def test_output_naming_an_input_exits_3(self, tmp_path, capsys, command, out, overrides):
+        grids = tmp_path / "grids"
+        grids.mkdir()
+        name = grids / "image_phase.txt" if command == "modes" else tmp_path / "cfg.json"
+        cfg = _write_config(name, **overrides)
+        counts = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", _write_config(tmp_path / "c.json"),
+                     "--out", str(counts)]) == 0
+        target = {"counts": counts, "config": cfg, "link to config": tmp_path / "link",
+                  "grids holding config": grids}[out]
+        if out == "link to config":
+            target.symlink_to(cfg)
+        before = {path: pathlib.Path(path).read_bytes() for path in (cfg, counts)}
+        argv = [command, "--config", cfg, "--out", str(target)]
+        if command.startswith("reconstruct"):
+            argv += ["--counts", str(counts)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        key = {"simulate": "counts", "modes": "grids"}.get(command, "report")
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamtomo: invalid configuration: output.{key}: ")
+        assert err.count("\n") == 1
+        assert {path: pathlib.Path(path).read_bytes() for path in before} == before
+        assert os.listdir(grids) == (["image_phase.txt"] if command == "modes" else [])
 
 
 class TestDeterminism:

@@ -22,7 +22,7 @@ from oamtomo import (
     superposition_field,
     winding_number,
 )
-from oamtomo.optics import _conversion_field
+from oamtomo.optics import _conversion_field, parity_index
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,13 @@ class TestFourF:
             np.testing.assert_allclose(
                 four_f_image(f).samples, parity_flip(f).samples, atol=1e-9
             )
+
+    def test_parity_flip_is_the_parity_index_on_both_axes(self, cfg):
+        n = cfg.grid_size
+        k = parity_index(n)
+        np.testing.assert_array_equal(k, [0] + list(range(n - 1, 0, -1)))
+        f = _random_field(cfg, 13)
+        np.testing.assert_array_equal(parity_flip(f).samples, f.samples[np.ix_(k, k)])
 
     def test_vortex_parity(self, cfg):
         f = oam_mode_field(1, cfg)
