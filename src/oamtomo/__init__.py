@@ -48,6 +48,7 @@ from .qudit import (
     phase_rotation_channel,
     process_fidelity,
     projector_of,
+    pure_fidelity,
     random_cptp_channel,
     random_density_matrix,
     state_fidelity,

@@ -42,11 +42,10 @@ from .optics import (
     phase_mask_of,
     superposition_field,
 )
-from .qudit import process_fidelity, projector_of, state_fidelity
+from .qudit import projector_of, pure_fidelity
 from .tomography import (
     DegenerateDataError,
     canonical_settings,
-    ideal_storage_chi,
     predict_probabilities,
     probabilities_from_counts,
     project_to_physical_process,
@@ -104,24 +103,6 @@ def _read_counts(path: str, n_in: int) -> np.ndarray:
     return counts
 
 
-def _bootstrap(counts, cfg: RunConfig, reconstruct, fidelity) -> dict | None:
-    """Redo the reconstruction on B Poisson resamples of the counts, drawn at once.
-
-    reconstruct maps counts with a leading batch axis to physical matrices;
-    fidelity maps that batch to a vector of scores.
-    """
-    if cfg.bootstrap_samples <= 0:
-        return None
-    rng = np.random.default_rng([cfg.source.seed, 104729])
-    resamples = rng.poisson(counts, size=(cfg.bootstrap_samples,) + counts.shape)
-    fids = fidelity(reconstruct(resamples))
-    return {
-        "samples": cfg.bootstrap_samples,
-        "fidelity_mean": float(np.mean(fids)),
-        "fidelity_std": float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0,
-    }
-
-
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
     settings = canonical_settings()
@@ -131,30 +112,51 @@ def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
 
 
+# report kind -> key of its physical matrix, key of that matrix's fidelity
+_REPORT_KEYS = {"process": ("chi", "process_fidelity_vs_ideal"),
+                "state": ("rho", "state_fidelity_vs_target")}
+
+
+def _report(kind: str, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
+    """Reconstruct and score the counts: the physical matrix, its raw trace, the
+    least eigenvalue before and after projection, and the fidelity.
+
+    reconstruct, project and score take a leading batch axis, so that a
+    bootstrap of B > 0 samples redoes them all on B Poisson resamples of the
+    counts, drawn at once.
+    """
+    matrix_key, fidelity_key = _REPORT_KEYS[kind]
+    raw = reconstruct(counts)
+    phys = project(raw)
+    doc = {
+        "report": kind,
+        "config": cfg.echo,
+        matrix_key: fileio.matrix_to_pairs(phys),
+        f"{matrix_key}_raw_trace": float(np.trace(raw).real),
+        "min_eigenvalue_pre_projection": float(np.linalg.eigvalsh(raw).min()),
+        "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(phys).min()),
+        fidelity_key: score(phys),
+    }
+    if cfg.bootstrap_samples > 0:
+        rng = np.random.default_rng([cfg.source.seed, 104729])
+        resamples = rng.poisson(counts, size=(cfg.bootstrap_samples,) + counts.shape)
+        fids = score(project(reconstruct(resamples)))
+        doc["bootstrap"] = {
+            "samples": cfg.bootstrap_samples,
+            "fidelity_mean": float(np.mean(fids)),
+            "fidelity_std": float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0,
+        }
+    return doc
+
+
 def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
     counts = _read_counts(args.counts, 9)
     settings = canonical_settings()
-    ideal = ideal_storage_chi(settings.basis)
-
-    def reconstruct(c):
-        return qpt_linear_inversion(probabilities_from_counts(c), settings)
-
-    chi_raw = reconstruct(counts)
-    chi_phys = project_to_physical_process(chi_raw)
-    doc = {
-        "report": "process",
-        "config": cfg.echo,
-        "chi": fileio.matrix_to_pairs(chi_phys),
-        "chi_raw_trace": float(np.trace(chi_raw).real),
-        "min_eigenvalue_pre_projection": float(np.linalg.eigvalsh(chi_raw).min()),
-        "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(chi_phys).min()),
-        "process_fidelity_vs_ideal": process_fidelity(chi_phys, ideal),
-    }
-    boot = _bootstrap(counts, cfg, lambda c: project_to_physical_process(reconstruct(c)),
-                      lambda chi: process_fidelity(chi, ideal))
-    if boot is not None:
-        doc["bootstrap"] = boot
+    ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
+    doc = _report("process", cfg, counts,
+                  lambda c: qpt_linear_inversion(probabilities_from_counts(c), settings),
+                  project_to_physical_process, lambda chi: pure_fidelity(chi, ideal, process=True))
     fileio.write_report(out_path, doc)
 
 
@@ -164,27 +166,10 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1)
     settings = canonical_settings()
-    target = projector_of(cfg.state)
-
-    def reconstruct(c):
-        return qst_linear_inversion(probabilities_from_counts(c)[..., 0, :], settings)
-
-    rho_raw = reconstruct(counts)
-    rho_phys = project_to_physical_state(rho_raw)
-    doc = {
-        "report": "state",
-        "config": cfg.echo,
-        "target_state": fileio.vector_to_pairs(cfg.state),
-        "rho": fileio.matrix_to_pairs(rho_phys),
-        "rho_raw_trace": float(np.trace(rho_raw).real),
-        "min_eigenvalue_pre_projection": float(np.linalg.eigvalsh(rho_raw).min()),
-        "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(rho_phys).min()),
-        "state_fidelity_vs_target": state_fidelity(rho_phys, target),
-    }
-    boot = _bootstrap(counts, cfg, lambda c: project_to_physical_state(reconstruct(c)),
-                      lambda rho: state_fidelity(rho, target))
-    if boot is not None:
-        doc["bootstrap"] = boot
+    doc = _report("state", cfg, counts,
+                  lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :], settings),
+                  project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))
+    doc["target_state"] = fileio.vector_to_pairs(cfg.state)
     fileio.write_report(out_path, doc)
 
 

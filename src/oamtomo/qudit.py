@@ -3,7 +3,7 @@
 Dense complex linear algebra for d-level systems: state vectors and density
 matrices, the identity-plus-Gell-Mann operator basis used to expand channels,
 conversion between the Kraus and process-matrix representations of a channel,
-and Uhlmann fidelities for states and processes.
+and fidelities of states and processes (Uhlmann; closed form for a pure reference).
 
 For d = 3 the computational basis is the OAM triple (|L>, |G>, |R>) carrying
 winding numbers +1, 0, -1.  Channels may be trace-decreasing (a lossy storage
@@ -20,6 +20,10 @@ import numpy as np
 # sqrt(machine epsilon) scale; eigenvalues above -CLAMP are treated as zero
 _EIG_CLAMP = 1e-8
 _HERM_ATOL = 1e-8
+# trace rules of the fidelities: (trace out of range, message naming it)
+_STATE_TRACE = (lambda t: abs(t - 1.0) > 0.1,
+                "density matrix trace {!r} deviates from 1 by more than 10%")
+_PROCESS_TRACE = (lambda t: t <= 1e-12, "process matrix has non-positive trace")
 
 
 def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
@@ -333,12 +337,19 @@ def state_fidelity(rho1, rho2):
     deviations raise (the input is then not a near-physical state).  Leading
     axes are batch axes: a (B, d, d) stack gives a (B,) array, one matrix a float.
     """
-    msg = "density matrix trace {!r} deviates from 1 by more than 10%"
-    return _uhlmann(*(_unit_trace(r, lambda t: abs(t - 1.0) > 0.1, msg) for r in (rho1, rho2)))
+    return _uhlmann(*(_unit_trace(r, *_STATE_TRACE) for r in (rho1, rho2)))
 
 
 def process_fidelity(chi, chi_ideal):
     """Uhlmann fidelity of two process matrices after trace normalization, batched
     as state_fidelity."""
-    msg = "process matrix has non-positive trace"
-    return _uhlmann(*(_unit_trace(c, lambda t: t <= 1e-12, msg) for c in (chi, chi_ideal)))
+    return _uhlmann(*(_unit_trace(c, *_PROCESS_TRACE) for c in (chi, chi_ideal)))
+
+
+def pure_fidelity(matrix, psi, process: bool = False):
+    """Fidelity against the pure reference |psi><psi| in closed form, Re<psi|m|psi> / Tr m
+    clipped to [0, 1]: state_fidelity, or process_fidelity with process=True, against
+    projector_of(psi) to rounding, with their trace rules and batch axes."""
+    m = _unit_trace(matrix, *(_PROCESS_TRACE if process else _STATE_TRACE))
+    f = np.clip(np.einsum("a,...ab,b->...", np.conj(psi), m, psi).real, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -304,6 +305,33 @@ class TestReconstructProcess:
         boot = _report(report)["bootstrap"]
         assert boot["fidelity_mean"] == pytest.approx(round_sig(np.mean(fids)), abs=1e-12)
         assert boot["fidelity_std"] == pytest.approx(round_sig(np.std(fids, ddof=1)), abs=1e-12)
+
+
+class TestClosedFormScoring:
+    def test_reconstructions_run_no_uhlmann_fidelity(self, tmp_path, monkeypatch):
+        # reports and bootstraps score against pure references in closed form:
+        # no eigendecomposition-based fidelity may run, under any name it was imported as
+        from oamtomo import qudit
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reconstruction ran an Uhlmann fidelity")
+
+        modules = [m for name, m in sys.modules.items()
+                   if m is not None and (name == "oamtomo" or name.startswith("oamtomo."))]
+        for name in ("process_fidelity", "state_fidelity", "matrix_sqrt_psd"):
+            func = getattr(qudit, name)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, refuse)
+        for extra, command in (({}, "reconstruct-process"),
+                               ({"state": "psi4"}, "reconstruct-state")):
+            cfg = _write_config(tmp_path / "cfg.json", bootstrap_samples=20, **extra)
+            counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
+            assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+            assert main([command, "--config", cfg, "--counts", str(counts),
+                         "--out", str(report)]) == 0
+            assert _report(report)["bootstrap"]["samples"] == 20
 
 
 class TestReconstructState:

@@ -13,6 +13,7 @@ from oamtomo import (
     matrix_sqrt_psd,
     process_fidelity,
     projector_of,
+    pure_fidelity,
     random_cptp_channel,
     random_density_matrix,
     state_fidelity,
@@ -490,3 +491,91 @@ class TestBatchedFidelity:
             state_fidelity(np.eye(3), np.eye(3) / 3)
         with pytest.raises(ValueError, match="^process matrix has non-positive trace$"):
             process_fidelity(np.zeros((9, 9)), np.eye(9))
+
+
+def _ideal_chi():
+    ideal = np.zeros((9, 9), dtype=complex)
+    ideal[0, 0] = 1.0
+    return ideal
+
+
+class TestPureFidelity:
+    """The closed form against a pure reference equals the Uhlmann fidelity."""
+
+    @staticmethod
+    def _states(rng, n):
+        # every other one rank-deficient, traces off by up to 5%
+        out = []
+        for k in range(n):
+            rho = random_density_matrix(3, rng)
+            if k % 2:
+                w, v = np.linalg.eigh(rho)
+                rho = (v * np.where(np.arange(3) < 1 + (k // 2) % 2, 0.0, w)) @ v.conj().T  # rank 2 or 1
+                rho /= np.trace(rho).real
+            out.append(rho * rng.uniform(0.95, 1.05))
+        return np.stack(out)
+
+    @staticmethod
+    def _processes(rng, n, basis):
+        return np.stack([
+            (_random_rank_deficient_chi(rng, basis) if k % 2
+             else chi_from_kraus(random_cptp_channel(3, 1 + k % 9, rng), basis))
+            * rng.uniform(0.95, 1.05) for k in range(n)])
+
+    def test_state_equals_uhlmann(self):
+        rng = np.random.default_rng(51)
+        rhos = self._states(rng, 20)
+        for _ in range(3):
+            t = state_vector(rng.standard_normal(3) + 1j * rng.standard_normal(3), True)
+            expected = state_fidelity(rhos, projector_of(t))
+            got = pure_fidelity(rhos, t)
+            assert got.shape == (20,)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            for rho, f in zip(rhos, expected):
+                single = pure_fidelity(rho, t)
+                assert isinstance(single, float)
+                assert single == pytest.approx(f, abs=1e-12)
+
+    def test_process_equals_uhlmann(self):
+        rng = np.random.default_rng(52)
+        basis = gell_mann_basis(3)
+        chis = self._processes(rng, 20, basis)
+        e0 = np.eye(9)[0]
+        psi = state_vector(rng.standard_normal(9) + 1j * rng.standard_normal(9), True)
+        for reference, pure in ((_ideal_chi(), e0), (projector_of(psi), psi)):
+            expected = process_fidelity(chis, reference)
+            got = pure_fidelity(chis, pure, process=True)
+            assert got.shape == (20,)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            for chi, f in zip(chis, expected):
+                single = pure_fidelity(chi, pure, process=True)
+                assert isinstance(single, float)
+                assert single == pytest.approx(f, abs=1e-12)
+
+    def test_state_trace_rule(self):
+        t = canonical_input_states()[3]
+        assert pure_fidelity(np.eye(3) / 3 * 1.09, t) == pytest.approx(1 / 3, abs=1e-15)
+        for bad in (np.eye(3) / 3 * 1.11, np.eye(3) / 3 * 0.89, np.zeros((3, 3))):
+            with pytest.raises(ValueError) as uhlmann:
+                state_fidelity(bad, projector_of(t))
+            with pytest.raises(ValueError, match="^density matrix trace .* by more than 10%$") as exc:
+                pure_fidelity(bad, t)
+            assert str(exc.value) == str(uhlmann.value)
+        rhos = np.stack([np.eye(3) / 3] * 3)
+        rhos[1] *= 2.0
+        with pytest.raises(ValueError, match=r"^sample 2: density matrix trace \S*2\.0\b"):
+            pure_fidelity(rhos, t)
+
+    def test_process_trace_rule(self):
+        e0 = np.eye(9)[0]
+        assert pure_fidelity(np.eye(9) * 1e-11, e0, process=True) == pytest.approx(1 / 9)
+        for bad in (np.zeros((9, 9)), -np.eye(9), np.eye(9) * 1e-14):
+            with pytest.raises(ValueError) as uhlmann:
+                process_fidelity(bad, _ideal_chi())
+            with pytest.raises(ValueError, match="^process matrix has non-positive trace$") as exc:
+                pure_fidelity(bad, e0, process=True)
+            assert str(exc.value) == str(uhlmann.value)
+        chis = np.stack([np.eye(9) / 9] * 3)
+        chis[1] = 0.0
+        with pytest.raises(ValueError, match="^sample 2: process matrix has non-positive trace$"):
+            pure_fidelity(chis, e0, process=True)
