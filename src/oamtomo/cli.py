@@ -112,27 +112,23 @@ def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
 
 
-# report kind -> key of its physical matrix, key of that matrix's fidelity
-_REPORT_KEYS = {"process": ("chi", "process_fidelity_vs_ideal"),
-                "state": ("rho", "state_fidelity_vs_target")}
-
-
-def _report(kind: str, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
+def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
     """Reconstruct and score the counts: the physical matrix, its raw trace, the
     least eigenvalue before and after projection, and the fidelity.
 
-    reconstruct, project and score take a leading batch axis, so that a
+    keys names the report kind, the physical matrix, its raw trace and its
+    fidelity.  reconstruct, project and score take a leading batch axis, so that a
     bootstrap of B > 0 samples redoes them all on B Poisson resamples of the
     counts, drawn at once.
     """
-    matrix_key, fidelity_key = _REPORT_KEYS[kind]
+    kind, matrix_key, trace_key, fidelity_key = keys
     raw = reconstruct(counts)
     phys = project(raw)
     doc = {
         "report": kind,
         "config": cfg.echo,
         matrix_key: fileio.matrix_to_pairs(phys),
-        f"{matrix_key}_raw_trace": float(np.trace(raw).real),
+        trace_key: float(np.trace(raw).real),
         "min_eigenvalue_pre_projection": float(np.linalg.eigvalsh(raw).min()),
         "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(phys).min()),
         fidelity_key: score(phys),
@@ -154,7 +150,7 @@ def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) 
     counts = _read_counts(args.counts, 9)
     settings = canonical_settings()
     ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
-    doc = _report("process", cfg, counts,
+    doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
                   lambda c: qpt_linear_inversion(probabilities_from_counts(c), settings),
                   project_to_physical_process, lambda chi: pure_fidelity(chi, ideal, process=True))
     fileio.write_report(out_path, doc)
@@ -166,7 +162,7 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1)
     settings = canonical_settings()
-    doc = _report("state", cfg, counts,
+    doc = _report(("state", "rho", "rho_raw_trace", "state_fidelity_vs_target"), cfg, counts,
                   lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :], settings),
                   project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))
     doc["target_state"] = fileio.vector_to_pairs(cfg.state)

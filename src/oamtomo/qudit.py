@@ -349,7 +349,10 @@ def process_fidelity(chi, chi_ideal):
 def pure_fidelity(matrix, psi, process: bool = False):
     """Fidelity against the pure reference |psi><psi| in closed form, Re<psi|m|psi> / Tr m
     clipped to [0, 1]: state_fidelity, or process_fidelity with process=True, against
-    projector_of(psi) to rounding, with their trace rules and batch axes."""
+    projector_of(psi) to rounding, with their trace rules and batch axes.  psi must be
+    a normalized state vector, as for projector_of; the matrix is taken to be
+    Hermitian and PSD, as a projected reconstruction is."""
+    psi = state_vector(psi)
     m = _unit_trace(matrix, *(_PROCESS_TRACE if process else _STATE_TRACE))
     f = np.clip(np.einsum("a,...ab,b->...", np.conj(psi), m, psi).real, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f

@@ -62,9 +62,7 @@ class MeasurementSettings:
     def qpt_map(self) -> np.ndarray:
         """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi."""
         lam, proj = self.basis.operators, self.projectors
-        # the path optimize=True finds, fixed so that no path search runs
-        transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(),
-                             optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
+        transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(), optimize=True)
         coords = hermitian_basis(9)
         design = np.einsum("jimn,Kmn->jiK", transfer, coords).real.reshape(81, 81)
         return _inversion_map(design, coords)

@@ -579,3 +579,12 @@ class TestPureFidelity:
         chis[1] = 0.0
         with pytest.raises(ValueError, match="^sample 2: process matrix has non-positive trace$"):
             pure_fidelity(chis, e0, process=True)
+
+    def test_reference_must_be_a_normalized_state(self):
+        rho = np.eye(3) / 3
+        for psi in ([1, 1, 0], [1.0, 1e-5, 0.0], [0, 0, 0], [1]):
+            with pytest.raises(ValueError) as expected:
+                projector_of(psi)
+            with pytest.raises(ValueError) as exc:
+                pure_fidelity(rho, psi)
+            assert str(exc.value) == str(expected.value)

@@ -67,14 +67,6 @@ class TestSettings:
             assert np.linalg.matrix_rank(design) == design.shape[1]
             assert float(f"{np.linalg.cond(design):.3g}") == cond
 
-    def test_qpt_map_path_is_the_searched_one(self, settings):
-        lam, proj = settings.basis.operators, settings.projectors
-        transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(), optimize=True)
-        coords = hermitian_basis(9)
-        design = np.einsum("jimn,Kmn->jiK", transfer, coords).real.reshape(81, 81)
-        searched = coords.reshape(81, -1).T @ np.linalg.pinv(design)
-        assert np.array_equal(settings.qpt_map, searched)
-
     def test_one_read_only_instance(self, settings):
         assert canonical_settings() is settings
         for array in (settings.inputs, settings.projectors, settings.qst_map, settings.qpt_map):

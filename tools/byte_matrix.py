@@ -1,6 +1,6 @@
 """Compare the CLI outputs of the working tree's src/ with those of a git revision, byte for byte.
 
-Usage: python3 tools/byte_matrix.py BASE_REV [--jobs J] [--keep DIR]
+Usage: python3 tools/byte_matrix.py BASE_REV
 
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x
 5 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
@@ -9,10 +9,11 @@ counts it wrote; three runs that fail in `reconstruct-*`; and `modes` for
 psi4, L, [1,-1,1] and psi9 at N = 128 and 512.  Every command runs once with
 BASE_REV's src/ (from `git archive`) and once with the working tree's, each
 in a fresh interpreter whose working directory is the case's own directory,
-so paths in messages agree.  Every
-file written, every exit code and every stderr text is compared.  Each
-difference is printed with both exit codes and stderr; the exit status is 1
-if there was any, else 0.  Uses the standard library only.
+so paths in messages agree; the cases run one after another, in a
+temporary directory that is removed at the end.  Every file written, every
+exit code and every stderr text is compared.  Each difference is printed
+with both exit codes and stderr; the exit status is 1 if there was any,
+else 0.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -101,11 +101,18 @@ def _read(path: str) -> bytes:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", help="git revision whose src/ is the reference")
-    parser.add_argument("--jobs", type=int, default=2, help="cases run at once (default 2)")
-    parser.add_argument("--keep", help="write the outputs under this directory and keep them")
     args = parser.parse_args(argv)
-    work = args.keep or tempfile.mkdtemp(prefix="byte_matrix_")
-    archive = subprocess.run(["git", "-C", ROOT, "archive", args.base_rev, "src"],
+    work = tempfile.mkdtemp(prefix="byte_matrix_")
+    try:
+        return compare(args.base_rev, work)
+    finally:
+        shutil.rmtree(work)
+
+
+def compare(base_rev: str, work: str) -> int:
+    """Run the matrix with base_rev's src/ and the working tree's under work,
+    print the differences and return the exit status."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", base_rev, "src"],
                              capture_output=True, check=True).stdout
     # the "data" filter, where this Python has it, refuses links and absolute paths
     extract_filter = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
@@ -113,11 +120,9 @@ def main(argv=None) -> int:
         tar.extractall(os.path.join(work, "base"), **extract_filter)
     trees = {"base": os.path.join(work, "base", "src"), "head": os.path.join(ROOT, "src")}
     all_cases = list(cases())
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        jobs = [pool.submit(run_case, src, os.path.join(work, tree, "out", name), config, cmds)
-                for tree, src in trees.items() for name, config, cmds in all_cases]
-        for job in jobs:
-            job.result()
+    for tree, src in trees.items():
+        for name, config, commands in all_cases:
+            run_case(src, os.path.join(work, tree, "out", name), config, commands)
     tops = {tree: os.path.join(work, tree, "out") for tree in trees}
     found = {tree: files_under(top) for tree, top in tops.items()}
     differing = sorted(
@@ -133,10 +138,7 @@ def main(argv=None) -> int:
             log = _read(os.path.join(top, path.split(os.sep)[0], "log.txt")).decode()
             print("\n".join(f"  {tree}| {line}" for line in log.splitlines()))
     print(f"{len(all_cases)} cases, {len(found['base'])} base files, "
-          f"{len(found['head'])} head files, {len(differing)} differing"
-          + (f"; outputs kept in {work}" if args.keep else ""))
-    if not args.keep:
-        shutil.rmtree(work)
+          f"{len(found['head'])} head files, {len(differing)} differing")
     return 1 if differing else 0
 
 
