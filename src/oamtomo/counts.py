@@ -1,4 +1,4 @@
-"""Coincidence-count simulation, background subtraction, and photon diagnostics.
+"""Coincidence-count simulation and background subtraction.
 
 Counts are modeled per setting as windowed Poisson totals: the signal
 coincidences at mean efficiency * counts_per_setting * probability + background,
@@ -21,7 +21,8 @@ class SourceConfig:
     counts_per_setting is the expected signal coincidence total at unit
     probability and unit efficiency; background the expected accidental
     total per setting; efficiency folds in every loss between source and
-    detector; window is the coincidence window in seconds.
+    detector; window is the coincidence window in seconds, validated and
+    echoed in counts headers, but read by no computation.
     """
 
     counts_per_setting: float
@@ -83,35 +84,3 @@ def subtract_background(counts) -> np.ndarray:
     """
     counts = np.asarray(counts)
     return np.maximum(counts[..., 0] - counts[..., 1], 0).astype(float)
-
-
-def anticorrelation_alpha(n_trigger: int, n_t1: int, n_t2: int, n_t12: int) -> float:
-    """Heralded anti-correlation parameter N_T N_T12 / (N_T1 N_T2).
-
-    0 for an ideal single-photon source, 1 for coherent light, >1 for
-    bunched light.
-    """
-    if n_t1 <= 0 or n_t2 <= 0:
-        raise ValueError("heralded singles counts must be positive")
-    if n_trigger <= 0:
-        raise ValueError("trigger count must be positive")
-    if n_t12 < 0:
-        raise ValueError("triple coincidence count must be nonnegative")
-    return (float(n_t12) * float(n_trigger)) / (float(n_t1) * float(n_t2))
-
-
-def cross_correlation_g2(
-    n_coinc: int, n_signal: int, n_trigger: int, window: float, duration: float
-) -> float:
-    """Normalized signal-trigger cross-correlation from windowed totals.
-
-    g2 = (coincidence rate) / (signal rate * trigger rate * window); equals 1
-    for independent streams and exceeds 2 for non-classical pair sources.
-    """
-    if n_signal <= 0 or n_trigger <= 0:
-        raise ValueError("singles counts must be positive")
-    if window <= 0 or duration <= 0:
-        raise ValueError("window and duration must be positive")
-    if n_coinc < 0:
-        raise ValueError("coincidence count must be nonnegative")
-    return (float(n_coinc) * float(duration)) / (float(n_signal) * float(n_trigger) * window)

@@ -7,8 +7,8 @@ Laguerre-Gauss with radial index 0: amplitude (sqrt(2) r / w)^|l| e^{-r^2/w^2}
 e^{i l phi}, the standard OAM eigenmodes with closed-form overlaps.
 
 lens_fourier is a centered, unitary 2-D DFT: one ideal lens focal-plane
-transform.  Two of them (four_f_image) reproduce the input with coordinates
-inverted, which is why measurement masks are conjugated relative to the
+transform.  Two of them reproduce the input with coordinates inverted
+(parity_flip), which is why measurement masks are conjugated relative to the
 preparation masks.  By default configurations use the grid's self-Fourier
 waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
@@ -22,10 +22,6 @@ overlap is an inner product with the fiber Gaussian traced back through the
 lens: one transform in all.  Ideal modulation is linear in the state, so its
 inputs follow from the triple's 3x3 Gram matrix and its POVM from a 3x3
 coupling matrix, one grid pass per winding; phase-only takes one per state.
-
-Reference hardware values from the modeled experiment (beam waist 2.5 mm,
-300 mm lenses, 1920x1080 phase-only SLMs, 2.5 m far-field arm) are
-documentation metadata only; see EXPERIMENT_REFERENCE.
 """
 
 from __future__ import annotations
@@ -36,13 +32,6 @@ from math import factorial
 import numpy as np
 
 from .qudit import state_vector
-
-EXPERIMENT_REFERENCE = {
-    "beam_waist_mm": 2.5,
-    "lens_focal_length_mm": 300.0,
-    "slm_resolution": (1920, 1080),
-    "farfield_arm_m": 2.5,
-}
 
 # winding numbers of the qutrit basis (|L>, |G>, |R>)
 MODE_WINDINGS = (1, 0, -1)
@@ -222,20 +211,6 @@ def lens_fourier(field: FieldGrid) -> FieldGrid:
     return FieldGrid(out, field.extent)
 
 
-def farfield(field: FieldGrid) -> FieldGrid:
-    """Fraunhofer propagation: a single focal-plane transform.
-
-    The residual quadratic phase of far-field diffraction is dropped; it
-    cancels against the centered collection Gaussian in coupling magnitudes.
-    """
-    return lens_fourier(field)
-
-
-def four_f_image(field: FieldGrid) -> FieldGrid:
-    """Two successive lens transforms: the parity-inverted input field."""
-    return lens_fourier(lens_fourier(field))
-
-
 def _inverted(a: np.ndarray, axes) -> np.ndarray:
     """a with index k -> (-k) mod n along each given axis: reversed, then rolled by one."""
     return np.roll(np.flip(a, axis=axes), 1, axis=axes)
@@ -262,21 +237,6 @@ def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
     return complex((field.samples * g.samples.conj()).sum() * cfg.cell_area)
 
 
-def winding_number(field: FieldGrid, radius: float) -> int:
-    """Net phase winding around a centered circle of the given radius."""
-    if radius <= 0 or radius >= field.extent:
-        raise ValueError("radius must lie inside the grid")
-    n = field.grid_size
-    step = 2.0 * field.extent / n
-    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    ix = np.clip(np.rint(radius * np.cos(theta) / step).astype(int) + n // 2, 0, n - 1)
-    iy = np.clip(np.rint(radius * np.sin(theta) / step).astype(int) + n // 2, 0, n - 1)
-    phases = np.angle(field.samples[iy, ix])
-    diffs = np.diff(np.concatenate([phases, phases[:1]]))
-    wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(wrapped.sum() / (2.0 * np.pi)))
-
-
 def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
     """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
     with the exponentials combined before evaluation; requires the
@@ -287,7 +247,7 @@ def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
     if w_conj < w * (1.0 - 1e-12):
         raise ValueError(
             "ideal mode conversion needs a back-propagated fiber waist >= mode waist; "
-            f"got {w_conj!r} < {w!r}"
+            f"got {float(w_conj)!r} < {w!r}"
         )
     xx, yy = cfg.meshgrid()
     gauss_peak = np.sqrt(2.0 / np.pi) / w_conj
@@ -333,7 +293,7 @@ def optical_projection_probability(
         carrier = gaussian_field(cfg.waist, cfg)
         field = apply_phase_mask(carrier, phase_mask_of(superposition_field(psi_in, cfg)))
 
-    field = four_f_image(field)
+    field = lens_fourier(lens_fourier(field))  # the 4-f image
 
     if modulation == "ideal":
         field = FieldGrid(field.samples * _conversion_field(psi_meas, cfg), cfg.extent)
@@ -341,7 +301,8 @@ def optical_projection_probability(
         flipped = superposition_field(psi_meas * _PARITY, cfg)
         field = apply_phase_mask(field, phase_mask_of(flipped), conjugate=True)
 
-    return abs(fiber_overlap(farfield(field), cfg)) ** 2
+    # far field: one transform; the dropped quadratic phase cancels in the coupling magnitude
+    return abs(fiber_overlap(lens_fourier(field), cfg)) ** 2
 
 
 def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation: str = "ideal"):

@@ -1,9 +1,9 @@
 """Qudit states, operator bases, and quantum channels.
 
 Dense complex linear algebra for d-level systems: state vectors and density
-matrices, the identity-plus-Gell-Mann operator basis used to expand channels,
-conversion between the Kraus and process-matrix representations of a channel,
-and fidelities of states and processes (Uhlmann; closed form for a pure reference).
+matrices, the identity-plus-Gell-Mann operator basis, Kraus channels, and
+fidelities of states and processes (closed form for a pure reference, which
+the reports use; Uhlmann for a mixed one).
 
 For d = 3 the computational basis is the OAM triple (|L>, |G>, |R>) carrying
 winding numbers +1, 0, -1.  Channels may be trace-decreasing (a lossy storage
@@ -214,22 +214,6 @@ def dephasing_channel(p: float, d: int = 3) -> KrausChannel:
     return KrausChannel(tuple(ks))
 
 
-def random_cptp_channel(d: int, n_kraus: int = 3, rng=None) -> KrausChannel:
-    """Random trace-preserving channel from a Haar-random isometry."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((d * n_kraus, d)) + 1j * rng.standard_normal((d * n_kraus, d))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * d : (i + 1) * d] for i in range(n_kraus)))
-
-
-def random_density_matrix(d: int, rng=None) -> np.ndarray:
-    """Random full-rank density matrix (normalized Ginibre product)."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def apply_channel_kraus(channel: KrausChannel, rho) -> np.ndarray:
     """sum_k K_k rho K_k^dag, with leading batch axes.  Output trace <= input trace."""
     rho = np.asarray(rho, dtype=complex)
@@ -242,36 +226,6 @@ def apply_channel_kraus(channel: KrausChannel, rho) -> np.ndarray:
     return out
 
 
-def chi_from_kraus(channel: KrausChannel, basis: OperatorBasis) -> np.ndarray:
-    """Process matrix of a Kraus channel in the given operator basis.
-
-    Expands K_k = sum_m a_km op_m with a_km = Tr(op_m K_k) / Tr(op_m^2) and
-    returns chi_mn = sum_k a_km conj(a_kn), which is Hermitian and PSD and
-    reproduces the channel through apply_channel_chi.
-    """
-    if basis.dim != channel.dim:
-        raise ValueError("operator basis dimension does not match channel")
-    lam = basis.operators
-    norms = np.einsum("mab,mba->m", lam, lam).real
-    kstack = np.stack(channel.kraus)
-    a = np.einsum("mab,kba->km", lam, kstack) / norms
-    return a.T @ a.conj()
-
-
-def apply_channel_chi(chi, basis: OperatorBasis, rho) -> np.ndarray:
-    """Apply a process matrix: rho -> sum_mn chi_mn op_m rho op_n^dag."""
-    chi = np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    d = basis.dim
-    n = d * d
-    if chi.shape != (n, n):
-        raise ValueError(f"process matrix shape {chi.shape} does not match basis size {n}")
-    if rho.shape != (d, d):
-        raise ValueError(f"density matrix shape {rho.shape} does not match dimension {d}")
-    lam = basis.operators
-    return np.einsum("mn,mab,bc,ndc->ad", chi, lam, rho, lam.conj())
-
-
 def dagger(matrix) -> np.ndarray:
     """Conjugate transpose over the last two axes; leading axes are batch axes."""
     return np.swapaxes(np.conj(matrix), -1, -2)
@@ -282,7 +236,7 @@ def _raise_first(bad, message: str, values=None) -> None:
     if np.any(bad):
         index = tuple(np.argwhere(bad)[0])
         where = "".join(f"sample {b + 1}: " for b in index)
-        raise ValueError(where + message.format(None if values is None else values[index]))
+        raise ValueError(where + message.format(None if values is None else float(values[index])))
 
 
 def hermitian_part(matrix, label: str = "matrix") -> np.ndarray:

@@ -145,7 +145,7 @@ def probabilities_from_counts(counts) -> np.ndarray:
         where = "".join(f"sample {b + 1}, " for b in batch)
         raise DegenerateDataError(
             f"{where}input {j + 1}: corrected counts for the basis projectors sum to "
-            f"{norms[(*batch, j)]!r}"
+            f"{float(norms[(*batch, j)])!r}"
         )
     return corrected / norms[..., None]
 
@@ -207,11 +207,3 @@ def project_to_physical_process(chi) -> np.ndarray:
     if np.any(total <= 1e-12) or np.any(trace_in <= 1e-12):
         raise ValueError("process matrix trace vanished under physicality projection")
     return (v * (w * (trace_in / total))[..., None, :]) @ dagger(v)
-
-
-def ideal_storage_chi(basis: OperatorBasis) -> np.ndarray:
-    """Process matrix of perfect storage: weight 1 on the identity operator."""
-    n = basis.dim ** 2
-    chi = np.zeros((n, n), dtype=complex)
-    chi[0, 0] = 1.0
-    return chi

@@ -1,0 +1,144 @@
+"""Reference code the tests check the package against.
+
+None of this runs in the pipeline: the CLI neither converts Kraus operators
+to a process matrix nor applies one, draws no random channel or state,
+traces no phase winding and computes no photon-statistics ratio.  These
+functions give the tests independent oracles and inputs.
+"""
+
+import numpy as np
+
+from oamtomo import FieldGrid, KrausChannel, OperatorBasis, lens_fourier
+
+# Reference hardware values from the modeled experiment; lengths are not
+# simulated, since they only rescale coordinates and cancel in couplings.
+EXPERIMENT_REFERENCE = {
+    "beam_waist_mm": 2.5,
+    "lens_focal_length_mm": 300.0,
+    "slm_resolution": (1920, 1080),
+    "farfield_arm_m": 2.5,
+}
+
+
+# --- qudit: channels as process matrices, random channels and states ---
+
+
+def random_cptp_channel(d: int, n_kraus: int = 3, rng=None) -> KrausChannel:
+    """Random trace-preserving channel from a Haar-random isometry."""
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal((d * n_kraus, d)) + 1j * rng.standard_normal((d * n_kraus, d))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(tuple(q[i * d : (i + 1) * d] for i in range(n_kraus)))
+
+
+def random_density_matrix(d: int, rng=None) -> np.ndarray:
+    """Random full-rank density matrix (normalized Ginibre product)."""
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def chi_from_kraus(channel: KrausChannel, basis: OperatorBasis) -> np.ndarray:
+    """Process matrix of a Kraus channel in the given operator basis.
+
+    Expands K_k = sum_m a_km op_m with a_km = Tr(op_m K_k) / Tr(op_m^2) and
+    returns chi_mn = sum_k a_km conj(a_kn), which is Hermitian and PSD and
+    reproduces the channel through apply_channel_chi.
+    """
+    if basis.dim != channel.dim:
+        raise ValueError("operator basis dimension does not match channel")
+    lam = basis.operators
+    norms = np.einsum("mab,mba->m", lam, lam).real
+    kstack = np.stack(channel.kraus)
+    a = np.einsum("mab,kba->km", lam, kstack) / norms
+    return a.T @ a.conj()
+
+
+def apply_channel_chi(chi, basis: OperatorBasis, rho) -> np.ndarray:
+    """Apply a process matrix: rho -> sum_mn chi_mn op_m rho op_n^dag."""
+    chi = np.asarray(chi, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    d = basis.dim
+    n = d * d
+    if chi.shape != (n, n):
+        raise ValueError(f"process matrix shape {chi.shape} does not match basis size {n}")
+    if rho.shape != (d, d):
+        raise ValueError(f"density matrix shape {rho.shape} does not match dimension {d}")
+    lam = basis.operators
+    return np.einsum("mn,mab,bc,ndc->ad", chi, lam, rho, lam.conj())
+
+
+def ideal_storage_chi(basis: OperatorBasis) -> np.ndarray:
+    """Process matrix of perfect storage: weight 1 on the identity operator."""
+    n = basis.dim ** 2
+    chi = np.zeros((n, n), dtype=complex)
+    chi[0, 0] = 1.0
+    return chi
+
+
+# --- optics: propagation aliases and the phase winding of a field ---
+
+
+def farfield(field: FieldGrid) -> FieldGrid:
+    """Fraunhofer propagation: a single focal-plane transform.
+
+    The residual quadratic phase of far-field diffraction is dropped; it
+    cancels against the centered collection Gaussian in coupling magnitudes.
+    """
+    return lens_fourier(field)
+
+
+def four_f_image(field: FieldGrid) -> FieldGrid:
+    """Two successive lens transforms: the parity-inverted input field."""
+    return lens_fourier(lens_fourier(field))
+
+
+def winding_number(field: FieldGrid, radius: float) -> int:
+    """Net phase winding around a centered circle of the given radius."""
+    if radius <= 0 or radius >= field.extent:
+        raise ValueError("radius must lie inside the grid")
+    n = field.grid_size
+    step = 2.0 * field.extent / n
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ix = np.clip(np.rint(radius * np.cos(theta) / step).astype(int) + n // 2, 0, n - 1)
+    iy = np.clip(np.rint(radius * np.sin(theta) / step).astype(int) + n // 2, 0, n - 1)
+    phases = np.angle(field.samples[iy, ix])
+    diffs = np.diff(np.concatenate([phases, phases[:1]]))
+    wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(wrapped.sum() / (2.0 * np.pi)))
+
+
+# --- counts: single-photon diagnostics ---
+
+
+def anticorrelation_alpha(n_trigger: int, n_t1: int, n_t2: int, n_t12: int) -> float:
+    """Heralded anti-correlation parameter N_T N_T12 / (N_T1 N_T2).
+
+    0 for an ideal single-photon source, 1 for coherent light, >1 for
+    bunched light.
+    """
+    if n_t1 <= 0 or n_t2 <= 0:
+        raise ValueError("heralded singles counts must be positive")
+    if n_trigger <= 0:
+        raise ValueError("trigger count must be positive")
+    if n_t12 < 0:
+        raise ValueError("triple coincidence count must be nonnegative")
+    return (float(n_t12) * float(n_trigger)) / (float(n_t1) * float(n_t2))
+
+
+def cross_correlation_g2(
+    n_coinc: int, n_signal: int, n_trigger: int, window: float, duration: float
+) -> float:
+    """Normalized signal-trigger cross-correlation from windowed totals.
+
+    g2 = (coincidence rate) / (signal rate * trigger rate * window); equals 1
+    for independent streams and exceeds 2 for non-classical pair sources.
+    """
+    if n_signal <= 0 or n_trigger <= 0:
+        raise ValueError("singles counts must be positive")
+    if window <= 0 or duration <= 0:
+        raise ValueError("window and duration must be positive")
+    if n_coinc < 0:
+        raise ValueError("coincidence count must be nonnegative")
+    return (float(n_coinc) * float(duration)) / (float(n_signal) * float(n_trigger) * window)

@@ -13,16 +13,11 @@ from oamtomo import (
     FieldGrid,
     OpticsConfig,
     SourceConfig,
-    anticorrelation_alpha,
     canonical_input_states,
     canonical_settings,
-    chi_from_kraus,
-    cross_correlation_g2,
     depolarizing_channel,
-    four_f_image,
     gell_mann_basis,
     identity_channel,
-    ideal_storage_chi,
     lens_fourier,
     oam_mode_field,
     optical_projection_probability,
@@ -35,11 +30,18 @@ from oamtomo import (
     projector_of,
     qpt_linear_inversion,
     qst_linear_inversion,
-    random_cptp_channel,
     simulate_counts,
     state_fidelity,
 )
 from oamtomo.cli import main
+from oracles import (
+    anticorrelation_alpha,
+    chi_from_kraus,
+    cross_correlation_g2,
+    four_f_image,
+    ideal_storage_chi,
+    random_cptp_channel,
+)
 
 # depolarizing strength whose process matrix scores 0.853 against ideal
 # storage; the root of (1 - 8p/9) / (1 + 4p/9) = 0.853, cross-checked by the

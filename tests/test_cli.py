@@ -16,10 +16,8 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from oamtomo import (
     apply_channel_kraus,
     canonical_settings,
-    chi_from_kraus,
     depolarizing_channel,
     effective_operators,
-    ideal_storage_chi,
     lens_fourier,
     phase_mask_of,
     probabilities_from_counts,
@@ -31,6 +29,7 @@ from oamtomo import (
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
 from oamtomo.fileio import grid_rows, read_counts, round_sig, write_grid
+from oracles import chi_from_kraus, ideal_storage_chi
 
 
 def _write_config(path, **overrides):
@@ -262,6 +261,17 @@ class TestReconstructProcess:
              "--out", str(report)]
         ) == 5
         assert not report.exists()
+
+    def test_null_channel_exit_5_prints_a_plain_number(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", channel=None)
+        counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
+        assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct-process", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 5
+        err = capsys.readouterr().err
+        assert "sum to 0.0" in err
+        assert "np.float64" not in err
 
     def test_bootstrap_block(self, tmp_path):
         cfg = _write_config(
@@ -673,6 +683,15 @@ class TestOpticalModes:
              "--out", str(report)]
         ) == 0
         assert _report(report)["process_fidelity_vs_ideal"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_narrow_fiber_exits_3_with_plain_numbers(self, tmp_path, capsys):
+        # a wide far-field fiber traces back to a Gaussian narrower than the modes
+        cfg = _write_config(tmp_path / "cfg.json", measurement_mode="optical-ideal",
+                            optics={"grid_size": 128, "fiber_waist": 0.5})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "c.txt")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"fiber waist >= mode waist; got 0\.0198\d* < 0\.0997", err), err
+        assert "np.float64" not in err
 
     def test_phase_only_routing_loses_fidelity(self, tmp_path):
         cfg = _write_config(

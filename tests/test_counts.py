@@ -3,13 +3,12 @@ import pytest
 
 from oamtomo import (
     SourceConfig,
-    anticorrelation_alpha,
-    cross_correlation_g2,
     exact_counts,
     simulate_counts,
     subtract_background,
 )
 from oamtomo.fileio import CountsFileError, read_counts, write_counts
+from oracles import anticorrelation_alpha, cross_correlation_g2
 
 # p[j][i] = |<psi_i|psi_j>|^2 for the canonical states (identity channel)
 IDENTITY_TABLE = np.array(

@@ -9,9 +9,7 @@ from oamtomo import (
     apply_phase_mask,
     canonical_input_states,
     effective_operators,
-    farfield,
     fiber_overlap,
-    four_f_image,
     gaussian_field,
     lens_fourier,
     oam_mode_field,
@@ -20,9 +18,9 @@ from oamtomo import (
     phase_mask_of,
     self_fourier_waist,
     superposition_field,
-    winding_number,
 )
 from oamtomo.optics import _conversion_field, parity_index
+from oracles import farfield, four_f_image, winding_number
 
 
 @pytest.fixture(scope="module")

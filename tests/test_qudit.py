@@ -3,10 +3,8 @@ import pytest
 
 from oamtomo import (
     KrausChannel,
-    apply_channel_chi,
     apply_channel_kraus,
     canonical_input_states,
-    chi_from_kraus,
     depolarizing_channel,
     gell_mann_basis,
     identity_channel,
@@ -14,11 +12,10 @@ from oamtomo import (
     process_fidelity,
     projector_of,
     pure_fidelity,
-    random_cptp_channel,
-    random_density_matrix,
     state_fidelity,
     state_vector,
 )
+from oracles import apply_channel_chi, chi_from_kraus, random_cptp_channel, random_density_matrix
 
 RT2 = np.sqrt(2.0)
 
