@@ -29,7 +29,6 @@ from .optics import (
 )
 from .qudit import (
     KrausChannel,
-    OperatorBasis,
     apply_channel_kraus,
     canonical_input_states,
     dephasing_channel,

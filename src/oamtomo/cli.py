@@ -72,22 +72,22 @@ def _optics_guard():
         raise ConfigError("optics", str(exc))
 
 
-def _probability_rows(input_states, channel, cfg: RunConfig, settings) -> np.ndarray:
+def _probability_rows(input_states, channel, cfg: RunConfig) -> np.ndarray:
     """Projection probabilities Tr(mu_i C(rho_j)) for the given inputs, one row per input.
 
-    Abstract mode takes the input projectors and the settings' projectors.
+    Abstract mode takes the input projectors and the scheme's projectors.
     The optical modes take the chain's effective operators
     (optics.effective_operators): each input's prepared field reduced to the
     LG triple the memory stores, and the measurement chain as a POVM on it.
     """
     if cfg.measurement_mode == "abstract":
-        rho_in, povm = np.stack([projector_of(s) for s in input_states]), settings.projectors
+        rho_in, povm = np.stack([projector_of(s) for s in input_states]), None
     else:
         modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
         with _optics_guard():
-            rho_in, povm = effective_operators(input_states, settings.inputs, cfg.optics,
-                                               modulation)
-    table = predict_probabilities(channel, settings, rho_in, povm)
+            rho_in, povm = effective_operators(input_states, canonical_settings().inputs,
+                                               cfg.optics, modulation)
+    table = predict_probabilities(channel, rho_in, povm)
     if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: only an unresolved optics grid gets here
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
     return table
@@ -105,9 +105,8 @@ def _read_counts(path: str, n_in: int) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
-    settings = canonical_settings()
-    inputs = settings.inputs if cfg.state is None else [cfg.state]
-    table = _probability_rows(inputs, cfg.channel, cfg, settings)
+    inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
+    table = _probability_rows(inputs, cfg.channel, cfg)
     make = exact_counts if cfg.noiseless else simulate_counts
     fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
 
@@ -127,7 +126,7 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
     doc = {
         "report": kind,
         "config": cfg.echo,
-        matrix_key: fileio.matrix_to_pairs(phys),
+        matrix_key: fileio.complex_pairs(phys),
         trace_key: float(np.trace(raw).real),
         "min_eigenvalue_pre_projection": float(np.linalg.eigvalsh(raw).min()),
         "min_eigenvalue_post_projection": float(np.linalg.eigvalsh(phys).min()),
@@ -148,10 +147,9 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
 def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
     counts = _read_counts(args.counts, 9)
-    settings = canonical_settings()
     ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
     doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
-                  lambda c: qpt_linear_inversion(probabilities_from_counts(c), settings),
+                  lambda c: qpt_linear_inversion(probabilities_from_counts(c)),
                   project_to_physical_process, lambda chi: pure_fidelity(chi, ideal, process=True))
     fileio.write_report(out_path, doc)
 
@@ -161,11 +159,10 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1)
-    settings = canonical_settings()
     doc = _report(("state", "rho", "rho_raw_trace", "state_fidelity_vs_target"), cfg, counts,
-                  lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :], settings),
+                  lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :]),
                   project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))
-    doc["target_state"] = fileio.vector_to_pairs(cfg.state)
+    doc["target_state"] = fileio.complex_pairs(cfg.state)
     fileio.write_report(out_path, doc)
 
 
@@ -241,7 +238,7 @@ def main(argv=None) -> int:
                 spec = json.loads(args.state)
             except json.JSONDecodeError:
                 spec = args.state
-            cfg = dataclasses.replace(cfg, state=parse_state(spec, cfg.dimension))
+            cfg = dataclasses.replace(cfg, state=parse_state(spec))
         handler, key, what = COMMANDS[args.command]
         out = args.out or cfg.output.get(key)
         if not out:

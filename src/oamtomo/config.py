@@ -28,7 +28,8 @@ from .qudit import (
 
 MEASUREMENT_MODES = ("abstract", "optical-ideal", "optical-phase-only")
 
-_STATE_NAMES = {"L": 0, "G": 1, "R": 2}
+# the documented state names, exactly: L, G, R and psi1..psi9 (1-based rows)
+_STATE_NAMES = {"L": 0, "G": 1, "R": 2, **{f"psi{k}": k - 1 for k in range(1, 10)}}
 
 # largest accepted counts_per_setting and background: every Poisson mean then
 # stays below numpy's limit (about 9.2e18) and every count fits int64
@@ -47,13 +48,11 @@ class ConfigError(ValueError):
     """A configuration value is invalid; message starts with the field path."""
 
     def __init__(self, field_path: str, message: str):
-        self.field_path = field_path
         super().__init__(f"{field_path}: {message}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    dimension: int
     channel: KrausChannel
     state: np.ndarray | None
     source: SourceConfig
@@ -65,20 +64,20 @@ class RunConfig:
     echo: dict
 
 
-def parse_channel(spec, d: int):
+def parse_channel(spec):
     """Channel spec: null, a named family string, or {"kraus": [...]}.
 
     null is the zero channel: nothing is retrieved from the memory.  Named
     families: "identity", "depolarizing p", "dephasing p", "unitary theta".
-    Kraus entries are nested rows of numbers or [re, im] pairs.
+    Kraus operators are 3 x 3 nested rows of numbers or [re, im] pairs.
     """
     if spec is None:
-        return KrausChannel((np.zeros((d, d)),))
+        return KrausChannel((np.zeros((3, 3)),))
     if isinstance(spec, str):
         parts = spec.split()
         name = parts[0] if parts else ""
         if name == "identity" and len(parts) == 1:
-            return identity_channel(d)
+            return identity_channel()
         if name in ("depolarizing", "dephasing", "unitary") and len(parts) == 2:
             try:
                 value = float(parts[1])
@@ -88,10 +87,10 @@ def parse_channel(spec, d: int):
                 raise ConfigError("channel", f"non-finite parameter in {spec!r}")
             try:
                 if name == "depolarizing":
-                    return depolarizing_channel(value, d)
+                    return depolarizing_channel(value)
                 if name == "dephasing":
-                    return dephasing_channel(value, d)
-                return phase_rotation_channel(value, d)
+                    return dephasing_channel(value)
+                return phase_rotation_channel(value)
             except ValueError as exc:
                 raise ConfigError("channel", str(exc))
         raise ConfigError("channel", f"unrecognized channel spec {spec!r}")
@@ -103,6 +102,8 @@ def parse_channel(spec, d: int):
             ]
         except (ValueError, TypeError) as exc:
             raise ConfigError("channel.kraus", str(exc))
+        if any(k.shape != (3, 3) for k in ks):
+            raise ConfigError("channel.kraus", "expected 3 x 3 Kraus operators")
         try:
             return KrausChannel(tuple(ks))
         except ValueError as exc:
@@ -110,36 +111,29 @@ def parse_channel(spec, d: int):
     raise ConfigError("channel", f"expected null, a spec string, or a kraus object, got {spec!r}")
 
 
-def parse_state(spec, d: int, field: str = "state"):
-    """State spec: null, "L"/"G"/"R", "psi1".."psi9", or a d-component vector.
+def parse_state(spec):
+    """State spec: null, exactly "L"/"G"/"R" or "psi1".."psi9", or a 3-component vector.
 
     Vectors are normalized, so [1, 1, 1] denotes the balanced superposition.
     """
     if spec is None:
         return None
     if isinstance(spec, str):
-        if spec in _STATE_NAMES and d == 3:
+        if spec in _STATE_NAMES:
             return canonical_input_states()[_STATE_NAMES[spec]]
-        if spec.startswith("psi") and d == 3:
-            try:
-                k = int(spec[3:])
-            except ValueError:
-                k = 0
-            if 1 <= k <= 9:
-                return canonical_input_states()[k - 1]
-        raise ConfigError(field, f"unknown state name {spec!r}")
+        raise ConfigError("state", f"unknown state name {spec!r}")
     if isinstance(spec, (list, tuple)):
         try:
             amps = [parse_complex_entry(e) for e in spec]
         except ValueError as exc:
-            raise ConfigError(field, str(exc))
-        if len(amps) != d:
-            raise ConfigError(field, f"expected {d} amplitudes, got {len(amps)}")
+            raise ConfigError("state", str(exc))
+        if len(amps) != 3:
+            raise ConfigError("state", f"expected 3 amplitudes, got {len(amps)}")
         try:
             return state_vector(amps, normalize=True)
         except ValueError as exc:
-            raise ConfigError(field, str(exc))
-    raise ConfigError(field, f"expected null, a name, or an amplitude list, got {spec!r}")
+            raise ConfigError("state", str(exc))
+    raise ConfigError("state", f"expected null, a name, or an amplitude list, got {spec!r}")
 
 
 # JSON value kinds that _require checks, by the name its messages give them
@@ -236,8 +230,8 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         raise ConfigError("bootstrap_samples", f"must be at most {_MAX_BOOTSTRAP}, "
                           f"so that the resamples fit in memory; got {bootstrap}")
 
-    channel = parse_channel(raw.get("channel", "identity"), dimension)
-    state = parse_state(raw.get("state"), dimension)
+    channel = parse_channel(raw.get("channel", "identity"))
+    state = parse_state(raw.get("state"))
 
     output = _require(raw, "output", "an object", {}, "")
     unknown = set(output) - {"counts", "report", "grids"}
@@ -267,7 +261,6 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         "bootstrap_samples": bootstrap,
     }
     return RunConfig(
-        dimension=dimension,
         channel=channel,
         state=state,
         source=source,

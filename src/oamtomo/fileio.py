@@ -26,17 +26,10 @@ def round_sig(x) -> float:
     return float(f"{float(x):.9g}")
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [round_sig(z.real), round_sig(z.imag)]
-
-
-def matrix_to_pairs(matrix) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(matrix)]
-
-
-def vector_to_pairs(vector) -> list:
-    return [complex_to_pair(z) for z in np.asarray(vector)]
+def complex_pairs(array) -> list:
+    """Nested lists of [re, im] float pairs, one per entry of a complex array."""
+    a = np.asarray(array)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_complex_entry(entry) -> complex:

@@ -60,18 +60,14 @@ def projector_of(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def canonical_input_states(d: int = 3) -> np.ndarray:
+def canonical_input_states() -> np.ndarray:
     """The nine canonical qutrit states used for preparation and analysis.
 
     Returns a (9, 3) array; row k is the state indexed k+1 in 1-based
     convention.  Rows 1-3 are the OAM basis |L>, |G>, |R>; rows 4-9 are the
     six equal-weight two-mode superpositions (two real, four with a relative
     +i phase) that complete an informationally complete projector set.
-
-    Only defined for d = 3.
     """
-    if d != 3:
-        raise ValueError(f"canonical input states are only defined for d=3, got d={d}")
     s = 1.0 / np.sqrt(2.0)
     return np.array(
         [
@@ -89,26 +85,11 @@ def canonical_input_states(d: int = 3) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Ordered Hermitian operator basis with the identity in slot 0.
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Identity plus the d**2 - 1 generalized Gell-Mann matrices, a (d**2, d, d) array.
 
-    operators has shape (dim**2, dim, dim); operators[0] is the identity and
-    the rest are the traceless generators, mutually orthogonal under the
-    Hilbert-Schmidt inner product with Tr(op_a @ op_a) = 2 for a >= 1.
-    """
-
-    dim: int
-    operators: np.ndarray
-
-    def __post_init__(self):
-        n = self.dim * self.dim
-        if self.operators.shape != (n, self.dim, self.dim):
-            raise ValueError("operator stack shape does not match dimension")
-
-
-def gell_mann_basis(d: int) -> OperatorBasis:
-    """Identity plus the d**2 - 1 generalized Gell-Mann matrices.
+    Slot 0 is the identity; the rest are the traceless generators, mutually
+    orthogonal under the Hilbert-Schmidt inner product with Tr(op_a @ op_a) = 2.
 
     Ordering: for each two-level subspace size m = 2..d, the symmetric and
     antisymmetric off-diagonal pairs (j, m) for j < m, followed by the
@@ -131,7 +112,7 @@ def gell_mann_basis(d: int) -> OperatorBasis:
         diag[: m - 1] = 1.0
         diag[m - 1] = -(m - 1)
         ops.append(np.sqrt(2.0 / (m * (m - 1))) * np.diag(diag))
-    return OperatorBasis(d, np.stack(ops))
+    return np.stack(ops)
 
 
 @dataclass(frozen=True)

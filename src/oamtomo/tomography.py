@@ -7,7 +7,9 @@ density matrices (from 9 probabilities) and process matrices (from the full
 Reconstruction parameterizes the unknown directly by a real Hermitian
 coordinate vector, so inverted matrices are Hermitian by construction and
 the linear systems are real-valued; their inverses are constants of the
-scheme, computed once per process (MeasurementSettings).
+scheme, computed once per process (MeasurementSettings).  The scheme is not
+an argument: the forward model and the inversions read the one instance
+canonical_settings() returns.
 Counts, probabilities and matrices may carry leading batch axes (bootstrap
 samples).
 """
@@ -21,7 +23,6 @@ import numpy as np
 
 from .counts import subtract_background
 from .qudit import (
-    OperatorBasis,
     KrausChannel,
     apply_channel_kraus,
     canonical_input_states,
@@ -42,14 +43,15 @@ class MeasurementSettings:
 
     The nine canonical states serve both as inputs and as measurement
     projectors, so projectors[j] is also the projector of inputs[j].  The
-    only instance is the one canonical_settings() returns; its arrays are
-    read-only, and each inversion map is built once, on first use; the
-    designs' rank and conditioning are constants of the scheme, pinned by tests.
+    only instance is the one canonical_settings() returns, which the
+    inversions and the forward model read; its arrays are read-only, each
+    inversion map is built once, on first use, and the designs' rank and
+    conditioning are pinned by tests.
     """
 
     inputs: np.ndarray      # (9, 3) state vectors, one per row
     projectors: np.ndarray  # (9, 3, 3) rank-1 projectors of the same states
-    basis: OperatorBasis    # identity plus Gell-Mann, the process-matrix basis
+    basis: np.ndarray       # (9, 3, 3) identity plus Gell-Mann, the process-matrix basis
 
     @functools.cached_property
     def qst_map(self) -> np.ndarray:
@@ -61,7 +63,7 @@ class MeasurementSettings:
     @functools.cached_property
     def qpt_map(self) -> np.ndarray:
         """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi."""
-        lam, proj = self.basis.operators, self.projectors
+        lam, proj = self.basis, self.projectors
         transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(), optimize=True)
         coords = hermitian_basis(9)
         design = np.einsum("jimn,Kmn->jiK", transfer, coords).real.reshape(81, 81)
@@ -113,20 +115,20 @@ def canonical_settings() -> MeasurementSettings:
     if np.abs(projectors[:3].sum(axis=0) - np.eye(3)).max() > 1e-12:
         raise ValueError("first three projectors do not sum to the identity")
     basis = gell_mann_basis(3)
-    for array in (states, projectors, basis.operators):
+    for array in (states, projectors, basis):
         array.flags.writeable = False
     return MeasurementSettings(states, projectors, basis)
 
 
-def predict_probabilities(channel: KrausChannel, settings: MeasurementSettings, rho_in=None,
-                          povm=None) -> np.ndarray:
+def predict_probabilities(channel: KrausChannel, rho_in=None, povm=None) -> np.ndarray:
     """Probability table p[j, i] = Tr(mu_i C(rho_j)), the one forward model.
 
     rho_in and povm default to the scheme's input and measurement projectors;
     the optical modes pass the chain's effective operators instead.
     """
-    rho_in = settings.projectors if rho_in is None else rho_in
-    povm = settings.projectors if povm is None else povm
+    projectors = canonical_settings().projectors
+    rho_in = projectors if rho_in is None else rho_in
+    povm = projectors if povm is None else povm
     return np.einsum("iab,jba->ji", povm, apply_channel_kraus(channel, rho_in)).real
 
 
@@ -150,30 +152,30 @@ def probabilities_from_counts(counts) -> np.ndarray:
     return corrected / norms[..., None]
 
 
-def qst_linear_inversion(probabilities, settings: MeasurementSettings) -> np.ndarray:
+def qst_linear_inversion(probabilities) -> np.ndarray:
     """Hermitian matrices rho with Tr(mu_i rho) = p_i, for p of shape (..., 9).
 
-    Linear inversion over the real Hermitian coordinates, with the
-    precomputed settings.qst_map; the output is not yet guaranteed physical
+    Linear inversion over the real Hermitian coordinates, with the scheme's
+    precomputed qst_map; the output is not yet guaranteed physical
     (see project_to_physical_state).
     """
     p = np.asarray(probabilities, dtype=float)
     if p.shape[-1:] != (9,):
         raise ValueError(f"expected 9 probabilities per state, got shape {p.shape}")
-    return (p @ settings.qst_map.T).reshape(p.shape[:-1] + (3, 3))
+    return (p @ canonical_settings().qst_map.T).reshape(p.shape[:-1] + (3, 3))
 
 
-def qpt_linear_inversion(probabilities, settings: MeasurementSettings) -> np.ndarray:
+def qpt_linear_inversion(probabilities) -> np.ndarray:
     """Hermitian process matrices reproducing probability tables of shape (..., 9, 9).
 
     Solves p[j, i] = sum_mn chi_mn Tr(mu_i op_m rho_j op_n^dag), 81 real
-    equations in the 81 real Hermitian coordinates of chi, with the
-    precomputed settings.qpt_map.
+    equations in the 81 real Hermitian coordinates of chi, with the scheme's
+    precomputed qpt_map.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.shape[-2:] != (9, 9):
         raise ValueError(f"expected a 9 x 9 probability table, got shape {p.shape}")
-    flat = p.reshape(p.shape[:-2] + (81,)) @ settings.qpt_map.T
+    flat = p.reshape(p.shape[:-2] + (81,)) @ canonical_settings().qpt_map.T
     return flat.reshape(p.shape[:-2] + (9, 9))
 
 

@@ -8,7 +8,7 @@ functions give the tests independent oracles and inputs.
 
 import numpy as np
 
-from oamtomo import FieldGrid, KrausChannel, OperatorBasis, lens_fourier
+from oamtomo import FieldGrid, KrausChannel, lens_fourier
 
 # Reference hardware values from the modeled experiment; lengths are not
 # simulated, since they only rescale coordinates and cancel in couplings.
@@ -39,39 +39,37 @@ def random_density_matrix(d: int, rng=None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def chi_from_kraus(channel: KrausChannel, basis: OperatorBasis) -> np.ndarray:
+def chi_from_kraus(channel: KrausChannel, basis: np.ndarray) -> np.ndarray:
     """Process matrix of a Kraus channel in the given operator basis.
 
     Expands K_k = sum_m a_km op_m with a_km = Tr(op_m K_k) / Tr(op_m^2) and
     returns chi_mn = sum_k a_km conj(a_kn), which is Hermitian and PSD and
     reproduces the channel through apply_channel_chi.
     """
-    if basis.dim != channel.dim:
+    if basis.shape[-1] != channel.dim:
         raise ValueError("operator basis dimension does not match channel")
-    lam = basis.operators
-    norms = np.einsum("mab,mba->m", lam, lam).real
+    norms = np.einsum("mab,mba->m", basis, basis).real
     kstack = np.stack(channel.kraus)
-    a = np.einsum("mab,kba->km", lam, kstack) / norms
+    a = np.einsum("mab,kba->km", basis, kstack) / norms
     return a.T @ a.conj()
 
 
-def apply_channel_chi(chi, basis: OperatorBasis, rho) -> np.ndarray:
+def apply_channel_chi(chi, basis: np.ndarray, rho) -> np.ndarray:
     """Apply a process matrix: rho -> sum_mn chi_mn op_m rho op_n^dag."""
     chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    d = basis.dim
+    d = basis.shape[-1]
     n = d * d
     if chi.shape != (n, n):
         raise ValueError(f"process matrix shape {chi.shape} does not match basis size {n}")
     if rho.shape != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} does not match dimension {d}")
-    lam = basis.operators
-    return np.einsum("mn,mab,bc,ndc->ad", chi, lam, rho, lam.conj())
+    return np.einsum("mn,mab,bc,ndc->ad", chi, basis, rho, basis.conj())
 
 
-def ideal_storage_chi(basis: OperatorBasis) -> np.ndarray:
+def ideal_storage_chi(basis: np.ndarray) -> np.ndarray:
     """Process matrix of perfect storage: weight 1 on the identity operator."""
-    n = basis.dim ** 2
+    n = basis.shape[-1] ** 2
     chi = np.zeros((n, n), dtype=complex)
     chi[0, 0] = 1.0
     return chi

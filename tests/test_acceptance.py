@@ -60,7 +60,7 @@ def test_criterion_01_noiseless_qpt_round_trip():
     channels = [identity_channel(3)] + [random_cptp_channel(3, 3, rng) for _ in range(20)]
     for ch in channels:
         truth = chi_from_kraus(ch, settings.basis)
-        rec = qpt_linear_inversion(predict_probabilities(ch, settings), settings)
+        rec = qpt_linear_inversion(predict_probabilities(ch))
         assert np.abs(rec - truth).max() < 1e-8
         assert process_fidelity(project_to_physical_process(rec), truth) >= 1 - 1e-6
     elapsed = time.monotonic() - start
@@ -74,7 +74,7 @@ def test_criterion_02_noiseless_qst_round_trip():
     for amps in ([1, 1, 1], [1, -1, 1]):
         target = projector_of(np.asarray(amps) / np.sqrt(3.0))
         p = np.einsum("iab,ba->i", settings.projectors, target).real
-        rho = project_to_physical_state(qst_linear_inversion(p, settings))
+        rho = project_to_physical_state(qst_linear_inversion(p))
         assert state_fidelity(rho, target) >= 1 - 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
@@ -99,12 +99,12 @@ def test_criterion_03_calibrated_noise_demo():
     target = oracle(chi_from_kraus(channel, settings.basis), ideal)
     assert abs(target - 0.853) < 1e-3
 
-    p_true = predict_probabilities(channel, settings)
+    p_true = predict_probabilities(channel)
     n = 1_000_000
     for seed in range(10):
         cfg = SourceConfig(counts_per_setting=n, background=0.01 * n, seed=seed)
         p_hat = probabilities_from_counts(simulate_counts(p_true, cfg))
-        chi = project_to_physical_process(qpt_linear_inversion(p_hat, settings))
+        chi = project_to_physical_process(qpt_linear_inversion(p_hat))
         assert abs(process_fidelity(chi, ideal) - target) < 0.01
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.2f} s"
@@ -114,14 +114,14 @@ def test_criterion_03_calibrated_noise_demo():
 def test_criterion_04_shot_noise_robustness():
     settings = canonical_settings()
     ideal = ideal_storage_chi(settings.basis)
-    p_true = predict_probabilities(identity_channel(3), settings)
+    p_true = predict_probabilities(identity_channel(3))
     means = []
     for n in (100, 1000, 10000):
         fids = []
         for seed in range(50):
             cfg = SourceConfig(counts_per_setting=n, seed=seed)
             p_hat = probabilities_from_counts(simulate_counts(p_true, cfg))
-            chi = project_to_physical_process(qpt_linear_inversion(p_hat, settings))
+            chi = project_to_physical_process(qpt_linear_inversion(p_hat))
             fids.append(process_fidelity(chi, ideal))
         means.append(float(np.mean(fids)))
     assert means[0] <= means[1] <= means[2], means
@@ -169,7 +169,7 @@ def test_criterion_07_lg_orthonormality():
 
 def test_criterion_08_operator_basis_table():
     for d in (2, 3, 4):
-        lam = gell_mann_basis(d).operators
+        lam = gell_mann_basis(d)
         gram = np.einsum("mab,nba->mn", lam, lam)
         expected = np.diag([float(d)] + [2.0] * (d * d - 1))
         assert np.abs(gram - expected).max() < 1e-12

@@ -114,6 +114,13 @@ class TestSimulate:
           "optics": {"grid_size": 128, "extent": 1, "fiber_waist": 1}}, "optics"),
         ({"measurement_mode": "optical-ideal",
           "optics": {"grid_size": 128, "extent": 43, "waist": 1, "fiber_waist": 1}}, "optics"),
+        # state names are exact: L, G, R and psi1..psi9, spelled no other way
+        *[({"state": name}, "state: unknown state name")
+          for name in ("psi04", "psi+4", "psi 4", "psi4 ", "psi\u0664")],
+        # Kraus operators that act on no qutrit
+        ({"channel": {"kraus": [[[1, 0], [0, 1]]]}}, "channel.kraus"),
+        ({"channel": {"kraus": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}},
+         "channel.kraus"),
     ])
     def test_non_finite_or_oversized_exits_3(self, tmp_path, capsys, overrides, field):
         # json.dumps writes NaN and Infinity, which json.load reads back
@@ -309,7 +316,7 @@ class TestReconstructProcess:
         for _ in range(7):
             resample = np.array([[[rng.poisson(raw), rng.poisson(bg)] for raw, bg in row]
                                  for row in observed])
-            chi = qpt_linear_inversion(probabilities_from_counts(resample), settings)
+            chi = qpt_linear_inversion(probabilities_from_counts(resample))
             fids.append(process_fidelity(project_to_physical_process(chi), ideal))
         # the report carries 9 significant digits, so compare with the oracle written alike
         boot = _report(report)["bootstrap"]
@@ -735,7 +742,7 @@ class TestOpticalModes:
         ))
         settings = canonical_settings()
         psi4 = settings.inputs[3]
-        row = _probability_rows([psi4], cfg.channel, cfg, settings)[0]
+        row = _probability_rows([psi4], cfg.channel, cfg)[0]
         rho, povm = effective_operators([psi4], settings.inputs, cfg.optics, "phase_only")
         # one operator per side, so no eigenbasis of the channel output enters the row
         expected = np.einsum("iab,ba->i", povm, apply_channel_kraus(cfg.channel, rho[0])).real
@@ -830,7 +837,7 @@ def _configs(draw, command):
             st.sampled_from(_CHANNEL_NAMES),
             st.builds("{} {}".format, st.sampled_from(_CHANNEL_NAMES), _NUMBERS),
             st.builds(lambda k: {"kraus": k}, st.lists(
-                st.lists(st.lists(_AMPLITUDE, min_size=3, max_size=3), min_size=3, max_size=3),
+                st.lists(st.lists(_AMPLITUDE, min_size=2, max_size=4), min_size=2, max_size=4),
                 min_size=1, max_size=2)),
             _NUMBERS,
         ),
@@ -895,6 +902,7 @@ class TestConfigContract:
 
     @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(doc=_configs("simulate"))
+    @example(doc={"measurement_mode": "abstract", "channel": {"kraus": [[[1, 0], [0, 1]]]}})
     def test_simulate_exits_cleanly(self, doc):
         self._check("simulate", doc)
 

@@ -42,7 +42,7 @@ class TestSettings:
         assert np.linalg.matrix_rank(gram) == 9
 
     def test_design_matrix_well_conditioned(self, settings):
-        lam = settings.basis.operators
+        lam = settings.basis
         rho_in = np.stack([projector_of(s) for s in settings.inputs])
         transfer = np.einsum(
             "iab,mbc,jcd,nad->jimn", settings.projectors, lam, rho_in, lam.conj()
@@ -56,7 +56,7 @@ class TestSettings:
     def test_designs_full_rank_with_pinned_conditioning(self, settings):
         # constants of the scheme: the maps are built without a rank check
         qst = np.einsum("iab,Kba->iK", settings.projectors, hermitian_basis(3)).real
-        lam = settings.basis.operators
+        lam = settings.basis
         transfer = np.einsum("iab,mbc,jcd,nad->jimn", settings.projectors, lam,
                              settings.projectors, lam.conj())
         qpt = np.einsum("jimn,Kmn->jiK", transfer, hermitian_basis(9)).real.reshape(81, 81)
@@ -72,20 +72,20 @@ class TestSettings:
 
 
 class TestPredictProbabilities:
-    def test_identity_channel(self, settings):
-        p = predict_probabilities(identity_channel(3), settings)
+    def test_identity_channel(self):
+        p = predict_probabilities(identity_channel(3))
         assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert p[0, 2] == pytest.approx(0.0, abs=1e-12)
         # input 4 onto projector 8 (1-based): |<psi8|psi4>|^2 = 1/4
         assert p[3, 7] == pytest.approx(0.25, abs=1e-12)
 
-    def test_fully_depolarizing(self, settings):
-        p = predict_probabilities(depolarizing_channel(1.0, 3), settings)
+    def test_fully_depolarizing(self):
+        p = predict_probabilities(depolarizing_channel(1.0, 3))
         np.testing.assert_allclose(p, np.full((9, 9), 1 / 3), atol=1e-12)
 
-    def test_rows_sum_to_one_for_tp_channels(self, settings):
+    def test_rows_sum_to_one_for_tp_channels(self):
         rng = np.random.default_rng(2)
-        p = predict_probabilities(random_cptp_channel(3, 4, rng), settings)
+        p = predict_probabilities(random_cptp_channel(3, 4, rng))
         np.testing.assert_allclose(p[:, :3].sum(axis=1), np.ones(9), atol=1e-9)
         assert p.min() >= -1e-9 and p.max() <= 1 + 1e-9
 
@@ -105,9 +105,9 @@ class TestProbabilitiesFromCounts:
         with pytest.raises(DegenerateDataError):
             probabilities_from_counts(_counts_from_table(corrected))
 
-    def test_poisson_counts_match_prediction(self, settings):
+    def test_poisson_counts_match_prediction(self):
         # statistical closeness at N = 1e6, fixed seed
-        p_true = predict_probabilities(identity_channel(3), settings)
+        p_true = predict_probabilities(identity_channel(3))
         cfg = SourceConfig(counts_per_setting=1e6, seed=2024)
         p_hat = probabilities_from_counts(simulate_counts(p_true, cfg))
         assert np.abs(p_hat - p_true).max() < 0.005
@@ -131,26 +131,26 @@ class TestBatchAxis:
     """Leading batch axes give the same numbers as one call per sample."""
 
     @pytest.fixture(scope="class")
-    def batch(self, settings):
-        p_true = predict_probabilities(depolarizing_channel(0.3, 3), settings)
+    def batch(self):
+        p_true = predict_probabilities(depolarizing_channel(0.3, 3))
         cfg = SourceConfig(counts_per_setting=300, background=20, seed=8)
         rng = np.random.default_rng(9)
         return rng.poisson(simulate_counts(p_true, cfg), size=(6, 9, 9, 2))
 
     def test_process_pipeline(self, settings, batch):
         chis = project_to_physical_process(
-            qpt_linear_inversion(probabilities_from_counts(batch), settings))
+            qpt_linear_inversion(probabilities_from_counts(batch)))
         assert chis.shape == (6, 9, 9)
         for counts, chi in zip(batch, chis):
-            one = qpt_linear_inversion(probabilities_from_counts(counts), settings)
+            one = qpt_linear_inversion(probabilities_from_counts(counts))
             np.testing.assert_allclose(chi, project_to_physical_process(one), atol=1e-14)
 
     def test_state_pipeline(self, settings, batch):
         rhos = project_to_physical_state(
-            qst_linear_inversion(probabilities_from_counts(batch[:, 3]), settings))
+            qst_linear_inversion(probabilities_from_counts(batch[:, 3])))
         assert rhos.shape == (6, 3, 3)
         for counts, rho in zip(batch[:, 3], rhos):
-            one = qst_linear_inversion(probabilities_from_counts(counts), settings)
+            one = qst_linear_inversion(probabilities_from_counts(counts))
             np.testing.assert_allclose(rho, project_to_physical_state(one), atol=1e-14)
 
     def test_degenerate_sample_is_named(self, batch):
@@ -165,38 +165,38 @@ class TestQstInversion:
         rho = projector_of([0, 1, 0])
         p = np.einsum("iab,ba->i", settings.projectors, rho).real
         np.testing.assert_allclose(p, [0, 1, 0, 0.5, 0.5, 0.5, 0.5, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(qst_linear_inversion(p, settings), rho, atol=1e-12)
+        np.testing.assert_allclose(qst_linear_inversion(p), rho, atol=1e-12)
 
-    def test_maximally_mixed(self, settings):
+    def test_maximally_mixed(self):
         p = np.full(9, 1 / 3)
-        np.testing.assert_allclose(qst_linear_inversion(p, settings), np.eye(3) / 3, atol=1e-12)
+        np.testing.assert_allclose(qst_linear_inversion(p), np.eye(3) / 3, atol=1e-12)
 
     def test_balanced_superposition_round_trip(self, settings):
         # oracle: projector of the target state
         target = projector_of(np.array([1, 1, 1]) / np.sqrt(3))
         p = np.einsum("iab,ba->i", settings.projectors, target).real
-        np.testing.assert_allclose(qst_linear_inversion(p, settings), target, atol=1e-10)
+        np.testing.assert_allclose(qst_linear_inversion(p), target, atol=1e-10)
 
     def test_random_round_trip(self, settings):
         rng = np.random.default_rng(6)
         for _ in range(10):
             rho = random_density_matrix(3, rng)
             p = np.einsum("iab,ba->i", settings.projectors, rho).real
-            np.testing.assert_allclose(qst_linear_inversion(p, settings), rho, atol=1e-10)
+            np.testing.assert_allclose(qst_linear_inversion(p), rho, atol=1e-10)
 
 
 class TestQptInversion:
     def test_identity_channel(self, settings):
-        p = predict_probabilities(identity_channel(3), settings)
-        chi = qpt_linear_inversion(p, settings)
+        p = predict_probabilities(identity_channel(3))
+        chi = qpt_linear_inversion(p)
         expected = ideal_storage_chi(settings.basis)
         np.testing.assert_allclose(chi, expected, atol=1e-8)
 
     def test_phase_unitary(self, settings):
         ch = phase_rotation_channel(0.7)
-        p = predict_probabilities(ch, settings)
+        p = predict_probabilities(ch)
         np.testing.assert_allclose(
-            qpt_linear_inversion(p, settings), chi_from_kraus(ch, settings.basis), atol=1e-8
+            qpt_linear_inversion(p), chi_from_kraus(ch, settings.basis), atol=1e-8
         )
 
     def test_random_cptp_round_trip(self, settings):
@@ -204,18 +204,18 @@ class TestQptInversion:
         rng = np.random.default_rng(2718)
         for _ in range(20):
             ch = random_cptp_channel(3, 3, rng)
-            p = predict_probabilities(ch, settings)
+            p = predict_probabilities(ch)
             np.testing.assert_allclose(
-                qpt_linear_inversion(p, settings),
+                qpt_linear_inversion(p),
                 chi_from_kraus(ch, settings.basis),
                 atol=1e-8,
             )
 
-    def test_output_hermitian(self, settings):
+    def test_output_hermitian(self):
         rng = np.random.default_rng(3)
-        p = predict_probabilities(random_cptp_channel(3, 2, rng), settings)
+        p = predict_probabilities(random_cptp_channel(3, 2, rng))
         p_noisy = p + rng.normal(0, 0.01, size=p.shape)
-        chi = qpt_linear_inversion(p_noisy, settings)
+        chi = qpt_linear_inversion(p_noisy)
         np.testing.assert_allclose(chi, chi.conj().T, atol=1e-12)
 
 
@@ -249,11 +249,11 @@ class TestPhysicalityProjection:
         assert out[4, 4] == pytest.approx(0.0, abs=1e-14)
         assert np.trace(out).real == pytest.approx(0.9, abs=1e-12)
 
-    def test_process_psd_after_noisy_pipeline(self, settings):
-        p_true = predict_probabilities(identity_channel(3), settings)
+    def test_process_psd_after_noisy_pipeline(self):
+        p_true = predict_probabilities(identity_channel(3))
         cfg = SourceConfig(counts_per_setting=1e3, seed=77)
         p = probabilities_from_counts(simulate_counts(p_true, cfg))
-        chi = project_to_physical_process(qpt_linear_inversion(p, settings))
+        chi = project_to_physical_process(qpt_linear_inversion(p))
         assert np.linalg.eigvalsh(chi).min() >= -1e-10
 
     def test_process_zero_trace(self):
@@ -291,12 +291,12 @@ class TestNoiseMonotonicity:
         means = []
         for p in (0.0, 0.1, 0.2, 0.4):
             ch = depolarizing_channel(p, 3)
-            p_true = predict_probabilities(ch, settings)
+            p_true = predict_probabilities(ch)
             fids = []
             for seed in range(5):
                 cfg = SourceConfig(counts_per_setting=1e4, seed=seed)
                 p_hat = probabilities_from_counts(simulate_counts(p_true, cfg))
-                chi = project_to_physical_process(qpt_linear_inversion(p_hat, settings))
+                chi = project_to_physical_process(qpt_linear_inversion(p_hat))
                 fids.append(process_fidelity(chi, ideal))
             means.append(np.mean(fids))
         assert all(a > b for a, b in zip(means, means[1:]))
