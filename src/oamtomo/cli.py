@@ -93,13 +93,20 @@ def _probability_rows(input_states, channel, cfg: RunConfig) -> np.ndarray:
     return table
 
 
-def _read_counts(path: str, n_in: int) -> np.ndarray:
+def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
     try:
         counts = fileio.read_counts(path)
     except OSError as exc:  # missing, a directory, unreadable: a counts fault, exit 4
         raise fileio.CountsFileError(f"{path}: {exc.strerror or exc}") from exc
     if counts.shape[0] != n_in:
         raise fileio.CountsFileError(f"expected {9 * n_in} settings, found {counts.size // 2}")
+    # numpy's largest Poisson mean: a bootstrap cannot resample a count above it
+    lam_max = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+    if cfg.bootstrap_samples > 0 and np.any(counts > lam_max):
+        j, i, k = np.argwhere(counts > lam_max)[0]
+        raise fileio.CountsFileError(
+            f"{path}: setting ({j + 1}, {i + 1}): count {counts[j, i, k]} is above "
+            f"{lam_max:.11g}, the largest a bootstrap can resample")
     return counts
 
 
@@ -146,7 +153,7 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
 
 def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
-    counts = _read_counts(args.counts, 9)
+    counts = _read_counts(args.counts, 9, cfg)
     ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
     doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
                   lambda c: qpt_linear_inversion(probabilities_from_counts(c)),
@@ -158,7 +165,7 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
     written.append(out_path)
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
-    counts = _read_counts(args.counts, 1)
+    counts = _read_counts(args.counts, 1, cfg)
     doc = _report(("state", "rho", "rho_raw_trace", "state_fidelity_vs_target"), cfg, counts,
                   lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :]),
                   project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))

@@ -4,12 +4,13 @@ Forward direction: exact projection probabilities for a channel given as
 Kraus operators.  Inverse direction: linear-inversion reconstruction of
 density matrices (from 9 probabilities) and process matrices (from the full
 81-entry table), followed by eigenvalue clamping to restore physicality.
-Reconstruction parameterizes the unknown directly by a real Hermitian
-coordinate vector, so inverted matrices are Hermitian by construction and
-the linear systems are real-valued; their inverses are constants of the
-scheme, computed once per process (MeasurementSettings).  The scheme is not
-an argument: the forward model and the inversions read the one instance
-canonical_settings() returns.
+Reconstruction parameterizes the unknown by real Hermitian coordinates, so
+inverted matrices are Hermitian exactly.  The maps are constants of the
+scheme, built once per process (MeasurementSettings): the QST map inverts its
+real 9 x 9 design, and the QPT map is QST of each input's output followed by
+the fixed Choi -> chi change of basis, MeasurementSettings.chi_from_choi.
+The scheme is not an argument: the forward model and the inversions read
+canonical_settings().
 Counts, probabilities and matrices may carry leading batch axes (bootstrap
 samples).
 """
@@ -45,8 +46,8 @@ class MeasurementSettings:
     projectors, so projectors[j] is also the projector of inputs[j].  The
     only instance is the one canonical_settings() returns, which the
     inversions and the forward model read; its arrays are read-only, each
-    inversion map is built once, on first use, and the designs' rank and
-    conditioning are pinned by tests.
+    inversion map is built once, on first use (QPT from QST, with no 81 x 81
+    solve), and the designs' rank and conditioning are pinned by tests.
     """
 
     inputs: np.ndarray      # (9, 3) state vectors, one per row
@@ -58,16 +59,37 @@ class MeasurementSettings:
         """(9, 9) map from nine probabilities to the flattened 3 x 3 rho."""
         coords = hermitian_basis(3)
         design = np.einsum("iab,Kba->iK", self.projectors, coords).real
-        return _inversion_map(design, coords)
+        out = coords.reshape(9, 9).T @ np.linalg.pinv(design)
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def qpt_map(self) -> np.ndarray:
-        """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi."""
-        lam, proj = self.basis, self.projectors
-        transfer = np.einsum("iab,mbc,jcd,nad->jimn", proj, lam, proj, lam.conj(), optimize=True)
-        coords = hermitian_basis(9)
-        design = np.einsum("jimn,Kmn->jiK", transfer, coords).real.reshape(81, 81)
-        return _inversion_map(design, coords)
+        """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi.
+
+        A = qst_map is conj(V)^-1 for V the rows vec(mu_i), which are also the
+        inputs, so a table P gives the superoperator S = A P^T A^H, vec(C(X)) =
+        S vec(X), whose reshuffle is the Choi matrix.  The map keeps the real
+        parts of chi's coordinates in hermitian_basis(9): chi is Hermitian exactly.
+        """
+        a = self.qst_map
+        # S of the unit table E_ji is the outer product of columns i and j of A
+        s = np.einsum("xi,yj->jixy", a, a.conj()).reshape(81, 3, 3, 3, 3)
+        chi = self.chi_from_choi(s.swapaxes(2, 3).reshape(81, 9, 9))
+        coords = hermitian_basis(9).reshape(81, 81)
+        out = coords.T @ (coords.conj() @ chi.reshape(81, 81).T).real
+        out.flags.writeable = False
+        return out
+
+    def chi_from_choi(self, choi) -> np.ndarray:
+        """Process matrices chi in the scheme's basis of Choi matrices J, shape (..., 9, 9).
+
+        J = sum_k vec(K_k) vec(K_k)^H for Kraus operators K_k (row-major vec) is
+        L chi L^H for L the orthogonal columns vec(op_m), so chi = W^H J W with
+        W = L diag(1 / Tr(op_m^2)).  Leading axes are batch axes."""
+        lam = self.basis.reshape(9, 9).T
+        w = lam / (np.abs(lam) ** 2).sum(axis=0)
+        return dagger(w) @ choi @ w
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -91,14 +113,6 @@ def hermitian_basis(n: int) -> np.ndarray:
             out[k, a, b] = -1.0j * r
             out[k, b, a] = 1.0j * r
             k += 1
-    return out
-
-
-def _inversion_map(design: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a full-rank real design, composed with the coordinate
-    basis so that it maps probabilities straight to flattened matrices."""
-    out = coords.reshape(len(coords), -1).T @ np.linalg.pinv(design)
-    out.flags.writeable = False
     return out
 
 

@@ -253,6 +253,31 @@ class TestReconstructProcess:
         assert "expected 81 settings, found 9" in capsys.readouterr().err
         assert not report.exists()
 
+    # numpy's Poisson sampler refuses means above 2^63 - 1 - 10 sqrt(2^63 - 1): the
+    # largest int64 whose float64 is not above it, and the next int64 whose float64 is
+    @pytest.mark.parametrize("command", ["reconstruct-process", "reconstruct-state"])
+    @pytest.mark.parametrize("samples", [0, 3])
+    @pytest.mark.parametrize("huge", [9223372006484770816, 9223372006484771840])
+    def test_counts_beyond_poisson_range(self, tmp_path, capsys, command, samples, huge):
+        # only a bootstrap resamples counts, so only it refuses them: exit 4 naming
+        # the counts file and the first such setting, not numpy's "lam value too large"
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4", bootstrap_samples=samples)
+        n_in = 9 if command == "reconstruct-process" else 1
+        counts = tmp_path / "counts.txt"
+        counts.write_text("".join(
+            f"{j} {i} {huge if (j, i) == (1, 5) else 1000} {huge if i == 7 else 10}\n"
+            for j in range(1, n_in + 1) for i in range(1, 10)))
+        report = tmp_path / "report.json"
+        code = main([command, "--config", cfg, "--counts", str(counts), "--out", str(report)])
+        err = capsys.readouterr().err
+        if samples and huge > 9223372006484770816:
+            assert code == 4
+            assert err == (f"oamtomo: counts: {counts}: setting (1, 5): count {huge} is above "
+                           "9.2233720065e+18, the largest a bootstrap can resample\n")
+            assert not report.exists()
+        else:
+            assert (code, err) == (0, "")
+
     def test_degenerate_rows_exit_5(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         lines = ["# degenerate fixture"]

@@ -219,6 +219,26 @@ class TestQptInversion:
         np.testing.assert_allclose(chi, chi.conj().T, atol=1e-12)
 
 
+    def test_output_exactly_hermitian(self):
+        # the map keeps chi in real Hermitian coordinates: no rounding asymmetry,
+        # for one table or a batch of them
+        p = np.random.default_rng(5).random((40, 9, 9))
+        for table in (p[0], p):
+            chi = qpt_linear_inversion(table)
+            assert np.array_equal(chi, np.swapaxes(chi, -1, -2).conj())
+
+
+class TestChiFromChoi:
+    def test_matches_kraus_oracle(self, settings):
+        # J = sum_k vec(K_k) vec(K_k)^H, row-major vec
+        rng = np.random.default_rng(1997)
+        channels = [random_cptp_channel(3, n, rng) for n in (1, 2, 3, 4, 9)]
+        choi = np.stack([sum(np.outer(k.ravel(), k.ravel().conj()) for k in ch.kraus)
+                         for ch in channels])
+        expected = np.stack([chi_from_kraus(ch, settings.basis) for ch in channels])
+        np.testing.assert_allclose(settings.chi_from_choi(choi), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(settings.chi_from_choi(choi[2]), expected[2], rtol=0, atol=1e-12)
+
 class TestPhysicalityProjection:
     def test_state_noop_on_physical(self):
         rho = random_density_matrix(3, np.random.default_rng(4))

@@ -12,8 +12,10 @@ in a fresh interpreter whose working directory is the case's own directory,
 so paths in messages agree; the cases run one after another, in a
 temporary directory that is removed at the end.  Every file written, every
 exit code and every stderr text is compared.  Each difference is printed
-with both exit codes and stderr; the exit status is 1 if there was any,
-else 0.  Uses the standard library only.
+with both exit codes and stderr, and, for a file that parses as JSON on both
+sides, with how many of its numbers differ and the largest absolute
+difference; the exit status is 1 if there was any difference, else 0.  Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -98,6 +100,47 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _json_numbers(path: str):
+    """{position: number} of every number in a JSON file, where position is the
+    key/index path to it; None if the file is not JSON."""
+    try:
+        doc = json.loads(_read(path))
+    except ValueError:  # not UTF-8 or not JSON
+        return None
+    found = {}
+
+    def walk(value, at):
+        if isinstance(value, dict):
+            value = value.items()
+        elif isinstance(value, list):
+            value = enumerate(value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found[at] = value
+            return
+        else:
+            return
+        for key, item in value:
+            walk(item, at + (key,))
+
+    walk(doc, ())
+    return found
+
+
+def json_difference(base_path: str, head_path: str) -> str | None:
+    """'n of m numbers differ, largest absolute difference d' for two JSON
+    files; a number present on one side only counts as differing.  None if
+    either file is not JSON."""
+    base, head = _json_numbers(base_path), _json_numbers(head_path)
+    if base is None or head is None:
+        return None
+    positions = base.keys() | head.keys()
+    differing = [p for p in positions if base.get(p) != head.get(p)]
+    largest = max((abs(base[p] - head[p]) for p in differing if p in base and p in head),
+                  default=0.0)
+    return (f"{len(differing)} of {len(positions)} numbers differ, "
+            f"largest absolute difference {largest:.3g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", help="git revision whose src/ is the reference")
@@ -134,6 +177,10 @@ def compare(base_rev: str, work: str) -> int:
                           if path in found[tree] else f"{tree} missing"
                           for tree, top in tops.items())
         print(f"DIFFERS {path}: {sizes}")
+        if all(path in found[tree] for tree in tops):
+            numbers = json_difference(*(os.path.join(top, path) for top in tops.values()))
+            if numbers is not None:
+                print(f"  json: {numbers}")
         for tree, top in tops.items():
             log = _read(os.path.join(top, path.split(os.sep)[0], "log.txt")).decode()
             print("\n".join(f"  {tree}| {line}" for line in log.splitlines()))
