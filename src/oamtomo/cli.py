@@ -59,6 +59,10 @@ EXIT_BAD_PARAMS = 3
 EXIT_INCOMPLETE = 4
 EXIT_DEGENERATE = 5
 
+# bootstrap resamples drawn and reconstructed at once: memory stays that of
+# this many, whatever bootstrap_samples is
+BOOTSTRAP_CHUNK = 1000
+
 
 @contextlib.contextmanager
 def _optics_guard():
@@ -125,7 +129,7 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
     keys names the report kind, the physical matrix, its raw trace and its
     fidelity.  reconstruct, project and score take a leading batch axis, so that a
     bootstrap of B > 0 samples redoes them all on B Poisson resamples of the
-    counts, drawn at once.
+    counts, drawn and scored in chunks of at most BOOTSTRAP_CHUNK.
     """
     kind, matrix_key, trace_key, fidelity_key = keys
     raw = reconstruct(counts)
@@ -140,9 +144,13 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
         fidelity_key: score(phys),
     }
     if cfg.bootstrap_samples > 0:
+        # successive draws from one generator continue its stream, so the chunks
+        # are the resamples of one draw of all B, held BOOTSTRAP_CHUNK at a time
         rng = np.random.default_rng([cfg.source.seed, 104729])
-        resamples = rng.poisson(counts, size=(cfg.bootstrap_samples,) + counts.shape)
-        fids = score(project(reconstruct(resamples)))
+        fids = np.concatenate([
+            score(project(reconstruct(rng.poisson(counts, size=(min(BOOTSTRAP_CHUNK, left),)
+                                                  + counts.shape))))
+            for left in range(cfg.bootstrap_samples, 0, -BOOTSTRAP_CHUNK)])
         doc["bootstrap"] = {
             "samples": cfg.bootstrap_samples,
             "fidelity_mean": float(np.mean(fids)),
@@ -183,20 +191,28 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. a file of that name, which is left alone
         raise ConfigError("output.grids", f"cannot create directory {out_dir!r}: {exc.strerror}")
+
+    def output(plane: str, kind: str) -> str:
+        path = os.path.join(out_dir, f"{plane}_{kind}.txt")
+        _refuse_input(path, args, "output.grids")
+        written.append(path)
+        return path
+
     # ideal 4-f imaging is the parity flip (optics.parity_flip): the image grids
-    # are the mask grids' text, rows and values permuted by the parity index
+    # are copies of the mask grid files, rows and values permuted by the parity index
     flip = parity_index(cfg.optics.grid_size)
-    planes = ((mask, (("mask", None), ("image", flip))), (fourier, (("fourier", None),)))
-    kinds = (("intensity", lambda f: np.abs(f.samples) ** 2), ("phase", phase_mask_of))
-    for field, copies in planes:
-        for kind, values in kinds:
-            rows = fileio.grid_rows(values(field))
-            for plane, order in copies:
-                path = os.path.join(out_dir, f"{plane}_{kind}.txt")
-                _refuse_input(path, args, "output.grids")
-                written.append(path)
-                fileio.write_grid(path, rows, cfg.optics.extent, order)
-            del rows  # one grid's text at a time
+    kinds = (("intensity", _intensity), ("phase", phase_mask_of))
+    for kind, values in kinds:
+        fileio.write_grid(output("mask", kind), values(mask), cfg.optics.extent,
+                          [(output("image", kind), flip)])
+    for kind, values in kinds:
+        fileio.write_grid(output("fourier", kind), values(fourier), cfg.optics.extent)
+
+
+def _intensity(field) -> np.ndarray:
+    """|samples|^2, squared in place."""
+    values = np.abs(field.samples)
+    return np.square(values, out=values)
 
 
 # command -> (handler, key of its output in the config's output section, what

@@ -36,7 +36,8 @@ _STATE_NAMES = {"L": 0, "G": 1, "R": 2, **{f"psi{k}": k - 1 for k in range(1, 10
 _MAX_MEAN_COUNTS = 1e18
 
 # largest accepted bootstrap_samples: the resamples are drawn and reconstructed
-# all at once, and reconstruct-process peaks near 0.14 GB per 10^4 of them
+# in chunks of cli.BOOTSTRAP_CHUNK, so memory stays flat, but the run time grows
+# with B (reconstruct-process takes about 0.3 s of CPU per 10^4 resamples)
 _MAX_BOOTSTRAP = 100000
 
 
@@ -228,7 +229,7 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         raise ConfigError("bootstrap_samples", "must be nonnegative")
     if bootstrap > _MAX_BOOTSTRAP:
         raise ConfigError("bootstrap_samples", f"must be at most {_MAX_BOOTSTRAP}, "
-                          f"so that the resamples fit in memory; got {bootstrap}")
+                          f"so that the bootstrap's run time stays bounded; got {bootstrap}")
 
     channel = parse_channel(raw.get("channel", "identity"))
     state = parse_state(raw.get("state"))

@@ -1,7 +1,7 @@
 """File formats: line-oriented counts files, JSON reports, plain-text grids.
 
 All floating-point output is fixed to 9 significant digits so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  Grid text is streamed, one row at a time.
 """
 
 from __future__ import annotations
@@ -111,28 +111,26 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def grid_rows(values) -> list:
-    """Text rows of a 2-D grid, each value '%.9g' and space-separated: the
-    rows np.savetxt writes, formatted one row at a time so that no more than
-    one row of Python floats exists at once."""
+def write_grid(path, values, extent: float, copies=()) -> None:
+    """np.savetxt's '%.9g' text of a 2-D grid under an 'N extent' header line,
+    written as each row is formatted.  Each (path, order) in copies, order an
+    index array, gets the grid permuted, line r holding row order[r] with its
+    values taken at order: rows read back from the file just written, found by
+    the line lengths recorded, not formatted again."""
     values = np.asarray(values, dtype=float)
-    fmt = " ".join(["%.9g"] * values.shape[1])
-    return [fmt % tuple(row.tolist()) for row in values]
-
-
-def write_grid(path, rows, extent: float, order=None) -> None:
-    """grid_rows text under an 'N extent' header line.  An index array order
-    permutes the grid without formatting it again: line r holds row order[r],
-    its values taken at order."""
-    header = f"{len(rows)} {format_sig(extent)}\n"
-    if order is not None:
-        rows = _permuted(rows, order.tolist())
+    header = f"{len(values)} {format_sig(extent)}\n"
+    fmt = " ".join(["%.9g"] * values.shape[1]) + "\n"
+    lengths = []
     with open(path, "w") as fh:
         fh.write(header)
-        fh.writelines(row + "\n" for row in rows)
-
-
-def _permuted(rows, order):
-    for r in order:
-        values = rows[r].split(" ")
-        yield " ".join([values[k] for k in order])
+        for row in values:  # ASCII text: the characters written are the bytes
+            lengths.append(fh.write(fmt % tuple(row.tolist())))
+    starts = np.cumsum([len(header)] + lengths[:-1]).tolist()
+    for copy_path, order in copies:
+        order = order.tolist()
+        with open(path, "rb") as src, open(copy_path, "wb") as dst:
+            dst.write(header.encode())
+            for r in order:
+                src.seek(starts[r])
+                row = src.read(lengths[r] - 1).split(b" ")
+                dst.write(b" ".join([row[k] for k in order]) + b"\n")

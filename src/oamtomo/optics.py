@@ -22,6 +22,10 @@ overlap is an inner product with the fiber Gaussian traced back through the
 lens: one transform in all.  Ideal modulation is linear in the state, so its
 inputs follow from the triple's 3x3 Gram matrix and its POVM from a 3x3
 coupling matrix, one grid pass per winding; phase-only takes one per state.
+
+Fields are built and transformed in place, with the bits of the out-of-place
+expressions, so no step holds more than about one complex grid of temporaries;
+arrays that callers share, such as the mode triple, are never written.
 """
 
 from __future__ import annotations
@@ -139,7 +143,11 @@ def _vortex(l: int, waist: float, cfg: OpticsConfig):
     if l == 0:
         return 1.0
     xx, yy = cfg.meshgrid()
-    return ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
+    factor = np.multiply(1j * np.sign(l), yy)
+    np.add(xx, factor, out=factor)
+    np.multiply(np.sqrt(2.0) / waist, factor, out=factor)
+    factor **= abs(l)  # not np.power(out=): ** squares by np.square, as the old expression did
+    return factor
 
 
 def _lg_profile(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
@@ -152,10 +160,12 @@ def _lg_profile(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
 
 
 def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
+    """Unit-power field of samples, which the caller hands over: divided in place."""
     norm = np.sqrt((np.abs(samples) ** 2).sum() * cfg.cell_area)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero field")
-    return FieldGrid(samples / norm, cfg.extent)
+    samples /= norm
+    return FieldGrid(samples, cfg.extent)
 
 
 def oam_mode_field(l: int, cfg: OpticsConfig) -> FieldGrid:
@@ -172,21 +182,27 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     return _normalized(_lg_profile(0, waist, cfg), cfg)
 
 
-def _superposed(psi, mode, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized sum of psi_k mode(l_k) over the (l=+1, 0, -1) triple; mode
-    maps l to samples and is not called for a zero amplitude."""
+def _superposed(psi, term, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized sum of term(psi_k, l_k) = psi_k LG(l_k) samples over the
+    (l=+1, 0, -1) triple; term is not called for a zero amplitude."""
     total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
     for c, l in zip(psi, MODE_WINDINGS):
         if c != 0:
-            total += c * mode(l)
+            total += term(c, l)
     return total
 
 
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple,
-    built one mode at a time."""
+    built one mode at a time, each new mode array scaled in place."""
     psi = _qutrit(state)
-    return _normalized(_superposed(psi, lambda l: oam_mode_field(l, cfg).samples, cfg), cfg)
+
+    def term(c, l):
+        samples = oam_mode_field(l, cfg).samples
+        samples *= c
+        return samples
+
+    return _normalized(_superposed(psi, term, cfg), cfg)
 
 
 def phase_mask_of(field: FieldGrid) -> np.ndarray:
@@ -205,10 +221,26 @@ def apply_phase_mask(field: FieldGrid, mask: np.ndarray, conjugate: bool = False
 
 
 def lens_fourier(field: FieldGrid) -> FieldGrid:
-    """Centered unitary 2-D DFT: one ideal lens focal-plane transform."""
-    s = field.samples
-    out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(s))) / s.shape[0]
-    return FieldGrid(out, field.extent)
+    """Centered unitary 2-D DFT: one ideal lens focal-plane transform, done in
+    place on one copy of the input (its ifftshift)."""
+    out = np.fft.ifftshift(field.samples)
+    np.fft.fft2(out, out=out)
+    out /= field.grid_size
+    return FieldGrid(_fftshifted(out), field.extent)
+
+
+def _fftshifted(a: np.ndarray) -> np.ndarray:
+    """np.fft.fftshift of a square array: for an even side, a itself with its
+    diagonal quadrants swapped."""
+    n = a.shape[0]
+    if n % 2:
+        return np.fft.fftshift(a)
+    h = n // 2
+    for top, bottom in ((np.s_[:h, :h], np.s_[h:, h:]), (np.s_[:h, h:], np.s_[h:, :h])):
+        quarter = a[top].copy()
+        a[top] = a[bottom]
+        a[bottom] = quarter
+    return a
 
 
 def _inverted(a: np.ndarray, axes) -> np.ndarray:
@@ -351,7 +383,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
         def hologram(psi, field: np.ndarray) -> np.ndarray:
             """field e^{i arg u}, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are divided
             by |u| as real arrays, as a complex division can overflow on subnormals."""
-            u = _superposed(psi, modes.__getitem__, cfg)
+            u = _superposed(psi, lambda c, l: c * modes[l], cfg)
             u[u == 0] = 1.0
             mag = np.abs(u)
             u.real /= mag

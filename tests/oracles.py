@@ -2,13 +2,15 @@
 
 None of this runs in the pipeline: the CLI neither converts Kraus operators
 to a process matrix nor applies one, draws no random channel or state,
-traces no phase winding and computes no photon-statistics ratio.  These
-functions give the tests independent oracles and inputs.
+traces no phase winding, builds no mode field out of place and computes no
+photon-statistics ratio.  These functions give the tests independent oracles
+and inputs.
 """
 
 import numpy as np
 
-from oamtomo import FieldGrid, KrausChannel, lens_fourier
+from oamtomo import FieldGrid, KrausChannel, OpticsConfig, lens_fourier
+from oamtomo.optics import MODE_WINDINGS
 
 # Reference hardware values from the modeled experiment; lengths are not
 # simulated, since they only rescale coordinates and cancel in couplings.
@@ -90,6 +92,25 @@ def farfield(field: FieldGrid) -> FieldGrid:
 def four_f_image(field: FieldGrid) -> FieldGrid:
     """Two successive lens transforms: the parity-inverted input field."""
     return lens_fourier(lens_fourier(field))
+
+
+def lg_mode_samples(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
+    """Unit-power LG(p=0, l) samples of the given waist, each step a new array:
+    the out-of-place construction that the package builds in place."""
+    xx, yy = cfg.meshgrid()
+    field = np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
+    if l != 0:
+        field = field * ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)
+    return field / np.sqrt((np.abs(field) ** 2).sum() * cfg.cell_area)
+
+
+def superposition_samples(psi, cfg: OpticsConfig) -> np.ndarray:
+    """Unit-power sum of psi_k LG(l_k) over the (l=+1, 0, -1) triple, out of place."""
+    total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
+    for c, l in zip(psi, MODE_WINDINGS):
+        if c != 0:
+            total = total + c * lg_mode_samples(l, cfg.waist, cfg)
+    return total / np.sqrt((np.abs(total) ** 2).sum() * cfg.cell_area)
 
 
 def winding_number(field: FieldGrid, radius: float) -> int:

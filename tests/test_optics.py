@@ -19,8 +19,15 @@ from oamtomo import (
     self_fourier_waist,
     superposition_field,
 )
+from oamtomo import optics
 from oamtomo.optics import _conversion_field, parity_index
-from oracles import farfield, four_f_image, winding_number
+from oracles import (
+    farfield,
+    four_f_image,
+    lg_mode_samples,
+    superposition_samples,
+    winding_number,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +94,50 @@ class TestModeFields:
     def test_rejects_large_winding(self, cfg):
         with pytest.raises(ValueError):
             oam_mode_field(6, cfg)
+
+
+class TestInPlaceBuilders:
+    """The fields are built and normalized in place; the bits are those of the
+    out-of-place construction, and every call returns a new array."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return OpticsConfig.matched(128, 1.0)
+
+    def test_mode_fields_match_out_of_place_construction(self, small):
+        for l in range(-5, 6):
+            field = oam_mode_field(l, small)
+            assert field.samples.tobytes() == lg_mode_samples(l, small.waist, small).tobytes()
+            assert not np.shares_memory(field.samples, oam_mode_field(l, small).samples)
+        w = 0.8 * small.waist
+        assert gaussian_field(w, small).samples.tobytes() == lg_mode_samples(0, w, small).tobytes()
+
+    @pytest.mark.parametrize("state", [[1, 0, 0], [0, 0, 1], [1, -1, 1], [0.3, -0.5j, 0.8],
+                                       [1e-3, 1, 1j]])
+    def test_superposition_matches_out_of_place_construction(self, small, state):
+        psi = np.array(state, dtype=complex) / np.linalg.norm(state)
+        field = superposition_field(psi, small)
+        before = field.samples.copy()
+        assert field.samples.tobytes() == superposition_samples(psi, small).tobytes()
+        again = superposition_field(psi, small)
+        assert not np.shares_memory(field.samples, again.samples)
+        assert np.array_equal(field.samples, before)
+
+    def test_phase_only_operators_keep_the_mode_triple(self, small, monkeypatch):
+        # the holograms scale copies of the shared LG triple, never the triple itself
+        built = []
+
+        def recording(l, cfg):
+            field = oam_mode_field(l, cfg)
+            built.append((field.samples, field.samples.copy()))
+            return field
+
+        monkeypatch.setattr(optics, "oam_mode_field", recording)
+        states = canonical_input_states()
+        effective_operators(states, states, small, "phase_only")
+        assert len(built) == 3
+        for samples, copy in built:
+            assert np.array_equal(samples, copy)
 
 
 class TestSuperposition:
@@ -201,6 +252,17 @@ class TestLensFourier:
         for l in (-1, 1, 2):
             out = lens_fourier(oam_mode_field(l, cfg))
             assert winding_number(out, cfg.waist) == l
+
+    @pytest.mark.parametrize("n", [128, 5])
+    def test_in_place_transform_keeps_input(self, n):
+        # an even side shifts by the in-place quadrant swap, an odd one by fftshift
+        rng = np.random.default_rng(n)
+        before = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = FieldGrid(before.copy(), 1.0)
+        out = lens_fourier(f)
+        assert np.array_equal(f.samples, before)
+        expected = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(before))) / n
+        assert np.array_equal(out.samples, expected)
 
 
 class TestFourF:

@@ -5,8 +5,9 @@ Usage: python3 tools/byte_matrix.py BASE_REV
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x
 5 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
-counts it wrote; three runs that fail in `reconstruct-*`; and `modes` for
-psi4, L, [1,-1,1] and psi9 at N = 128 and 512.  Every command runs once with
+counts it wrote; three runs that fail in `reconstruct-*`; one abstract QPT
+bootstrap of 3000 samples, more than one chunk of cli.BOOTSTRAP_CHUNK; and
+`modes` for psi4, L, [1,-1,1] and psi9 at N = 128 and 512.  Every command runs once with
 BASE_REV's src/ (from `git archive`) and once with the working tree's, each
 in a fresh interpreter whose working directory is the case's own directory,
 so paths in messages agree; the cases run one after another, in a
@@ -69,6 +70,10 @@ def cases():
                                   ("state-counts", {"state": "psi4"}, "reconstruct-process")):
         yield f"err-{name}", config, [simulate, [command, "--config", "run.json", "--counts",
                                                  "counts.txt", "--out", "report.json"]]
+    config = {"channel": CHANNELS[1], "bootstrap_samples": 3000,
+              "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1}}
+    yield "boot-chunked", config, [simulate, ["reconstruct-process", "--config", "run.json",
+                                              "--counts", "counts.txt", "--out", "report.json"]]
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
