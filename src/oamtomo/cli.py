@@ -76,22 +76,23 @@ def _optics_guard():
         raise ConfigError("optics", str(exc))
 
 
-def _probability_rows(input_states, channel, cfg: RunConfig) -> np.ndarray:
-    """Projection probabilities Tr(mu_i C(rho_j)) for the given inputs, one row per input.
+def _probability_rows(cfg: RunConfig) -> np.ndarray:
+    """Projection probabilities Tr(mu_i C(rho_j)) of the configured channel C, one
+    row per input: the nine canonical inputs, or the stored state when one is declared.
 
     Abstract mode takes the input projectors and the scheme's projectors.
     The optical modes take the chain's effective operators
     (optics.effective_operators): each input's prepared field reduced to the
     LG triple the memory stores, and the measurement chain as a POVM on it.
     """
+    inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
     if cfg.measurement_mode == "abstract":
-        rho_in, povm = np.stack([projector_of(s) for s in input_states]), None
+        rho_in, povm = np.stack([projector_of(s) for s in inputs]), None
     else:
-        modulation = "ideal" if cfg.measurement_mode == "optical-ideal" else "phase_only"
         with _optics_guard():
-            rho_in, povm = effective_operators(input_states, canonical_settings().inputs,
-                                               cfg.optics, modulation)
-    table = predict_probabilities(channel, rho_in, povm)
+            rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics,
+                                               cfg.measurement_mode == "optical-phase-only")
+    table = predict_probabilities(cfg.channel, rho_in, povm)
     if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: only an unresolved optics grid gets here
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
     return table
@@ -116,10 +117,8 @@ def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     written.append(out_path)
-    inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
-    table = _probability_rows(inputs, cfg.channel, cfg)
     make = exact_counts if cfg.noiseless else simulate_counts
-    fileio.write_counts(out_path, make(table, cfg.source), cfg.echo)
+    fileio.write_counts(out_path, make(_probability_rows(cfg), cfg.source), cfg.echo)
 
 
 def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
@@ -204,7 +203,7 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
     for kind, values in kinds:
         fileio.write_grid(output("mask", kind), values(mask), cfg.optics.extent,
-                          [(output("image", kind), flip)])
+                          (output("image", kind), flip))
     for kind, values in kinds:
         fileio.write_grid(output("fourier", kind), values(fourier), cfg.optics.extent)
 

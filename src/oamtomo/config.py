@@ -170,8 +170,8 @@ def _parse_source(raw: dict) -> SourceConfig:
                               f"so that counts fit int64; got {kwargs[name]!r}")
     try:
         return SourceConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("source", str(exc))
+    except ValueError as exc:  # the message starts with the field it refuses
+        raise ConfigError(*f"source.{exc}".split(": ", 1))
 
 
 def _parse_optics(raw: dict) -> OpticsConfig:
@@ -185,8 +185,8 @@ def _parse_optics(raw: dict) -> OpticsConfig:
         raise ConfigError(f"optics.{sorted(unknown)[0]}", "unknown field")
     try:
         return OpticsConfig(n, float(extent), float(waist), float(fiber))
-    except ValueError as exc:
-        raise ConfigError("optics", str(exc))
+    except ValueError as exc:  # the message starts with the field it refuses
+        raise ConfigError(*f"optics.{exc}".split(": ", 1))
 
 
 def load_config(path, seed: int | None = None, mode: str | None = None) -> RunConfig:

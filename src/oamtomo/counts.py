@@ -22,7 +22,8 @@ class SourceConfig:
     probability and unit efficiency; background the expected accidental
     total per setting; efficiency folds in every loss between source and
     detector; window is the coincidence window in seconds, validated and
-    echoed in counts headers, but read by no computation.
+    echoed in counts headers, but read by no computation.  Each refusal starts
+    with the name of the field it refuses.
     """
 
     counts_per_setting: float
@@ -33,15 +34,15 @@ class SourceConfig:
 
     def __post_init__(self):
         if self.counts_per_setting <= 0:
-            raise ValueError("counts_per_setting must be positive")
+            raise ValueError("counts_per_setting: must be positive")
         if self.background < 0:
-            raise ValueError("background must be nonnegative")
+            raise ValueError("background: must be nonnegative")
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
+            raise ValueError("efficiency: must be in [0, 1]")
         if self.window <= 0:
-            raise ValueError("coincidence window must be positive")
+            raise ValueError("window: must be positive")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError("seed: must be nonnegative")
 
 
 def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:

@@ -13,15 +13,17 @@ preparation masks.  By default configurations use the grid's self-Fourier
 waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
-optical_projection_probability runs the whole sampled chain for one pure
-input and one measurement state, the reference.  effective_operators reduces
-it to the qutrit the memory stores: a 3x3 effective input per prepared field
-and a rank-1 POVM element per measurement, on the LG triple.  4-f imaging is
-the parity flip, applied to one field, and by Parseval the far-field fiber
-overlap is an inner product with the fiber Gaussian traced back through the
-lens: one transform in all.  Ideal modulation is linear in the state, so its
-inputs follow from the triple's 3x3 Gram matrix and its POVM from a 3x3
-coupling matrix, one grid pass per winding; phase-only takes one per state.
+Modulation is ideal (exact complex fields and masks) or, with phase_only=True,
+phase-only holograms on a Gaussian carrier.  optical_projection_probability
+runs the whole sampled chain for one pure input and one measurement state,
+the reference.  effective_operators reduces it to the qutrit the memory
+stores: a 3x3 effective input per prepared field and a rank-1 POVM element
+per measurement, on the LG triple.  4-f imaging is the parity flip, applied
+to one field, and by Parseval the far-field fiber overlap is an inner product
+with the fiber Gaussian traced back through the lens: one transform in all.
+Ideal modulation is linear in the state, so its inputs follow from the
+triple's 3x3 Gram matrix and its POVM from a 3x3 coupling matrix, one grid
+pass per winding; phase-only takes one per state.
 
 Fields are built and transformed in place, with the bits of the out-of-place
 expressions, so no step holds more than about one complex grid of temporaries;
@@ -45,6 +47,10 @@ _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 
 _MAX_WINDING = 5
 
+# largest grid_size: one complex grid is then 268 MB, and no command holds
+# more than about 8 of them
+_MAX_GRID_SIZE = 4096
+
 
 def self_fourier_waist(grid_size: int, extent: float) -> float:
     """Waist for which a Gaussian is invariant under the grid's unitary DFT."""
@@ -57,6 +63,7 @@ class OpticsConfig:
 
     grid_size N samples per axis over [-extent, extent); waist is the
     LG-family waist, fiber_waist the far-field collection Gaussian's waist.
+    Each refusal starts with the name of the field it refuses.
     """
 
     grid_size: int
@@ -66,22 +73,18 @@ class OpticsConfig:
 
     def __post_init__(self):
         n = self.grid_size
-        if n < 128 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid_size must be a power of two >= 128, got {n}")
+        if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
+            raise ValueError(
+                f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         if self.extent <= 0:
-            raise ValueError("extent must be positive")
-        if self.waist <= 0 or self.fiber_waist <= 0:
-            raise ValueError("waists must be positive")
+            raise ValueError("extent: must be positive")
+        for name in ("waist", "fiber_waist"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
         if self.waist > self.extent / 4.0:
             raise ValueError(
-                f"waist {self.waist!r} exceeds extent/4 = {self.extent / 4.0!r} (aliasing guard)"
+                f"waist: {self.waist!r} exceeds extent/4 = {self.extent / 4.0!r} (aliasing guard)"
             )
-
-    @classmethod
-    def matched(cls, grid_size: int = 512, extent: float = 1.0) -> "OpticsConfig":
-        """Self-Fourier configuration: mode and fiber waists both at the DFT fixed point."""
-        w = self_fourier_waist(grid_size, extent)
-        return cls(grid_size, extent, w, w)
 
     @property
     def step(self) -> float:
@@ -122,14 +125,6 @@ class FieldGrid:
     def grid_size(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def cell_area(self) -> float:
-        step = 2.0 * self.extent / self.grid_size
-        return step * step
-
-    def power(self) -> float:
-        return float((np.abs(self.samples) ** 2).sum() * self.cell_area)
-
 
 def _qutrit(state) -> np.ndarray:
     psi = state_vector(state)
@@ -138,25 +133,23 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
-def _vortex(l: int, waist: float, cfg: OpticsConfig):
-    """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l|, exact at grid zeros."""
+def _vortex(l: int, cfg: OpticsConfig):
+    """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l| of the mode
+    waist, exact at grid zeros."""
     if l == 0:
         return 1.0
     xx, yy = cfg.meshgrid()
     factor = np.multiply(1j * np.sign(l), yy)
     np.add(xx, factor, out=factor)
-    np.multiply(np.sqrt(2.0) / waist, factor, out=factor)
+    np.multiply(np.sqrt(2.0) / cfg.waist, factor, out=factor)
     factor **= abs(l)  # not np.power(out=): ** squares by np.square, as the old expression did
     return factor
 
 
-def _lg_profile(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized LG(p=0, l) samples of the given waist."""
+def _gaussian_samples(waist: float, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized complex samples e^{-r^2/waist^2}."""
     xx, yy = cfg.meshgrid()
-    field = np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
-    if l != 0:
-        field *= _vortex(l, waist, cfg)
-    return field
+    return np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
 
 
 def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
@@ -172,14 +165,17 @@ def oam_mode_field(l: int, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power Laguerre-Gauss p=0 mode with winding number l."""
     if abs(l) > _MAX_WINDING:
         raise ValueError(f"|l| <= {_MAX_WINDING} supported, got l={l}")
-    return _normalized(_lg_profile(l, cfg.waist, cfg), cfg)
+    field = _gaussian_samples(cfg.waist, cfg)
+    if l != 0:
+        field *= _vortex(l, cfg)
+    return _normalized(field, cfg)
 
 
 def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power fundamental Gaussian of the given waist."""
     if waist <= 0:
         raise ValueError("waist must be positive")
-    return _normalized(_lg_profile(0, waist, cfg), cfg)
+    return _normalized(_gaussian_samples(waist, cfg), cfg)
 
 
 def _superposed(psi, term, cfg: OpticsConfig) -> np.ndarray:
@@ -289,7 +285,7 @@ def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
 def _conversion_term(l: int, cfg: OpticsConfig):
     """t_l = amp_l Q_l, the normalized vortex factor of LG_l: t_l E is conj of
     the conversion mask of the flipped basis mode (-1)^l LG_l."""
-    return np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l)))) * _vortex(l, cfg.waist, cfg)
+    return np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l)))) * _vortex(l, cfg)
 
 
 def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
@@ -301,43 +297,41 @@ def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
 
 
 def optical_projection_probability(
-    input_state, meas_state, cfg: OpticsConfig, modulation: str = "ideal"
+    input_state, meas_state, cfg: OpticsConfig, phase_only: bool = False
 ) -> float:
     """Probability of the full physical projection chain.
 
-    Pipeline: prepare the input field (exact superposition for "ideal", a
-    phase-only hologram on a Gaussian carrier for "phase_only"), image it
-    through the 4-f system, apply the measurement conversion for the
-    parity-flipped target mode (full complex mask for "ideal", conjugate
-    phase mask for "phase_only"), propagate to the far field and couple into
-    the collection Gaussian.
+    Pipeline: prepare the input field (the exact superposition, or with
+    phase_only a phase-only hologram on a Gaussian carrier), image it through
+    the 4-f system, apply the measurement conversion for the parity-flipped
+    target mode (the full complex mask, or with phase_only the conjugate
+    phase mask), propagate to the far field and couple into the collection
+    Gaussian.
 
     With ideal modulation this reproduces |<meas|input>|^2 up to grid
     discretization error.
     """
-    if modulation not in ("ideal", "phase_only"):
-        raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
     psi_in, psi_meas = _qutrit(input_state), _qutrit(meas_state)
 
-    if modulation == "ideal":
-        field = superposition_field(psi_in, cfg)
-    else:
+    if phase_only:
         carrier = gaussian_field(cfg.waist, cfg)
         field = apply_phase_mask(carrier, phase_mask_of(superposition_field(psi_in, cfg)))
+    else:
+        field = superposition_field(psi_in, cfg)
 
     field = lens_fourier(lens_fourier(field))  # the 4-f image
 
-    if modulation == "ideal":
-        field = FieldGrid(field.samples * _conversion_field(psi_meas, cfg), cfg.extent)
-    else:
+    if phase_only:
         flipped = superposition_field(psi_meas * _PARITY, cfg)
         field = apply_phase_mask(field, phase_mask_of(flipped), conjugate=True)
+    else:
+        field = FieldGrid(field.samples * _conversion_field(psi_meas, cfg), cfg.extent)
 
     # far field: one transform; the dropped quadratic phase cancels in the coupling magnitude
     return abs(fiber_overlap(lens_fourier(field), cfg)) ** 2
 
 
-def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation: str = "ideal"):
+def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only: bool = False):
     """The projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
 
     Returns (rho, povm).  rho[j] = a a^H with a_k = <LG_k | prepared field of
@@ -352,10 +346,9 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
     Ideal modulation is linear in the state: a = G psi / sqrt(psi^H G psi) for
     the Gram matrix G_kl = <LG_k | LG_l> dA, and e = B c for the parity-signed
     state c, where column l of B is the e of conj(M) = t_l E (_conversion_term).
-    Phase-only is not: each state costs one pass over the grid.
+    Phase-only modulation (phase_only=True) is not: each state costs one pass
+    over the grid.
     """
-    if modulation not in ("ideal", "phase_only"):
-        raise ValueError(f"modulation must be 'ideal' or 'phase_only', got {modulation!r}")
     inputs = np.array([_qutrit(s) for s in input_states])
     signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
     back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg)).samples.conj()
@@ -367,7 +360,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, modulation
     def flipped(field: np.ndarray) -> np.ndarray:
         return parity_flip(FieldGrid(field, cfg.extent)).samples
 
-    if modulation == "ideal":
+    if not phase_only:
         # amplitudes(LG_l) is column l of G, so row j of a is G psi_j
         a = inputs @ np.array([amplitudes(m) for m in modes.values()])
         power = np.einsum("jk,jk->j", inputs.conj(), a).real

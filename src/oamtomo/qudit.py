@@ -6,8 +6,11 @@ fidelities of states and processes (closed form for a pure reference, which
 the reports use; Uhlmann for a mixed one).
 
 For d = 3 the computational basis is the OAM triple (|L>, |G>, |R>) carrying
-winding numbers +1, 0, -1.  Channels may be trace-decreasing (a lossy storage
-step keeps the algebra valid); fidelities normalize traces internally.
+winding numbers +1, 0, -1.  The named channel families (identity, phase
+rotation, depolarizing, dephasing) are qutrit channels, the memory's; the
+basis, KrausChannel and apply_channel_kraus take any d >= 2.  Channels may be
+trace-decreasing (a lossy storage step keeps the algebra valid); fidelities
+normalize traces internally.
 """
 
 from __future__ import annotations
@@ -144,54 +147,54 @@ class KrausChannel:
         return self.kraus[0].shape[0]
 
 
-def identity_channel(d: int = 3) -> KrausChannel:
-    """The perfect storage channel rho -> rho."""
-    return KrausChannel((np.eye(d, dtype=complex),))
+def identity_channel() -> KrausChannel:
+    """The perfect storage channel rho -> rho on a qutrit."""
+    return KrausChannel((np.eye(3, dtype=complex),))
 
 
-def phase_rotation_channel(theta: float, d: int = 3) -> KrausChannel:
-    """Unitary channel diag(1, ..., 1, e^{i theta}) phasing the last basis state."""
-    u = np.eye(d, dtype=complex)
-    u[d - 1, d - 1] = np.exp(1j * theta)
+def phase_rotation_channel(theta: float) -> KrausChannel:
+    """Unitary qutrit channel diag(1, 1, e^{i theta}) phasing |R>."""
+    u = np.eye(3, dtype=complex)
+    u[2, 2] = np.exp(1j * theta)
     return KrausChannel((u,))
 
 
-def _weyl_operators(d: int):
-    """Shift/clock unitaries X^a Z^b, the standard qudit 'Pauli' set."""
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        shift[(i + 1) % d, i] = 1.0
-    clock = np.diag(omega ** np.arange(d))
+def _weyl_operators():
+    """Shift/clock unitaries X^a Z^b, the standard qutrit 'Pauli' set."""
+    omega = np.exp(2j * np.pi / 3)
+    shift = np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        shift[(i + 1) % 3, i] = 1.0
+    clock = np.diag(omega ** np.arange(3))
     out = []
-    for a in range(d):
-        for b in range(d):
+    for a in range(3):
+        for b in range(3):
             out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
     return out
 
 
-def depolarizing_channel(p: float, d: int = 3) -> KrausChannel:
-    """Channel rho -> (1 - p) rho + p I/d with d**2 Kraus operators."""
+def depolarizing_channel(p: float) -> KrausChannel:
+    """Qutrit channel rho -> (1 - p) rho + p I/3 with 9 Kraus operators."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p!r}")
-    weyl = _weyl_operators(d)
-    ks = [np.sqrt(1.0 - p + p / d**2) * weyl[0]]
-    ks += [np.sqrt(p) / d * w for w in weyl[1:]]
+    weyl = _weyl_operators()
+    ks = [np.sqrt(1.0 - p + p / 9) * weyl[0]]
+    ks += [np.sqrt(p) / 3 * w for w in weyl[1:]]
     return KrausChannel(tuple(ks))
 
 
-def dephasing_channel(p: float, d: int = 3) -> KrausChannel:
-    """Channel damping every off-diagonal element by (1 - p); diagonals kept.
+def dephasing_channel(p: float) -> KrausChannel:
+    """Qutrit channel damping every off-diagonal element by (1 - p); diagonals kept.
 
     Implemented as a clock-operator mixture: rho -> (1 - p) rho
-    + (p/d) sum_k Z^k rho Z^-k.
+    + (p/3) sum_k Z^k rho Z^-k.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing strength must be in [0, 1], got {p!r}")
-    omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d))
-    ks = [np.sqrt(1.0 - p + p / d) * np.eye(d, dtype=complex)]
-    ks += [np.sqrt(p / d) * np.linalg.matrix_power(clock, k) for k in range(1, d)]
+    omega = np.exp(2j * np.pi / 3)
+    clock = np.diag(omega ** np.arange(3))
+    ks = [np.sqrt(1.0 - p + p / 3) * np.eye(3, dtype=complex)]
+    ks += [np.sqrt(p / 3) * np.linalg.matrix_power(clock, k) for k in range(1, 3)]
     return KrausChannel(tuple(ks))
 
 

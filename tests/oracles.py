@@ -2,15 +2,21 @@
 
 None of this runs in the pipeline: the CLI neither converts Kraus operators
 to a process matrix nor applies one, draws no random channel or state,
-traces no phase winding, builds no mode field out of place and computes no
-photon-statistics ratio.  These functions give the tests independent oracles
+traces no phase winding, measures no field's power, builds no mode field out
+of place and computes no photon-statistics ratio.  These functions give the tests independent oracles
 and inputs.
 """
 
 import numpy as np
 
-from oamtomo import FieldGrid, KrausChannel, OpticsConfig, lens_fourier
-from oamtomo.optics import MODE_WINDINGS
+from oamtomo.optics import (
+    MODE_WINDINGS,
+    FieldGrid,
+    OpticsConfig,
+    lens_fourier,
+    self_fourier_waist,
+)
+from oamtomo.qudit import KrausChannel
 
 # Reference hardware values from the modeled experiment; lengths are not
 # simulated, since they only rescale coordinates and cancel in couplings.
@@ -77,7 +83,19 @@ def ideal_storage_chi(basis: np.ndarray) -> np.ndarray:
     return chi
 
 
-# --- optics: propagation aliases and the phase winding of a field ---
+# --- optics: the self-Fourier geometry, field power, propagation aliases and phase winding ---
+
+
+def matched_config(grid_size: int = 512, extent: float = 1.0) -> OpticsConfig:
+    """Self-Fourier configuration: mode and fiber waists both at the DFT fixed point."""
+    w = self_fourier_waist(grid_size, extent)
+    return OpticsConfig(grid_size, extent, w, w)
+
+
+def power(field: FieldGrid) -> float:
+    """Total power sum |samples|^2 dA of a sampled field."""
+    step = 2.0 * field.extent / field.grid_size
+    return float((np.abs(field.samples) ** 2).sum() * (step * step))
 
 
 def farfield(field: FieldGrid) -> FieldGrid:

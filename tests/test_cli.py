@@ -13,23 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oamtomo import (
-    apply_channel_kraus,
-    canonical_settings,
-    depolarizing_channel,
-    effective_operators,
-    lens_fourier,
-    phase_mask_of,
-    probabilities_from_counts,
-    process_fidelity,
-    project_to_physical_process,
-    qpt_linear_inversion,
-    superposition_field,
-)
 from oamtomo import cli
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
 from oamtomo.fileio import read_counts, round_sig, write_grid
+from oamtomo.optics import effective_operators, lens_fourier, phase_mask_of, superposition_field
+from oamtomo.qudit import apply_channel_kraus, depolarizing_channel, process_fidelity
+from oamtomo.tomography import (
+    canonical_settings,
+    probabilities_from_counts,
+    project_to_physical_process,
+    qpt_linear_inversion,
+)
 from oracles import chi_from_kraus, ideal_storage_chi
 
 
@@ -91,6 +86,30 @@ class TestSimulate:
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert "source" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, flags, message", [
+        ({"source": {"counts_per_setting": 0}}, [], "source.counts_per_setting: must be positive"),
+        ({"source": {"background": -1}}, [], "source.background: must be nonnegative"),
+        ({"source": {"efficiency": 1.5}}, [], "source.efficiency: must be in [0, 1]"),
+        ({"source": {"window": 0}}, [], "source.window: must be positive"),
+        ({"source": {"seed": -1}}, [], "source.seed: must be nonnegative"),
+        ({}, ["--seed", "-1"], "source.seed: must be nonnegative"),
+        *[({"optics": {"grid_size": n}}, [],
+           f"optics.grid_size: must be a power of two from 128 to 4096, got {n}")
+          for n in (64, 300, 8192)],
+        ({"optics": {"extent": 0}}, [], "optics.extent: must be positive"),
+        ({"optics": {"waist": -1}}, [], "optics.waist: must be positive"),
+        ({"optics": {"fiber_waist": -1}}, [], "optics.fiber_waist: must be positive"),
+        ({"optics": {"waist": 0.3}}, [],
+         "optics.waist: 0.3 exceeds extent/4 = 0.25 (aliasing guard)"),
+    ])
+    def test_range_errors_name_the_field(self, tmp_path, capsys, overrides, flags, message):
+        # every rule of SourceConfig and OpticsConfig, refused before any work
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == f"oamtomo: invalid configuration: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, field", [
@@ -195,7 +214,7 @@ class TestReconstructProcess:
               "--out", str(report)])
         settings = canonical_settings()
         expected = process_fidelity(
-            chi_from_kraus(depolarizing_channel(0.2, 3), settings.basis),
+            chi_from_kraus(depolarizing_channel(0.2), settings.basis),
             ideal_storage_chi(settings.basis),
         )
         got = _report(report)["process_fidelity_vs_ideal"]
@@ -645,10 +664,9 @@ class TestGridFile:
 
     def test_order_permutes_rows_and_values(self, tmp_path):
         # the copy is read back from the grid file by its line lengths, which vary here
-        orders = [np.array([2, 0, 3, 1]), np.array([3, 2, 1, 0])]
-        copies = [(tmp_path / f"copy{k}.txt", order) for k, order in enumerate(orders)]
-        write_grid(tmp_path / "grid.txt", self.VALUES, 0.25, copies)
-        for path, order in copies:
+        for order in (np.array([2, 0, 3, 1]), np.array([3, 2, 1, 0])):
+            path = tmp_path / "copy.txt"
+            write_grid(tmp_path / "grid.txt", self.VALUES, 0.25, (path, order))
             expected = io.StringIO()
             np.savetxt(expected, self.VALUES[np.ix_(order, order)], fmt="%.9g",
                        header="4 0.25", comments="")
@@ -803,11 +821,12 @@ class TestOpticalModes:
             channel="depolarizing 0.1159305993690852",
             measurement_mode="optical-phase-only",
             optics={"grid_size": 128, "extent": 1.0},
+            state="psi4",
         ))
         settings = canonical_settings()
-        psi4 = settings.inputs[3]
-        row = _probability_rows([psi4], cfg.channel, cfg)[0]
-        rho, povm = effective_operators([psi4], settings.inputs, cfg.optics, "phase_only")
+        row = _probability_rows(cfg)[0]
+        rho, povm = effective_operators([settings.inputs[3]], settings.inputs, cfg.optics,
+                                        phase_only=True)
         # one operator per side, so no eigenbasis of the channel output enters the row
         expected = np.einsum("iab,ba->i", povm, apply_channel_kraus(cfg.channel, rho[0])).real
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
@@ -849,7 +868,7 @@ class TestKrausConfig:
              "--out", str(report)]
         ) == 0
         settings = canonical_settings()
-        from oamtomo import phase_rotation_channel
+        from oamtomo.qudit import phase_rotation_channel
 
         expected = chi_from_kraus(phase_rotation_channel(np.pi / 2), settings.basis)
         chi_pairs = np.array(_report(report)["chi"])
@@ -964,21 +983,24 @@ class TestConfigContract:
             named = re.search(r"^oamtomo: invalid configuration: (\w+)", err.getvalue(), re.M)
             assert named is not None and named.group(1) in doc, err.getvalue()
 
+    # the explicit examples are faults the random search seldom reaches, since
+    # they need every other field valid: Kraus operators on no qutrit, optics
+    # scales whose squares leave the float range, and a grid and a bootstrap too
+    # large to allocate (the grid is refused by its bound, before any field exists)
     @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(doc=_configs("simulate"))
     @example(doc={"measurement_mode": "abstract", "channel": {"kraus": [[[1, 0], [0, 1]]]}})
+    @example(doc={"measurement_mode": "optical-ideal", "optics": {"grid_size": 2**20}})
     def test_simulate_exits_cleanly(self, doc):
         self._check("simulate", doc)
 
-    # the explicit examples are faults the random search seldom reaches, since
-    # they need every other field valid: optics scales whose squares leave the
-    # float range, and a bootstrap too large to allocate
     @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(doc=_configs("modes"))
     @example(doc={"measurement_mode": "abstract", "state": "psi4",
                   "optics": {"grid_size": 128, "extent": 1.4e155}})
     @example(doc={"measurement_mode": "abstract", "state": "psi4",
                   "optics": {"grid_size": 128, "extent": 1.4e-241}})
+    @example(doc={"measurement_mode": "abstract", "state": "L", "optics": {"grid_size": 2**20}})
     def test_modes_exits_cleanly(self, doc):
         self._check("modes", doc)
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from oamtomo import (
-    SourceConfig,
-    exact_counts,
-    simulate_counts,
-    subtract_background,
-)
+from oamtomo.counts import SourceConfig, exact_counts, simulate_counts, subtract_background
 from oamtomo.fileio import CountsFileError, read_counts, write_counts
 from oracles import anticorrelation_alpha, cross_correlation_g2
 

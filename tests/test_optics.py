@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oamtomo import (
+from oamtomo import optics
+from oamtomo.optics import (
     FieldGrid,
     OpticsConfig,
+    _conversion_field,
     apply_phase_mask,
-    canonical_input_states,
     effective_operators,
     fiber_overlap,
     gaussian_field,
@@ -15,16 +16,18 @@ from oamtomo import (
     oam_mode_field,
     optical_projection_probability,
     parity_flip,
+    parity_index,
     phase_mask_of,
     self_fourier_waist,
     superposition_field,
 )
-from oamtomo import optics
-from oamtomo.optics import _conversion_field, parity_index
+from oamtomo.qudit import canonical_input_states
 from oracles import (
     farfield,
     four_f_image,
     lg_mode_samples,
+    matched_config,
+    power,
     superposition_samples,
     winding_number,
 )
@@ -32,7 +35,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def cfg():
-    return OpticsConfig.matched(512, 1.0)
+    return matched_config(512, 1.0)
 
 
 def _random_field(cfg, seed):
@@ -79,7 +82,7 @@ class TestModeFields:
 
     def test_unit_power(self, cfg):
         for l in (-2, -1, 0, 1, 2):
-            assert oam_mode_field(l, cfg).power() == pytest.approx(1.0, abs=1e-9)
+            assert power(oam_mode_field(l, cfg)) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthonormal_triple(self, cfg):
         modes = [oam_mode_field(l, cfg) for l in (-1, 0, 1)]
@@ -102,7 +105,7 @@ class TestInPlaceBuilders:
 
     @pytest.fixture(scope="class")
     def small(self):
-        return OpticsConfig.matched(128, 1.0)
+        return matched_config(128, 1.0)
 
     def test_mode_fields_match_out_of_place_construction(self, small):
         for l in range(-5, 6):
@@ -134,7 +137,7 @@ class TestInPlaceBuilders:
 
         monkeypatch.setattr(optics, "oam_mode_field", recording)
         states = canonical_input_states()
-        effective_operators(states, states, small, "phase_only")
+        effective_operators(states, states, small, phase_only=True)
         assert len(built) == 3
         for samples, copy in built:
             assert np.array_equal(samples, copy)
@@ -154,7 +157,7 @@ class TestSuperposition:
 
     def test_balanced_superposition_normalized(self, cfg):
         f = superposition_field(np.array([1, 1, 1]) / np.sqrt(3), cfg)
-        assert f.power() == pytest.approx(1.0, abs=1e-9)
+        assert power(f) == pytest.approx(1.0, abs=1e-9)
 
     def test_balanced_superposition_off_axis_node(self, cfg):
         # (|L> + |G> + |R>)/sqrt(3) is proportional to (1 + 2 sqrt(2) x / w)
@@ -246,7 +249,7 @@ class TestLensFourier:
     def test_parseval(self, cfg):
         for seed in range(3):
             f = _random_field(cfg, seed)
-            assert abs(lens_fourier(f).power() - f.power()) < 1e-10 * f.power()
+            assert abs(power(lens_fourier(f)) - power(f)) < 1e-10 * power(f)
 
     def test_winding_preserved(self, cfg):
         for l in (-1, 1, 2):
@@ -301,7 +304,7 @@ class TestFarfield:
         g = gaussian_field(cfg.waist, cfg)
         np.testing.assert_allclose(farfield(g).samples, g.samples, atol=1e-6)
         f = _random_field(cfg, 21)
-        assert abs(farfield(f).power() - f.power()) < 1e-10 * f.power()
+        assert abs(power(farfield(f)) - power(f)) < 1e-10 * power(f)
 
 
 class TestFiberOverlap:
@@ -341,23 +344,18 @@ class TestProjectionChain:
         states = canonical_input_states()
         for j in range(3):
             for i in range(3):
-                p_po = optical_projection_probability(states[j], states[i], cfg, "phase_only")
-                p_id = optical_projection_probability(states[j], states[i], cfg, "ideal")
+                p_po = optical_projection_probability(states[j], states[i], cfg, phase_only=True)
+                p_id = optical_projection_probability(states[j], states[i], cfg)
                 assert abs(p_po - p_id) < 1e-3
 
     def test_phase_only_degrades_superposition_settings(self, cfg):
         # a matched pair of phase-only holograms is retro-exact, so the loss
         # shows up in the cross terms instead of on the diagonal
         states = canonical_input_states()
-        p_cross = optical_projection_probability(states[0], states[3], cfg, "phase_only")
+        p_cross = optical_projection_probability(states[0], states[3], cfg, phase_only=True)
         assert abs(p_cross - 0.5) > 0.1
-        p_leak = optical_projection_probability(states[0], states[4], cfg, "phase_only")
+        p_leak = optical_projection_probability(states[0], states[4], cfg, phase_only=True)
         assert p_leak > 1e-3
-
-    def test_rejects_unknown_modulation(self, cfg):
-        states = canonical_input_states()
-        with pytest.raises(ValueError):
-            optical_projection_probability(states[0], states[0], cfg, "holographic")
 
 
 class TestEffectiveOperators:
@@ -371,16 +369,16 @@ class TestEffectiveOperators:
 
     def test_ideal_reproduces_chain(self, small):
         states = canonical_input_states()
-        rho, povm = effective_operators(states, states, small, "ideal")
+        rho, povm = effective_operators(states, states, small)
         table = np.einsum("iab,jba->ji", povm, rho).real
-        chain = np.array([[optical_projection_probability(a, b, small, "ideal") for b in states]
+        chain = np.array([[optical_projection_probability(a, b, small) for b in states]
                           for a in states])
         np.testing.assert_allclose(table, chain, rtol=0, atol=1e-12)
 
     def test_phase_only_operators_match_fft_chain(self, small):
         states = canonical_input_states()
         modes = [oam_mode_field(l, small) for l in (1, 0, -1)]
-        rho, povm = effective_operators(states, states, small, "phase_only")
+        rho, povm = effective_operators(states, states, small, phase_only=True)
         carrier = gaussian_field(small.waist, small)
         for j, psi in enumerate(states):
             field = apply_phase_mask(carrier, phase_mask_of(superposition_field(psi, small)))
@@ -393,55 +391,53 @@ class TestEffectiveOperators:
             e = np.array([fiber_overlap(farfield(f), small) for f in imaged])
             np.testing.assert_allclose(povm[i], np.outer(e.conj(), e), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("modulation", ["ideal", "phase_only"])
-    def test_default_grid_matches_field_chain(self, modulation):
+    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
+    def test_default_grid_matches_field_chain(self, phase_only):
         # the CLI's default grid, under the floating-point checks of its optics
         # guard; underflow is left out, as the sampled Gaussian tails underflow
-        cfg = OpticsConfig.matched(512, 1.0)
+        cfg = matched_config(512, 1.0)
         states = canonical_input_states()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rho, povm = effective_operators(states, states, cfg, modulation)
+            rho, povm = effective_operators(states, states, cfg, phase_only)
         modes = [oam_mode_field(l, cfg) for l in (1, 0, -1)]
         imaged = [four_f_image(m) for m in modes]
         carrier = gaussian_field(cfg.waist, cfg)
         ref_rho, ref_povm = [], []
         for psi in states:
             field = superposition_field(psi, cfg)
-            if modulation == "phase_only":
+            if phase_only:
                 field = apply_phase_mask(carrier, phase_mask_of(field))
             c = np.array([np.vdot(m.samples, field.samples) for m in modes]) * cfg.cell_area
             ref_rho.append(np.outer(c, c.conj()))
-            if modulation == "ideal":
-                mask = _conversion_field(psi, cfg)
-                converted = [FieldGrid(f.samples * mask, cfg.extent) for f in imaged]
-            else:
+            if phase_only:
                 mask = phase_mask_of(superposition_field(psi * np.array([-1, 1, -1]), cfg))
                 converted = [apply_phase_mask(f, mask, conjugate=True) for f in imaged]
+            else:
+                mask = _conversion_field(psi, cfg)
+                converted = [FieldGrid(f.samples * mask, cfg.extent) for f in imaged]
             e = np.array([fiber_overlap(farfield(f), cfg) for f in converted])
             ref_povm.append(np.outer(e.conj(), e))
         table = np.einsum("iab,jba->ji", povm, rho).real
         ref_table = np.einsum("iab,jba->ji", np.array(ref_povm), np.array(ref_rho)).real
         np.testing.assert_allclose(table, ref_table, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("modulation", ["ideal", "phase_only"])
-    def test_memory_stays_flat(self, modulation):
+    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
+    def test_memory_stays_flat(self, phase_only):
         # grid work runs one field at a time: no stack of per-state or per-mode grids
-        cfg = OpticsConfig.matched(256, 1.0)
+        cfg = matched_config(256, 1.0)
         states = canonical_input_states()
         tracemalloc.start()
         try:
-            effective_operators(states, states, cfg, modulation)
+            effective_operators(states, states, cfg, phase_only)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * cfg.grid_size**2 * np.dtype(complex).itemsize
 
-    def test_rejects_unknown_modulation_and_non_qutrits(self, small):
+    def test_rejects_non_qutrits(self, small):
         states = canonical_input_states()
         with pytest.raises(ValueError):
-            effective_operators(states, states, small, "holographic")
-        with pytest.raises(ValueError):
-            effective_operators([[1.0, 0.0]], states, small, "ideal")
+            effective_operators([[1.0, 0.0]], states, small)
 
 
 class TestWindingNumber:

@@ -1,9 +1,9 @@
 """The package holds what the pipeline runs, and every layer the benchmark traces.
 
 bench/child.py times layers by wrapping package functions by name, and the
-benchmark drops a layer whose names are all gone.  So a top-level definition
-under src/oamtomo is either loaded by package code or named in LAYERS; test
-oracles live in tests/oracles.py.
+benchmark drops a layer whose names are all gone.  So a top-level definition,
+and a method or property of a class, under src/oamtomo is either loaded by
+package code or named in LAYERS; test oracles live in tests/oracles.py.
 """
 
 import ast
@@ -59,6 +59,17 @@ def _loads(trees: dict) -> set:
     return loaded
 
 
+def _members(tree: ast.Module):
+    """(class, name) of every method and property of the module's top-level
+    classes, dunder methods aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    yield node.name, item.name
+
+
 def test_every_layer_resolves_a_function():
     for layer, (module_name, names) in _layers().items():
         module = importlib.import_module(f"oamtomo.{module_name}")
@@ -84,3 +95,14 @@ def test_every_definition_is_loaded_or_traced():
     # qudit.fidelity and optics.projection layers until it reads spans instead
     assert {name for _, name in unloaded} == {
         "optical_projection_probability", "process_fidelity", "state_fidelity"}
+
+
+def test_every_member_is_read_or_traced():
+    # by name: an attribute read of that name anywhere in the package counts
+    trees = _modules()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    traced = {n for _, names in _layers().values() for n in names}
+    unused = [f"{module}.{cls}.{name}" for module, tree in trees.items()
+              for cls, name in _members(tree) if name not in read | traced]
+    assert unused == [], f"members under src/ that no package code reads: {unused}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oamtomo import (
+from oamtomo.qudit import (
     KrausChannel,
     apply_channel_kraus,
     canonical_input_states,
@@ -122,7 +122,7 @@ class TestStateVector:
 class TestKrausChannels:
     def test_identity_preserves(self):
         rho = random_density_matrix(3, np.random.default_rng(0))
-        np.testing.assert_allclose(apply_channel_kraus(identity_channel(3), rho), rho)
+        np.testing.assert_allclose(apply_channel_kraus(identity_channel(), rho), rho)
 
     def test_transfer_operator(self):
         transfer = np.zeros((3, 3), dtype=complex)
@@ -131,7 +131,7 @@ class TestKrausChannels:
         np.testing.assert_allclose(out, np.diag([0, 1, 0]), atol=1e-15)
 
     def test_fully_depolarizing(self):
-        out = apply_channel_kraus(depolarizing_channel(1.0, 3), projector_of([1, 0, 0]))
+        out = apply_channel_kraus(depolarizing_channel(1.0), projector_of([1, 0, 0]))
         np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-14)
 
     def test_depolarizing_closed_form(self):
@@ -139,12 +139,12 @@ class TestKrausChannels:
         rng = np.random.default_rng(11)
         rho = random_density_matrix(3, rng)
         for p in (0.0, 0.3, 0.8):
-            out = apply_channel_kraus(depolarizing_channel(p, 3), rho)
+            out = apply_channel_kraus(depolarizing_channel(p), rho)
             np.testing.assert_allclose(out, (1 - p) * rho + p * np.eye(3) / 3, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_channel_kraus(identity_channel(3), np.eye(2))
+            apply_channel_kraus(identity_channel(), np.eye(2))
 
     def test_rejects_trace_increasing(self):
         with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ class TestChiRepresentation:
         self.basis = gell_mann_basis(3)
 
     def test_identity_chi(self):
-        chi = chi_from_kraus(identity_channel(3), self.basis)
+        chi = chi_from_kraus(identity_channel(), self.basis)
         expected = np.zeros((9, 9))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(chi, expected, atol=1e-15)
@@ -241,7 +241,7 @@ class TestChiRepresentation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            chi_from_kraus(identity_channel(2), self.basis)
+            chi_from_kraus(KrausChannel((np.eye(2),)), self.basis)
         with pytest.raises(ValueError):
             apply_channel_chi(np.eye(4), self.basis, np.eye(3) / 3)
 
@@ -347,13 +347,13 @@ class TestProcessFidelity:
             return float(np.sqrt(np.clip(w, 0, None)).sum() ** 2)
 
         for p in (0.1, 0.25, 0.6):
-            chi = chi_from_kraus(depolarizing_channel(p, 3), self.basis)
+            chi = chi_from_kraus(depolarizing_channel(p), self.basis)
             assert process_fidelity(chi, self.ideal) == pytest.approx(
                 oracle(chi, self.ideal), abs=1e-10
             )
 
     def test_symmetric(self):
-        chi = chi_from_kraus(depolarizing_channel(0.3, 3), self.basis)
+        chi = chi_from_kraus(depolarizing_channel(0.3), self.basis)
         f1 = process_fidelity(chi, self.ideal)
         f2 = process_fidelity(self.ideal, chi)
         assert abs(f1 - f2) < 1e-9
@@ -380,7 +380,7 @@ class TestProcessFidelity:
                 assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-12)
 
     def test_demo_channel_conventions(self):
-        ch = depolarizing_channel(0.1159305993690852, 3)
+        ch = depolarizing_channel(0.1159305993690852)
         fe = self._entanglement_fidelity(ch)
         got = process_fidelity(chi_from_kraus(ch, self.basis), self.ideal)
         assert got == pytest.approx(2 * fe / (3 - fe), abs=1e-12)

@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from oamtomo import (
-    DegenerateDataError,
-    SourceConfig,
-    canonical_settings,
+from oamtomo.counts import SourceConfig, simulate_counts
+from oamtomo.qudit import (
     depolarizing_channel,
     identity_channel,
     phase_rotation_channel,
+    process_fidelity,
+    projector_of,
+)
+from oamtomo.tomography import (
+    DegenerateDataError,
+    canonical_settings,
+    hermitian_basis,
     predict_probabilities,
     probabilities_from_counts,
-    process_fidelity,
     project_to_physical_process,
     project_to_physical_state,
-    projector_of,
     qpt_linear_inversion,
     qst_linear_inversion,
-    simulate_counts,
 )
-from oamtomo.tomography import hermitian_basis
 from oracles import chi_from_kraus, ideal_storage_chi, random_cptp_channel, random_density_matrix
 
 
@@ -73,14 +74,14 @@ class TestSettings:
 
 class TestPredictProbabilities:
     def test_identity_channel(self):
-        p = predict_probabilities(identity_channel(3))
+        p = predict_probabilities(identity_channel())
         assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert p[0, 2] == pytest.approx(0.0, abs=1e-12)
         # input 4 onto projector 8 (1-based): |<psi8|psi4>|^2 = 1/4
         assert p[3, 7] == pytest.approx(0.25, abs=1e-12)
 
     def test_fully_depolarizing(self):
-        p = predict_probabilities(depolarizing_channel(1.0, 3))
+        p = predict_probabilities(depolarizing_channel(1.0))
         np.testing.assert_allclose(p, np.full((9, 9), 1 / 3), atol=1e-12)
 
     def test_rows_sum_to_one_for_tp_channels(self):
@@ -107,7 +108,7 @@ class TestProbabilitiesFromCounts:
 
     def test_poisson_counts_match_prediction(self):
         # statistical closeness at N = 1e6, fixed seed
-        p_true = predict_probabilities(identity_channel(3))
+        p_true = predict_probabilities(identity_channel())
         cfg = SourceConfig(counts_per_setting=1e6, seed=2024)
         p_hat = probabilities_from_counts(simulate_counts(p_true, cfg))
         assert np.abs(p_hat - p_true).max() < 0.005
@@ -132,7 +133,7 @@ class TestBatchAxis:
 
     @pytest.fixture(scope="class")
     def batch(self):
-        p_true = predict_probabilities(depolarizing_channel(0.3, 3))
+        p_true = predict_probabilities(depolarizing_channel(0.3))
         cfg = SourceConfig(counts_per_setting=300, background=20, seed=8)
         rng = np.random.default_rng(9)
         return rng.poisson(simulate_counts(p_true, cfg), size=(6, 9, 9, 2))
@@ -187,7 +188,7 @@ class TestQstInversion:
 
 class TestQptInversion:
     def test_identity_channel(self, settings):
-        p = predict_probabilities(identity_channel(3))
+        p = predict_probabilities(identity_channel())
         chi = qpt_linear_inversion(p)
         expected = ideal_storage_chi(settings.basis)
         np.testing.assert_allclose(chi, expected, atol=1e-8)
@@ -258,7 +259,7 @@ class TestPhysicalityProjection:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_process_noop_on_psd(self, settings):
-        chi = chi_from_kraus(depolarizing_channel(0.2, 3), settings.basis)
+        chi = chi_from_kraus(depolarizing_channel(0.2), settings.basis)
         np.testing.assert_allclose(project_to_physical_process(chi), chi, atol=1e-12)
 
     def test_process_zeroes_negative_direction(self):
@@ -270,7 +271,7 @@ class TestPhysicalityProjection:
         assert np.trace(out).real == pytest.approx(0.9, abs=1e-12)
 
     def test_process_psd_after_noisy_pipeline(self):
-        p_true = predict_probabilities(identity_channel(3))
+        p_true = predict_probabilities(identity_channel())
         cfg = SourceConfig(counts_per_setting=1e3, seed=77)
         p = probabilities_from_counts(simulate_counts(p_true, cfg))
         chi = project_to_physical_process(qpt_linear_inversion(p))
@@ -310,7 +311,7 @@ class TestNoiseMonotonicity:
         ideal = ideal_storage_chi(settings.basis)
         means = []
         for p in (0.0, 0.1, 0.2, 0.4):
-            ch = depolarizing_channel(p, 3)
+            ch = depolarizing_channel(p)
             p_true = predict_probabilities(ch)
             fids = []
             for seed in range(5):
