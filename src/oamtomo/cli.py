@@ -185,8 +185,7 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         raise ConfigError("state", "a state is required for mode export")
     with _optics_guard():
         mask = superposition_field(cfg.state, cfg.optics)
-        fourier = lens_fourier(mask)
-    try:  # only once the fields exist: a bad geometry leaves no directory
+    try:  # only once the mask field exists: a bad geometry leaves no directory
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. a file of that name, which is left alone
         raise ConfigError("output.grids", f"cannot create directory {out_dir!r}: {exc.strerror}")
@@ -198,12 +197,17 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         return path
 
     # ideal 4-f imaging is the parity flip (optics.parity_flip): the image grids
-    # are copies of the mask grid files, rows and values permuted by the parity index
+    # are the mask grids with rows and values permuted by the parity index
     flip = parity_index(cfg.optics.grid_size)
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
     for kind, values in kinds:
-        fileio.write_grid(output("mask", kind), values(mask), cfg.optics.extent,
-                          (output("image", kind), flip))
+        grid = values(mask)
+        fileio.write_grid(output("mask", kind), grid, cfg.optics.extent)
+        fileio.write_grid(output("image", kind), grid, cfg.optics.extent, flip)
+    del grid
+    with _optics_guard():
+        fourier = lens_fourier(mask)
+    del mask  # so that one field at a time is held while grids are written
     for kind, values in kinds:
         fileio.write_grid(output("fourier", kind), values(fourier), cfg.optics.extent)
 

@@ -9,6 +9,7 @@ bit-reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("counts_per_setting", "background", "efficiency", "window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.counts_per_setting <= 0:
             raise ValueError("counts_per_setting: must be positive")
         if self.background < 0:

@@ -1,8 +1,8 @@
 """File formats: line-oriented counts files, JSON reports, plain-text grids.
 
 All floating-point output is fixed to 9 significant digits so identical
-inputs produce byte-identical files.  Grid text is streamed, one row at a
-time, and write_grid makes at most one permuted copy, from the file it wrote.
+inputs produce byte-identical files.  Grid text is np.savetxt's '%.9g', made
+by numpy (oamtomo.gridtext) and written a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -112,28 +112,14 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_grid(path, values, extent: float, copy=None) -> None:
+def write_grid(path, values, extent: float, order=None) -> None:
     """np.savetxt's '%.9g' text of a 2-D grid under an 'N extent' header line,
-    written as each row is formatted.  A copy (path, order), order an index
-    array, gets the grid permuted, line r holding row order[r] with its values
-    taken at order: rows read back from the file just written, found by the
-    line lengths recorded, not formatted again."""
+    written a block of rows at a time.  With order, an index array, line r
+    holds row order[r] with its values taken at order."""
+    from .gridtext import grid_text  # only modes writes grids: other commands skip its import
+
     values = np.asarray(values, dtype=float)
-    header = f"{len(values)} {format_sig(extent)}\n"
-    fmt = " ".join(["%.9g"] * values.shape[1]) + "\n"
-    lengths = []
-    with open(path, "w") as fh:
-        fh.write(header)
-        for row in values:  # ASCII text: the characters written are the bytes
-            lengths.append(fh.write(fmt % tuple(row.tolist())))
-    if copy is None:
-        return
-    copy_path, order = copy
-    order = order.tolist()
-    starts = np.cumsum([len(header)] + lengths[:-1]).tolist()
-    with open(path, "rb") as src, open(copy_path, "wb") as dst:
-        dst.write(header.encode())
-        for r in order:
-            src.seek(starts[r])
-            row = src.read(lengths[r] - 1).split(b" ")
-            dst.write(b" ".join([row[k] for k in order]) + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{len(values)} {format_sig(extent)}\n".encode())
+        for text in grid_text(values, order):
+            fh.write(text)

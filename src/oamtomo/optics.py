@@ -32,6 +32,7 @@ arrays that callers share, such as the mode triple, are never written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import factorial
 
@@ -76,6 +77,9 @@ class OpticsConfig:
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
+        for name in ("extent", "waist", "fiber_waist"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.extent <= 0:
             raise ValueError("extent: must be positive")
         for name in ("waist", "fiber_waist"):

@@ -37,13 +37,15 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
         normalize: if True, rescale to unit norm instead of requiring it.
 
     Raises:
-        ValueError: dimension < 2, zero vector, or (with normalize=False)
-            norm deviating from 1 by more than 1e-12.
+        ValueError: dimension < 2, a non-finite amplitude, zero vector, or
+            (with normalize=False) norm deviating from 1 by more than 1e-12.
     """
     psi = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size < 2:
         raise ValueError("state dimension must be >= 2")
     largest = float(np.abs(psi.view(float)).max())
+    if not math.isfinite(largest):
+        raise ValueError(f"amplitudes must be finite, got {amplitudes!r}")
     if largest == 0.0:
         raise ValueError("zero state vector")
     # scaled by a power of two, which is exact, so that the norm neither overflows nor underflows
@@ -136,6 +138,8 @@ class KrausChannel:
         for k in ks:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators must be square matrices of equal dimension")
+            if not np.isfinite(k).all():
+                raise ValueError("kraus operators must be finite")
         total = sum(k.conj().T @ k for k in ks)
         top = float(np.linalg.eigvalsh(total).max())
         if top > 1.0 + 1e-10:
@@ -154,6 +158,8 @@ def identity_channel() -> KrausChannel:
 
 def phase_rotation_channel(theta: float) -> KrausChannel:
     """Unitary qutrit channel diag(1, 1, e^{i theta}) phasing |R>."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     u = np.eye(3, dtype=complex)
     u[2, 2] = np.exp(1j * theta)
     return KrausChannel((u,))

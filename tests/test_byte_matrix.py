@@ -30,3 +30,17 @@ def test_json_difference_skips_other_files(tmp_path):
     counts = _write(tmp_path / "counts.txt", "# oamtomo counts\n1 1 5 0\n")
     assert byte_matrix.json_difference(report, counts) is None
     assert byte_matrix.json_difference(counts, report) is None
+
+
+def test_outputs_match_the_manifest(tmp_path):
+    # every output file, exit code and stderr text of the matrix, run in this
+    # interpreter, against tools/byte_matrix_manifest.json; a digest can also
+    # differ under another numpy, BLAS build or CPU than the manifest's
+    with open(byte_matrix.MANIFEST) as fh:
+        manifest = json.load(fh)
+    run = byte_matrix.run_in_process(str(tmp_path))
+    expected, found = manifest["outputs"], run["outputs"]
+    differing = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
+    assert not differing, (
+        f"{len(differing)} of {len(expected)} outputs differ from the manifest "
+        f"(made with {manifest['versions']}, run with {run['versions']}): {differing}")

@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oamtomo import cli
+from oamtomo import cli, gridtext
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import load_config
 from oamtomo.fileio import read_counts, round_sig, write_grid
@@ -629,11 +630,13 @@ class TestModes:
 
     @pytest.mark.parametrize("state", ["L", "psi4", "[1,1,1]", "[1,-1,1]"])
     def test_export_memory(self, tmp_path, state):
-        # one transform, fields built and transformed in place, the image grids
-        # copied from the mask files, and one row of text at a time: the traced
-        # peak, set while the field is built, is 3.16-3.17 complex grids (4.03-4.04
-        # with out-of-place fields and whole grids of text, 5.0-5.1 with a second
-        # transform and all six grids formatted)
+        # one transform, fields built and transformed in place, one field alive
+        # while the grids are written, and text made a block of 1/32 grid at a
+        # time (about 0.8 grids of scratch): the traced peak, set while the field
+        # is built, is 3.16-3.17 complex grids; the grid writes peak at 2.49-2.51
+        # and the transform at 2.54 (4.03-4.04 with out-of-place fields and whole
+        # grids of text, 5.0-5.1 with a second transform and all six grids
+        # formatted)
         n = 256
         cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": n, "extent": 1.0})
         argv = ["modes", "--config", cfg, "--out", str(tmp_path / "grids"), "--state"]
@@ -647,6 +650,35 @@ class TestModes:
         assert peak <= 3.25 * n * n * np.dtype(complex).itemsize
 
 
+def _savetxt(values, header: str) -> str:
+    text = io.StringIO()
+    np.savetxt(text, values, fmt="%.9g", header=header, comments="")
+    return text.getvalue()
+
+
+def _row(*values):
+    return np.array([values])
+
+
+def _around(values):
+    """Rows of the values' lower neighbours, the values, their upper
+    neighbours and their negatives."""
+    return np.stack([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf), -values])
+
+
+def _grid_text(values) -> str:
+    return b"".join(bytes(block) for block in gridtext.grid_text(values)).decode()
+
+
+def _percent_text(values) -> str:
+    return "".join(" ".join("%.9g" % v for v in row) + "\n" for row in values.tolist())
+
+
+def _decimal(x):
+    n = x.size
+    return gridtext._decimal(x, np.empty((2, n)), np.empty((2, n), np.intp), np.empty((3, n), bool))
+
+
 class TestGridFile:
     VALUES = np.array([
         [0.0, -0.0, 5e-324, -5e-324],
@@ -658,19 +690,65 @@ class TestGridFile:
     def test_text_equals_savetxt(self, tmp_path):
         path = tmp_path / "grid.txt"
         write_grid(path, self.VALUES, 0.25)
-        expected = io.StringIO()
-        np.savetxt(expected, self.VALUES, fmt="%.9g", header="4 0.25", comments="")
-        assert path.read_text() == expected.getvalue()
+        assert path.read_text() == _savetxt(self.VALUES, "4 0.25")
 
     def test_order_permutes_rows_and_values(self, tmp_path):
-        # the copy is read back from the grid file by its line lengths, which vary here
+        # line r is row order[r] with its values taken at order; the lines
+        # differ in length here
         for order in (np.array([2, 0, 3, 1]), np.array([3, 2, 1, 0])):
-            path = tmp_path / "copy.txt"
-            write_grid(tmp_path / "grid.txt", self.VALUES, 0.25, (path, order))
-            expected = io.StringIO()
-            np.savetxt(expected, self.VALUES[np.ix_(order, order)], fmt="%.9g",
-                       header="4 0.25", comments="")
-            assert path.read_text() == expected.getvalue()
+            path = tmp_path / "grid.txt"
+            write_grid(path, self.VALUES, 0.25, order=order)
+            assert path.read_text() == _savetxt(self.VALUES[np.ix_(order, order)], "4 0.25")
+
+    @hyp_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                             elements=st.floats(allow_subnormal=True)))
+    # exact binary ties of the 9th digit, and values just off them
+    @example(values=_row(123456789.5, -123456788.5, 999999999.5, 100000000.5, 1234567885.0,
+                         0.1234567885, 12345678850.0, 9.999999995, 9.9999999949999))
+    @example(values=_around(np.array([123456789.5, 123456788.5, 999999999.5])))
+    # powers of ten and their neighbours, across the change of layout
+    @example(values=_around(10.0 ** np.array([-5, -4, 0, 8, 9, 22, 23, 100, -100, 308])))
+    # subnormals and the smallest normal numbers
+    @example(values=_row(5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308,
+                         1.23456789e-300, -9.8765432e-291))
+    @example(values=_row(0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan))
+    # blocks of two rows, and a shorter last block
+    @example(values=np.linspace(-3.0, 3.0, 130).reshape(65, 2))
+    def test_text_equals_percent_format(self, values):
+        assert _grid_text(values) == _percent_text(values)
+
+    def test_near_ties(self):
+        # decimal numbers one digit past the ninth, ending in 5, at every
+        # exponent: each double lies within rounding error of a tie, on one side
+        rng = np.random.default_rng(11)
+        digits = rng.integers(10**8, 10**9, 6300)
+        exponents = np.arange(-330, 300).repeat(10)
+        values = np.array([float(f"{d}5e{k}") for d, k in zip(digits, exponents)]).reshape(-1, 63)
+        assert _grid_text(values) == _percent_text(values)
+
+    def test_mantissa_without_fallback(self):
+        # the vector path's mantissa and exponent are those of '%.8e' wherever it
+        # does not fall back, and it falls back only in the band around ties
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 2**63, 100000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([x, np.ldexp(rng.random(10000), -1074), 1e-300 * rng.random(10000)])
+        x = x[np.isfinite(x)]
+        e, m, slow = _decimal(x)
+        assert slow.sum() <= 2
+        for v, mantissa, exponent in zip(x[~slow], m[~slow], e[~slow]):
+            digits = str(mantissa)
+            assert "%.8e" % abs(v) == f"{digits[0]}.{digits[1:]}e{exponent:+03d}" or v == 0
+        # just below a power of ten, log10 rounds up to it, so e is one too large
+        # and s falls below 1e8: those values fall back, but for the ones whose
+        # s rounds up to 1e8, which get the power's text, as '%.9g' does
+        below = np.nextafter(10.0 ** np.arange(-300, 300), 0)
+        e, m, slow = _decimal(below)
+        power = np.log10(below)
+        rounded_up = power == np.round(power)
+        assert rounded_up.sum() > 500 and slow[rounded_up].sum() > 500
+        assert (m[rounded_up & ~slow] == 10**8).all()
+        assert (e[rounded_up & ~slow] == power[rounded_up & ~slow]).all()
 
 
 class TestOutputs:

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oamtomo.counts import SourceConfig, exact_counts, simulate_counts, subtract_background
 from oamtomo.fileio import CountsFileError, read_counts, write_counts
@@ -40,6 +44,16 @@ class TestSourceConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SourceConfig(**kwargs)
+
+    @hyp_settings(deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency", "window"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"counts_per_setting": 100.0, field: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
+                SourceConfig(**kwargs)
 
 
 class TestSimulateCounts:

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oamtomo import optics
 from oamtomo.optics import (
@@ -61,6 +64,16 @@ class TestConfig:
     def test_aliasing_guard(self):
         with pytest.raises(ValueError):
             OpticsConfig(512, 1.0, 0.3, 0.05)
+
+    @hyp_settings(deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(["extent", "waist", "fiber_waist"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"grid_size": 128, "extent": 1.0, "waist": 0.1, "fiber_waist": 0.1, field: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
+                OpticsConfig(**kwargs)
 
     def test_conjugate_waist_roundtrip(self, cfg):
         w = 0.08

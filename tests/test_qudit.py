@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from oamtomo.qudit import (
     gell_mann_basis,
     identity_channel,
     matrix_sqrt_psd,
+    phase_rotation_channel,
     process_fidelity,
     projector_of,
     pure_fidelity,
@@ -149,6 +152,22 @@ class TestKrausChannels:
     def test_rejects_trace_increasing(self):
         with pytest.raises(ValueError):
             KrausChannel((np.eye(3) * 1.1,))
+
+    # refused before numpy sees them: no RuntimeWarning, no LinAlgError
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: state_vector([v, 1, 0], normalize=True), "amplitudes must be finite"),
+        (lambda v: state_vector([1, 0, 1j * v]), "amplitudes must be finite"),
+        (lambda v: KrausChannel((np.diag([1, v, 0]),)), "kraus operators must be finite"),
+        (lambda v: KrausChannel((np.eye(3) / 2, np.full((3, 3), v) / 2)),
+         "kraus operators must be finite"),
+        (phase_rotation_channel, "theta must be finite"),
+    ])
+    def test_rejects_non_finite(self, build, message, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}"):
+                build(bad)
 
     def test_trace_preserved_for_cptp(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Compare the CLI outputs of the working tree's src/ with those of a git revision, byte for byte.
 
 Usage: python3 tools/byte_matrix.py BASE_REV
+       python3 tools/byte_matrix.py --write-manifest
 
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x
 5 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
@@ -9,25 +10,39 @@ counts it wrote; three runs that fail in `reconstruct-*`; three `simulate`
 runs refused for a value out of range (--seed -1, a negative fiber waist, a
 zero coincidence window); one abstract QPT bootstrap of 3000 samples, more
 than one chunk of cli.BOOTSTRAP_CHUNK; and `modes` for psi4, L, [1,-1,1] and
-psi9 at N = 128 and 512.  Every command runs once with BASE_REV's src/ (from `git archive`) and once with the working tree's, each
-in a fresh interpreter whose working directory is the case's own directory,
-so paths in messages agree; the cases run one after another, in a
-temporary directory that is removed at the end.  Every file written, every
-exit code and every stderr text is compared.  Each difference is printed
-with both exit codes and stderr, and, for a file that parses as JSON on both
-sides, with how many of its numbers differ and the largest absolute
-difference; the exit status is 1 if there was any difference, else 0.  Uses
-the standard library only.
+psi9 at N = 128 and 512.
+
+With BASE_REV, every command runs once with BASE_REV's src/ (from `git
+archive`) and once with the working tree's, each in a fresh interpreter
+whose working directory is the case's own directory, so paths in messages
+agree; the cases run one after another, in a temporary directory that is
+removed at the end.  Every file written, every exit code and every stderr
+text is compared.  Each difference is printed with both exit codes and
+stderr, and, for a file that parses as JSON on both sides, with how many of
+its numbers differ and the largest absolute difference; the exit status is 1
+if there was any difference, else 0.
+
+With --write-manifest, the cases run in this interpreter through
+oamtomo.cli.main with the working tree's src/, and MANIFEST records the
+sha256 of every output file, each command's exit code and stderr text, and
+the Python, numpy and BLAS versions they were made with.
+tests/test_byte_matrix.py runs the cases the same way and compares them with
+MANIFEST, so a change of any output shows in tier-1; a change made on
+purpose rewrites MANIFEST in the same commit.  Uses the standard library
+only, and numpy for its version.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import filecmp
+import hashlib
 import io
 import itertools
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -35,6 +50,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST = os.path.join(ROOT, "tools", "byte_matrix_manifest.json")
 
 MODES = ("abstract", "optical-ideal", "optical-phase-only")
 INPUTS = (None, "psi4", [1, -1, 1], "L")  # None: process tomography
@@ -152,12 +168,63 @@ def json_difference(base_path: str, head_path: str) -> str | None:
             f"largest absolute difference {largest:.3g}")
 
 
+def versions() -> dict:
+    """The Python, numpy and BLAS versions of this interpreter, and its machine."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine()}
+
+
+def run_in_process(work: str) -> dict:
+    """Run every case under work through oamtomo.cli.main, in this interpreter,
+    with the working tree's src/.  Returns {"versions": versions(), "outputs":
+    {case/path: sha256 of each file written, case/$k command: its exit code
+    and stderr text}}."""
+    src = os.path.join(ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from oamtomo import cli
+
+    outputs = {}
+    cwd = os.getcwd()
+    try:
+        for name, config, commands in cases():
+            case_dir = os.path.join(work, name)
+            os.makedirs(case_dir)
+            with open(os.path.join(case_dir, "run.json"), "w") as fh:
+                json.dump(config, fh)
+            os.chdir(case_dir)
+            for k, args in enumerate(commands, start=1):
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = cli.main(args)
+                err = stderr.getvalue()
+                command = f"{name}/${k} {' '.join(args)}"
+                outputs[command] = f"exit {code}: {err}" if err else f"exit {code}"
+            for path in files_under(case_dir) - {"run.json"}:
+                digest = hashlib.sha256(_read(os.path.join(case_dir, path))).hexdigest()
+                outputs[f"{name}/{path}"] = digest
+    finally:
+        os.chdir(cwd)
+    return {"versions": versions(), "outputs": outputs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base_rev", help="git revision whose src/ is the reference")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("base_rev", nargs="?", help="git revision whose src/ is the reference")
+    group.add_argument("--write-manifest", action="store_true",
+                       help="record the working tree's outputs in MANIFEST")
     args = parser.parse_args(argv)
     work = tempfile.mkdtemp(prefix="byte_matrix_")
     try:
+        if args.write_manifest:
+            with open(MANIFEST, "w") as fh:
+                json.dump(run_in_process(work), fh, indent=0, sort_keys=True)
+                fh.write("\n")
+            return 0
         return compare(args.base_rev, work)
     finally:
         shutil.rmtree(work)
