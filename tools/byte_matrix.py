@@ -6,11 +6,12 @@ Usage: python3 tools/byte_matrix.py BASE_REV
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x
 5 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
-counts it wrote; three runs that fail in `reconstruct-*`; three `simulate`
-runs refused for a value out of range (--seed -1, a negative fiber waist, a
-zero coincidence window); one abstract QPT bootstrap of 3000 samples, more
-than one chunk of cli.BOOTSTRAP_CHUNK; and `modes` for psi4, L, [1,-1,1] and
-psi9 at N = 128 and 512.
+counts it wrote; three runs that fail in `reconstruct-*`; six `simulate`
+runs refused for a bad value (--seed -1, a negative fiber waist, a zero
+coincidence window, a counts_per_setting above 1e18, the channel `unitary
+inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
+more than one chunk of cli.BOOTSTRAP_CHUNK; and `modes` for psi4, L,
+[1,-1,1] and psi9 at N = 128 and 512: 198 cases.
 
 With BASE_REV, every command runs once with BASE_REV's src/ (from `git
 archive`) and once with the working tree's, each in a fresh interpreter
@@ -87,10 +88,13 @@ def cases():
                                   ("state-counts", {"state": "psi4"}, "reconstruct-process")):
         yield f"err-{name}", config, [simulate, [command, "--config", "run.json", "--counts",
                                                  "counts.txt", "--out", "report.json"]]
-    # range errors (exit 3), each refused naming its field
+    # bad values (exit 3), each refused naming its field
     for name, config, flags in (("seed", {}, ["--seed", "-1"]),
                                 ("fiber-waist", {"optics": {"fiber_waist": -1}}, []),
-                                ("window", {"source": {"window": 0}}, [])):
+                                ("window", {"source": {"window": 0}}, []),
+                                ("counts-bound", {"source": {"counts_per_setting": 1e19}}, []),
+                                ("channel-inf", {"channel": "unitary inf"}, []),
+                                ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}}, [])):
         yield f"err-{name}", config, [simulate + flags]
     config = {"channel": CHANNELS[1], "bootstrap_samples": 3000,
               "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1}}
