@@ -1,20 +1,22 @@
-"""Run configuration: JSON parsing and validation for the command-line front end.
+"""Run configuration: the JSON layer of the command-line front end.
 
-Validation failures raise ConfigError with the offending field path in the
-message; an unreadable or syntactically invalid file raises ConfigReadError.
+This module checks each value's JSON kind and unknown keys, and holds the
+rules that only the CLI has: dimension, measurement_mode, bootstrap_samples,
+output and the optics defaults.  Each range or bound is checked once, by the
+constructor that owns the value (SourceConfig, OpticsConfig, state_vector,
+the channels); ConfigError passes its refusal on with the field path in
+front.  An unreadable or syntactically invalid file raises ConfigReadError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .counts import SourceConfig
-from .fileio import parse_complex_entry
 from .optics import OpticsConfig, self_fourier_waist
 from .qudit import (
     KrausChannel,
@@ -30,10 +32,6 @@ MEASUREMENT_MODES = ("abstract", "optical-ideal", "optical-phase-only")
 
 # the documented state names, exactly: L, G, R and psi1..psi9 (1-based rows)
 _STATE_NAMES = {"L": 0, "G": 1, "R": 2, **{f"psi{k}": k - 1 for k in range(1, 10)}}
-
-# largest accepted counts_per_setting and background: every Poisson mean then
-# stays below numpy's limit (about 9.2e18) and every count fits int64
-_MAX_MEAN_COUNTS = 1e18
 
 # largest accepted bootstrap_samples: the resamples are drawn and reconstructed
 # in chunks of cli.BOOTSTRAP_CHUNK, so memory stays flat, but the run time grows
@@ -77,21 +75,17 @@ def parse_channel(spec):
     if isinstance(spec, str):
         parts = spec.split()
         name = parts[0] if parts else ""
+        families = {"depolarizing": depolarizing_channel, "dephasing": dephasing_channel,
+                    "unitary": phase_rotation_channel}
         if name == "identity" and len(parts) == 1:
             return identity_channel()
-        if name in ("depolarizing", "dephasing", "unitary") and len(parts) == 2:
+        if name in families and len(parts) == 2:
             try:
                 value = float(parts[1])
             except ValueError:
                 raise ConfigError("channel", f"non-numeric parameter in {spec!r}")
-            if not math.isfinite(value):
-                raise ConfigError("channel", f"non-finite parameter in {spec!r}")
-            try:
-                if name == "depolarizing":
-                    return depolarizing_channel(value)
-                if name == "dephasing":
-                    return dephasing_channel(value)
-                return phase_rotation_channel(value)
+            try:  # each family refuses a parameter outside its range, NaN and infinities too
+                return families[name](value)
             except ValueError as exc:
                 raise ConfigError("channel", str(exc))
         raise ConfigError("channel", f"unrecognized channel spec {spec!r}")
@@ -137,6 +131,20 @@ def parse_state(spec):
     raise ConfigError("state", f"expected null, a name, or an amplitude list, got {spec!r}")
 
 
+def _finite_number(value) -> bool:
+    """A finite JSON number: not a boolean, NaN, an infinity or an integer beyond floats."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def parse_complex_entry(entry) -> complex:
+    """A finite JSON number or a [re, im] pair of them."""
+    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else [entry, 0]
+    if all(_finite_number(v) for v in parts):
+        return complex(*parts)
+    raise ValueError(f"expected a finite number or [re, im] pair, got {entry!r}")
+
+
 # JSON value kinds that _require checks, by the name its messages give them
 _KINDS = {"an integer": int, "a number": (int, float), "a boolean": bool, "a string": str,
           "an object": dict}
@@ -148,30 +156,27 @@ def _require(mapping, field: str, kind: str, default, path: str):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got a boolean")
     if not isinstance(value, _KINDS[kind]):
         raise ConfigError(f"{path}{field}", f"expected {kind}, got {value!r}")
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+    if kind in ("an integer", "a number") and not _finite_number(value):
         raise ConfigError(f"{path}{field}", f"expected a finite number, got {value!r}")
     return value
 
 
-def _parse_source(raw: dict) -> SourceConfig:
-    kwargs = dict(
-        counts_per_setting=_require(raw, "counts_per_setting", "a number", 10000, "source."),
-        background=_require(raw, "background", "a number", 0.0, "source."),
-        efficiency=_require(raw, "efficiency", "a number", 1.0, "source."),
-        window=_require(raw, "window", "a number", 50e-9, "source."),
-        seed=_require(raw, "seed", "an integer", 0, "source."),
-    )
-    unknown = set(raw) - set(kwargs)
+def _construct(cls, kwargs: dict, raw: dict, path: str):
+    """cls(**kwargs) for the section raw, whose keys must all be fields of cls."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"source.{sorted(unknown)[0]}", "unknown field")
-    for name in ("counts_per_setting", "background"):
-        if kwargs[name] > _MAX_MEAN_COUNTS:
-            raise ConfigError(f"source.{name}", f"must be at most {_MAX_MEAN_COUNTS:g}, "
-                              f"so that counts fit int64; got {kwargs[name]!r}")
+        raise ConfigError(f"{path}{sorted(unknown)[0]}", "unknown field")
     try:
-        return SourceConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:  # the message starts with the field it refuses
-        raise ConfigError(*f"source.{exc}".split(": ", 1))
+        raise ConfigError(*f"{path}{exc}".split(": ", 1))
+
+
+def _parse_source(raw: dict) -> SourceConfig:
+    kinds = {"int": "an integer", "float": "a number"}  # SourceConfig's annotations, as strings
+    kwargs = {f.name: _require(raw, f.name, kinds[f.type], f.default, "source.")
+              for f in fields(SourceConfig)}
+    return _construct(SourceConfig, kwargs, raw, "source.")
 
 
 def _parse_optics(raw: dict) -> OpticsConfig:
@@ -180,13 +185,8 @@ def _parse_optics(raw: dict) -> OpticsConfig:
     default_waist = self_fourier_waist(n, extent) if n > 0 and extent > 0 else 1.0
     waist = _require(raw, "waist", "a number", default_waist, "optics.")
     fiber = _require(raw, "fiber_waist", "a number", default_waist, "optics.")
-    unknown = set(raw) - {"grid_size", "extent", "waist", "fiber_waist"}
-    if unknown:
-        raise ConfigError(f"optics.{sorted(unknown)[0]}", "unknown field")
-    try:
-        return OpticsConfig(n, float(extent), float(waist), float(fiber))
-    except ValueError as exc:  # the message starts with the field it refuses
-        raise ConfigError(*f"optics.{exc}".split(": ", 1))
+    kwargs = dict(grid_size=n, extent=float(extent), waist=float(waist), fiber_waist=float(fiber))
+    return _construct(OpticsConfig, kwargs, raw, "optics.")
 
 
 def load_config(path, seed: int | None = None, mode: str | None = None) -> RunConfig:

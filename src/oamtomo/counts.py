@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# counts_per_setting + background then stays below numpy's Poisson limit, about 9.2e18
+_MAX_MEAN_COUNTS = 1e18
+
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -21,13 +24,14 @@ class SourceConfig:
 
     counts_per_setting is the expected signal coincidence total at unit
     probability and unit efficiency; background the expected accidental
-    total per setting; efficiency folds in every loss between source and
-    detector; window is the coincidence window in seconds, validated and
-    echoed in counts headers, but read by no computation.  Each refusal starts
-    with the name of the field it refuses.
+    total per setting; both at most 1e18, so that counts fit int64.
+    efficiency folds in every loss between source and detector; window is
+    the coincidence window in seconds, validated and echoed in counts
+    headers, but read by no computation.  Each refusal starts with the name
+    of the field it refuses.
     """
 
-    counts_per_setting: float
+    counts_per_setting: float = 10000
     background: float = 0.0
     efficiency: float = 1.0
     window: float = 50e-9
@@ -37,6 +41,10 @@ class SourceConfig:
         for name in ("counts_per_setting", "background", "efficiency", "window"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+        for name in ("counts_per_setting", "background"):
+            if getattr(self, name) > _MAX_MEAN_COUNTS:
+                raise ValueError(f"{name}: must be at most {_MAX_MEAN_COUNTS:g}, "
+                                 f"so that counts fit int64; got {getattr(self, name)!r}")
         if self.counts_per_setting <= 0:
             raise ValueError("counts_per_setting: must be positive")
         if self.background < 0:
@@ -53,7 +61,7 @@ def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 2 or p.shape[1] != 9 or not 1 <= p.shape[0] <= 9:
         raise ValueError(f"expected a (rows<=9, 9) probability table, got shape {p.shape}")
-    if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
+    if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):  # NaN fails both
         raise ValueError("probabilities outside [0, 1] beyond tolerance")
     return cfg.efficiency * cfg.counts_per_setting * np.clip(p, 0.0, 1.0) + cfg.background
 

@@ -8,7 +8,6 @@ by numpy (oamtomo.gridtext) and written a block of rows at a time.
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 
@@ -31,16 +30,6 @@ def complex_pairs(array) -> list:
     """Nested lists of [re, im] float pairs, one per entry of a complex array."""
     a = np.asarray(array)
     return np.stack([a.real, a.imag], -1).tolist()
-
-
-def parse_complex_entry(entry) -> complex:
-    """A finite JSON number or a [re, im] pair of them; booleans are not numbers."""
-    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else [entry, 0]
-    # abs(v) <= max float rejects NaN, infinities and integers beyond the float range
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-           and abs(v) <= sys.float_info.max for v in parts):
-        return complex(*parts)
-    raise ValueError(f"expected a finite number or [re, im] pair, got {entry!r}")
 
 
 def _rounded(doc):

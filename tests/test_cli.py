@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -11,14 +12,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings as hyp_settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oamtomo import cli, gridtext
 from oamtomo.cli import _probability_rows, main
-from oamtomo.config import load_config
+from oamtomo.config import ConfigError, load_config
+from oamtomo.counts import SourceConfig
 from oamtomo.fileio import read_counts, round_sig, write_grid
-from oamtomo.optics import effective_operators, lens_fourier, phase_mask_of, superposition_field
+from oamtomo.optics import (
+    OpticsConfig,
+    effective_operators,
+    lens_fourier,
+    phase_mask_of,
+    superposition_field,
+)
 from oamtomo.qudit import apply_channel_kraus, depolarizing_channel, process_fidelity
 from oamtomo.tomography import (
     canonical_settings,
@@ -163,6 +171,38 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"oamtomo: invalid configuration: {message}\n"
         assert not out.exists()
+
+    # JSON numbers that pass the kind checks, the counts bound and its neighbours among them
+    _NUMBER = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1e18, math.nextafter(1e18, math.inf), 10**18 + 1]))
+
+    @hyp_settings(deadline=None, derandomize=True, database=None, max_examples=300,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=st.fixed_dictionaries({}, optional={
+               **dict.fromkeys(("counts_per_setting", "background", "efficiency", "window"),
+                               _NUMBER),
+               "seed": st.integers(-2, 2**64)}),
+           optics=st.fixed_dictionaries({
+               "grid_size": st.one_of(st.integers(-1, 9000), st.sampled_from([128, 4096])),
+               **dict.fromkeys(("extent", "waist", "fiber_waist"), _NUMBER)}))
+    def test_library_refuses_what_the_cli_refuses(self, tmp_path, source, optics):
+        # load_config refuses a section exactly when its constructor refuses the
+        # same values, with the constructor's message after the section prefix
+        as_floats = {k: v if k == "grid_size" else float(v) for k, v in optics.items()}
+        for name, cls, values, kwargs in (("source", SourceConfig, source, source),
+                                          ("optics", OpticsConfig, optics, as_floats)):
+            # a new file each time: truncating one in place is slow on some file systems
+            fd, path = tempfile.mkstemp(suffix=".json", dir=tmp_path)
+            with os.fdopen(fd, "w") as fh:
+                json.dump({name: values}, fh)
+            try:
+                expected = cls(**kwargs)
+            except ValueError as exc:
+                with pytest.raises(ConfigError) as refused:
+                    load_config(path)
+                assert str(refused.value) == f"{name}.{exc}"
+            else:
+                assert getattr(load_config(path), name) == expected
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,9 +1,10 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from oamtomo.counts import SourceConfig, exact_counts, simulate_counts, subtract_background
 from oamtomo.fileio import CountsFileError, read_counts, write_counts
@@ -30,6 +31,9 @@ class TestSourceConfig:
         cfg = SourceConfig(counts_per_setting=1000)
         assert cfg.window == pytest.approx(50e-9)
         assert cfg.efficiency == 1.0
+        # counts headers echo the defaults, so each keeps its type: 10000, not 10000.0
+        assert astuple(SourceConfig()) == (10000, 0.0, 1.0, 50e-9, 0)
+        assert [type(v) for v in astuple(SourceConfig())] == [int, float, float, float, int]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,6 +58,31 @@ class TestSourceConfig:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
                 SourceConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(counts_per_setting=1e19), "counts_per_setting"),
+        (dict(counts_per_setting=1, background=1e300), "background"),
+    ])
+    def test_rejects_means_beyond_int64(self, kwargs, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{field}: must be at most 1e\+18, "
+                                                 r"so that counts fit int64; got "):
+                SourceConfig(**kwargs)
+
+    @hyp_settings(deadline=None, derandomize=True, database=None)
+    @given(mean=st.floats(0.0, 1e19), background=st.floats(0.0, 1e19),
+           efficiency=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+    def test_every_config_gives_nonnegative_counts(self, mean, background, efficiency, p):
+        try:
+            cfg = SourceConfig(mean, background, efficiency)
+        except ValueError:
+            assume(False)
+        table = np.array([[0.0, p, 1.0] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_counts(table, cfg).min() >= 0
+            assert simulate_counts(table, cfg).min() >= 0
 
 
 class TestSimulateCounts:
@@ -108,6 +137,15 @@ class TestSimulateCounts:
         cfg = SourceConfig(counts_per_setting=100)
         with pytest.raises(ValueError):
             simulate_counts(np.full((9, 9), 1.5), cfg)
+
+    @pytest.mark.parametrize("count", [simulate_counts, exact_counts])
+    def test_rejects_nan_probabilities(self, count):
+        table = IDENTITY_TABLE.copy()
+        table[3, 4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^probabilities outside \[0, 1\] beyond"):
+                count(table, SourceConfig(counts_per_setting=100))
 
 
 class TestExactCounts:
