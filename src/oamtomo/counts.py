@@ -9,7 +9,8 @@ bit-reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class SourceConfig:
 
     def __post_init__(self):
         for name in ("counts_per_setting", "background", "efficiency", "window"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf, an int beyond floats
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         for name in ("counts_per_setting", "background"):
             if getattr(self, name) > _MAX_MEAN_COUNTS:
@@ -53,6 +54,8 @@ class SourceConfig:
             raise ValueError("efficiency: must be in [0, 1]")
         if self.window <= 0:
             raise ValueError("window: must be positive")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed: must be nonnegative")
 

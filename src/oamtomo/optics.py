@@ -32,7 +32,8 @@ arrays that callers share, such as the mode triple, are never written.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from math import factorial
 
@@ -74,11 +75,13 @@ class OpticsConfig:
 
     def __post_init__(self):
         n = self.grid_size
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"grid_size: must be an integer, got {n!r}")
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         for name in ("extent", "waist", "fiber_waist"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf, an int beyond floats
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.extent <= 0:
             raise ValueError("extent: must be positive")

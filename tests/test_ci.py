@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -15,3 +16,21 @@ def test_workflow_runs_the_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
     assert tier1.group(1) in runs
     assert not any("bench" in run for run in runs)
+
+
+def test_workflow_pins_the_manifest_versions():
+    # tools/byte_matrix_manifest.json's digests hold for the numpy and Python it
+    # was made with; a manifest rewritten under others fails here, not as a
+    # digest mismatch in CI
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    made_with = json.loads((ROOT / "tools" / "byte_matrix_manifest.json").read_text())["versions"]
+    numpy = re.findall(r"numpy==(\S+)", " ".join(step.get("run", "") for step in steps))
+    assert numpy == [made_with["numpy"]], (
+        f"tier1.yml installs numpy {numpy}, the manifest was made with {made_with['numpy']}")
+    python = [step["with"]["python-version"] for step in steps
+              if step.get("uses", "").startswith("actions/setup-python")]
+    minor = ".".join(made_with["python"].split(".")[:2])
+    assert python == [minor], (
+        f"tier1.yml sets up Python {python}, the manifest was made with {made_with['python']}")

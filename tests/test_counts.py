@@ -51,13 +51,18 @@ class TestSourceConfig:
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency", "window"]),
-           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
     def test_rejects_non_finite(self, field, value):
         kwargs = {"counts_per_setting": 100.0, field: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
                 SourceConfig(**kwargs)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^seed: must be an integer, got 1\.5$"):
+            SourceConfig(100, seed=1.5)
+        assert SourceConfig(100, seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(counts_per_setting=1e19), "counts_per_setting"),

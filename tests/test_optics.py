@@ -67,13 +67,18 @@ class TestConfig:
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(["extent", "waist", "fiber_waist"]),
-           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
     def test_rejects_non_finite(self, field, value):
         kwargs = {"grid_size": 128, "extent": 1.0, "waist": 0.1, "fiber_waist": 0.1, field: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
                 OpticsConfig(**kwargs)
+
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got 128\.5$"):
+            OpticsConfig(128.5, 1.0, 0.1, 0.1)
+        assert OpticsConfig(np.int64(256), 1.0, 0.1, 0.1).grid_size == 256
 
     def test_conjugate_waist_roundtrip(self, cfg):
         w = 0.08

@@ -13,27 +13,26 @@ inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
 more than one chunk of cli.BOOTSTRAP_CHUNK; and `modes` for psi4, L,
 [1,-1,1] and psi9 at N = 128 and 512: 198 cases.
 
-With BASE_REV, every command runs once with BASE_REV's src/ (from `git
-archive`) and once with the working tree's, each in a fresh interpreter
-whose working directory is the case's own directory, so paths in messages
-agree; the cases run one after another, in a temporary directory that is
-removed at the end.  Every file written, every exit code and every stderr
-text is compared.  Each difference is printed with both exit codes and
-stderr, and, for a file that parses as JSON on both sides, with how many of
-its numbers differ and the largest absolute difference; the exit status is 1
-if there was any difference, else 0.
+Each case runs through oamtomo.cli.main in its own directory, so paths in
+messages agree, and each command runs as `python -m oamtomo.cli` would in a
+fresh interpreter: a SystemExit gives its code (argparse's usage goes to
+stderr), any other exception prints its traceback and gives exit 1, and a
+warning shows once per command (warnings.catch_warnings()).  The case's
+log.txt holds its commands, exit codes and stderr texts.
 
-With --write-manifest, the cases run in this interpreter through
-oamtomo.cli.main with the working tree's src/, and MANIFEST records the
-sha256 of every output file, each command's exit code and stderr text, and
-the Python, numpy and BLAS versions they were made with.
-tests/test_byte_matrix.py runs the cases the same way and compares them with
-MANIFEST, so a change of any output shows in tier-1; a change made on
-purpose rewrites MANIFEST in the same commit.  Uses the standard library
-only, and numpy for its version.
+With BASE_REV, BASE_REV's src/ (from `git archive`) and the working tree's
+each run the matrix in one fresh interpreter, in a temporary directory that
+is removed at the end, and every file written, exit code and stderr text is
+compared.  Each difference is printed with both logs and, for a JSON file,
+with how many of its numbers differ and the largest absolute difference;
+the exit status is 1 if there was any difference, else 0.
+
+With --write-manifest, the matrix runs in this interpreter with the working
+tree's src/, and MANIFEST records each output file's sha256, each command's
+exit code and stderr text, and the Python, numpy and BLAS versions.  Tier-1
+(tests/test_byte_matrix.py) checks the matrix against MANIFEST; a change made
+on purpose rewrites it in the same commit.  Standard library and numpy only.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -43,15 +42,19 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import platform
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
+import traceback
+import warnings
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MANIFEST = os.path.join(ROOT, "tools", "byte_matrix_manifest.json")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TOOLS)
+MANIFEST = os.path.join(TOOLS, "byte_matrix_manifest.json")
 
 MODES = ("abstract", "optical-ideal", "optical-phase-only")
 INPUTS = (None, "psi4", [1, -1, 1], "L")  # None: process tomography
@@ -105,53 +108,26 @@ def cases():
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
 
 
-def run_case(src: str, case_dir: str, config: dict, commands) -> None:
-    """Run one case's commands in case_dir with the package from src; log their
-    exit codes and stderr to case_dir/log.txt."""
-    os.makedirs(case_dir)
-    with open(os.path.join(case_dir, "run.json"), "w") as fh:
-        json.dump(config, fh)
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    log = []
-    for args in commands:
-        done = subprocess.run([sys.executable, "-m", "oamtomo.cli", *args], cwd=case_dir,
-                              env=env, capture_output=True, text=True)
-        log.append(f"$ {' '.join(args)}\nexit {done.returncode}\n{done.stderr}")
-    with open(os.path.join(case_dir, "log.txt"), "w") as fh:
-        fh.write("".join(log))
-
-
 def files_under(top: str) -> set:
     return {os.path.relpath(os.path.join(base, name), top)
             for base, _, names in os.walk(top) for name in names}
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def _json_numbers(path: str):
     """{position: number} of every number in a JSON file, where position is the
     key/index path to it; None if the file is not JSON."""
     try:
-        doc = json.loads(_read(path))
+        doc = json.loads(pathlib.Path(path).read_bytes())
     except ValueError:  # not UTF-8 or not JSON
         return None
     found = {}
 
     def walk(value, at):
-        if isinstance(value, dict):
-            value = value.items()
-        elif isinstance(value, list):
-            value = enumerate(value)
+        if isinstance(value, (dict, list)):
+            for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+                walk(item, at + (key,))
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
             found[at] = value
-            return
-        else:
-            return
-        for key, item in value:
-            walk(item, at + (key,))
 
     walk(doc, ())
     return found
@@ -181,12 +157,24 @@ def versions() -> dict:
             "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine()}
 
 
-def run_in_process(work: str) -> dict:
-    """Run every case under work through oamtomo.cli.main, in this interpreter,
-    with the working tree's src/.  Returns {"versions": versions(), "outputs":
-    {case/path: sha256 of each file written, case/$k command: its exit code
-    and stderr text}}."""
-    src = os.path.join(ROOT, "src")
+def _exit_status(main, args) -> int:
+    """main(args)'s exit status as `python -m oamtomo.cli args` gives it; what
+    that would print to stderr goes to sys.stderr."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        return 1
+    return code or 0  # SystemExit(None) is exit 0
+
+
+def run_in_process(work: str, src: str = os.path.join(ROOT, "src")) -> dict:
+    """Run every case under work through oamtomo.cli.main from src, in this
+    interpreter.  Returns {"versions": versions(), "outputs": {case/path:
+    sha256 of each file written but run.json and log.txt, case/$k command:
+    its exit code and stderr text}}."""
     if src not in sys.path:
         sys.path.insert(0, src)
     from oamtomo import cli
@@ -197,18 +185,21 @@ def run_in_process(work: str) -> dict:
         for name, config, commands in cases():
             case_dir = os.path.join(work, name)
             os.makedirs(case_dir)
-            with open(os.path.join(case_dir, "run.json"), "w") as fh:
-                json.dump(config, fh)
+            pathlib.Path(case_dir, "run.json").write_text(json.dumps(config))
             os.chdir(case_dir)
-            for k, args in enumerate(commands, start=1):
-                stderr = io.StringIO()
-                with contextlib.redirect_stderr(stderr):
-                    code = cli.main(args)
-                err = stderr.getvalue()
-                command = f"{name}/${k} {' '.join(args)}"
-                outputs[command] = f"exit {code}: {err}" if err else f"exit {code}"
-            for path in files_under(case_dir) - {"run.json"}:
-                digest = hashlib.sha256(_read(os.path.join(case_dir, path))).hexdigest()
+            with open("log.txt", "w") as log:
+                for k, args in enumerate(commands, start=1):
+                    stderr, command = io.StringIO(), " ".join(args)
+                    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                        # to stderr as a fresh interpreter shows it, also where pytest records it
+                        warnings.showwarning = lambda m, c, f, n, file=None, line=None: (
+                            sys.stderr.write(warnings.formatwarning(m, c, f, n, line)))
+                        code = _exit_status(cli.main, args)
+                    err = stderr.getvalue()
+                    outputs[f"{name}/${k} {command}"] = f"exit {code}" + (f": {err}" if err else "")
+                    log.write(f"$ {command}\nexit {code}\n{err}")
+            for path in files_under(case_dir) - {"run.json", "log.txt"}:
+                digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
                 outputs[f"{name}/{path}"] = digest
     finally:
         os.chdir(cwd)
@@ -235,38 +226,47 @@ def main(argv=None) -> int:
 
 
 def compare(base_rev: str, work: str) -> int:
-    """Run the matrix with base_rev's src/ and the working tree's under work,
-    print the differences and return the exit status."""
+    """Run the matrix with base_rev's src/ and with the working tree's, each in
+    one fresh interpreter, under work; print the differences, return the status."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", base_rev, "src"],
                              capture_output=True, check=True).stdout
     # the "data" filter, where this Python has it, refuses links and absolute paths
     extract_filter = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(os.path.join(work, "base"), **extract_filter)
-    trees = {"base": os.path.join(work, "base", "src"), "head": os.path.join(ROOT, "src")}
-    all_cases = list(cases())
-    for tree, src in trees.items():
-        for name, config, commands in all_cases:
-            run_case(src, os.path.join(work, tree, "out", name), config, commands)
-    tops = {tree: os.path.join(work, tree, "out") for tree in trees}
+        tar.extractall(work, **extract_filter)  # as work/src
+    side = ("import sys; sys.path[0] = sys.argv[1]; import byte_matrix; "
+            "byte_matrix.run_in_process(*sys.argv[2:])")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for tree, root in (("base", work), ("head", ROOT)):
+        subprocess.run([sys.executable, "-c", side, TOOLS, os.path.join(work, tree),
+                        os.path.join(root, "src")], env=env, check=True)
+    return diff_trees(os.path.join(work, "base"), os.path.join(work, "head"))
+
+
+def diff_trees(base: str, head: str) -> int:
+    """Print each file that differs between the case directories under base and
+    head, with both sizes and logs and, for JSON, the number summary; then the
+    summary line.  Returns 1 if any file differs, else 0."""
+    tops = {"base": base, "head": head}
     found = {tree: files_under(top) for tree, top in tops.items()}
-    differing = sorted(
-        p for p in found["base"] | found["head"]
-        if not (p in found["base"] and p in found["head"]
-                and filecmp.cmp(*(os.path.join(top, p) for top in tops.values()), shallow=False)))
+    both = found["base"] & found["head"]
+    differing = sorted(found["base"] ^ found["head"] | {
+        p for p in both
+        if not filecmp.cmp(os.path.join(base, p), os.path.join(head, p), shallow=False)})
     for path in differing:
         sizes = ", ".join(f"{tree} {os.path.getsize(os.path.join(top, path))} B"
                           if path in found[tree] else f"{tree} missing"
                           for tree, top in tops.items())
         print(f"DIFFERS {path}: {sizes}")
-        if all(path in found[tree] for tree in tops):
-            numbers = json_difference(*(os.path.join(top, path) for top in tops.values()))
-            if numbers is not None:
-                print(f"  json: {numbers}")
+        numbers = path in both and json_difference(
+            os.path.join(base, path), os.path.join(head, path))
+        if numbers:
+            print(f"  json: {numbers}")
         for tree, top in tops.items():
-            log = _read(os.path.join(top, path.split(os.sep)[0], "log.txt")).decode()
+            log = pathlib.Path(top, path.split(os.sep)[0], "log.txt").read_text()
             print("\n".join(f"  {tree}| {line}" for line in log.splitlines()))
-    print(f"{len(all_cases)} cases, {len(found['base'])} base files, "
+    n_cases = len({p.split(os.sep)[0] for p in found["base"] | found["head"]})
+    print(f"{n_cases} cases, {len(found['base'])} base files, "
           f"{len(found['head'])} head files, {len(differing)} differing")
     return 1 if differing else 0
 
