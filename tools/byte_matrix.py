@@ -10,8 +10,10 @@ counts it wrote; three runs that fail in `reconstruct-*`; six `simulate`
 runs refused for a bad value (--seed -1, a negative fiber waist, a zero
 coincidence window, a counts_per_setting above 1e18, the channel `unitary
 inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
-more than one chunk of cli.BOOTSTRAP_CHUNK; and `modes` for psi4, L,
-[1,-1,1] and psi9 at N = 128 and 512: 198 cases.
+more than one chunk of cli.BOOTSTRAP_CHUNK; optical-ideal and
+optical-phase-only `simulate` of QPT and psi4 (seed 1 and noiseless) at the
+benchmark's N = 256; and `modes` for psi4, L, [1,-1,1] and psi9 at N = 128
+and 512: 206 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -103,6 +105,14 @@ def cases():
               "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1}}
     yield "boot-chunked", config, [simulate, ["reconstruct-process", "--config", "run.json",
                                               "--counts", "counts.txt", "--out", "report.json"]]
+    for (m, mode), (k, state), (seed, noiseless) in itertools.product(
+            list(enumerate(MODES))[1:], list(enumerate(INPUTS))[:2], SOURCES[::2]):
+        config = {"channel": CHANNELS[1], "measurement_mode": mode, "noiseless": noiseless,
+                  "source": {"counts_per_setting": 100000, "background": 50.0, "seed": seed},
+                  "optics": {"grid_size": 256}}
+        if state is not None:
+            config["state"] = state
+        yield f"m{m}-i{k}-s{seed}{'n' if noiseless else ''}-n256", config, [simulate]
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
