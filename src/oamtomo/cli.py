@@ -205,9 +205,9 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         fileio.write_grid(output("mask", kind), grid, cfg.optics.extent)
         fileio.write_grid(output("image", kind), grid, cfg.optics.extent, flip)
     del grid
-    with _optics_guard():
-        fourier = lens_fourier(mask)
-    del mask  # so that one field at a time is held while grids are written
+    with _optics_guard():  # transformed in place: the mask's grids are written
+        fourier = lens_fourier(mask, overwrite=True)
+    del mask
     for kind, values in kinds:
         fileio.write_grid(output("fourier", kind), values(fourier), cfg.optics.extent)
 

@@ -91,7 +91,7 @@ def _decimal(x, floats, ints, flags):
         tiny = np.flatnonzero(k > _P0 + 298)
         ax[tiny] *= 1e200
         k[tiny] -= 200
-    np.take(_POWERS, k, out=s)
+    np.take(_POWERS, k, out=s, mode="clip")
     s *= ax
     np.less(s, 1e8, out=off)
     off &= nonzero
@@ -112,8 +112,11 @@ def grid_text(values, order=None):
     without a header, in uint8 arrays of one block of rows each.  With order,
     an index array, line r holds row order[r] with its values taken at order.
 
-    A block is 1/32 of a square grid.  Its scratch arrays, about 400 B a
-    value, are allocated once and reused for every block.
+    A block is 1/32 of a square grid.  Its scratch, about 265 B a value (136 B
+    the byte index of its text), is allocated once and reused for every block.
+    Every take is mode='clip', which writes straight into out (mode='raise'
+    buffers the whole output): each index is in range by construction, and a
+    wrong one would still be clipped into its table.
     """
     n_rows, n_cols = values.shape
     rows = max(1, n_rows // 32)
@@ -125,13 +128,12 @@ def grid_text(values, order=None):
     tail[:, -1, 1] = ord("\n")
     source = planes.view(np.uint8).ravel()
     # each template as offsets into source of value 0, and value i's offset
-    templates = (_TEMPLATES // 4 * (4 * size) + _TEMPLATES % 4).astype(np.int32)
-    templates = templates.view(np.dtype((np.void, 4 * _WIDTH))).ravel()
-    base = np.repeat(np.arange(0, 4 * size, 4, dtype=np.int32), _WIDTH).reshape(size, _WIDTH)
+    templates = (_TEMPLATES // 4 * (4 * size) + _TEMPLATES % 4).astype(np.intp)
+    templates = templates.view(np.dtype((np.void, 8 * _WIDTH))).ravel()
+    base = np.arange(0, 4 * size, 4)[:, None]
     floats = np.empty((2, size))
     ints = np.empty((6, size), np.intp)
     flags = np.empty((3, size), bool)
-    picks = np.empty((size, _WIDTH), np.int32)
     index = np.empty((size, _WIDTH), np.intp)
     text = np.empty((size, _WIDTH), np.uint8)
     keep = np.empty((size, _WIDTH), bool)
@@ -150,17 +152,17 @@ def grid_text(values, order=None):
         np.multiply(a, -1000, out=m)
         b += m
         for plane, words, group in zip(planes, _DIGIT_WORDS, (a, b, c)):
-            np.take(words, group, out=plane[:n])
+            np.take(words, group, out=plane[:n], mode="clip")
         e += _E0
-        np.take(_EXPONENT_WORDS, e, out=planes[3, :n])
-        np.take(_LAYOUT_KEYS, e, out=key)
-        key -= np.take(_TRAILING_ZEROS, c, out=m)
+        np.take(_EXPONENT_WORDS, e, out=planes[3, :n], mode="clip")
+        np.take(_LAYOUT_KEYS, e, out=key, mode="clip")
+        key -= np.take(_TRAILING_ZEROS, c, out=m, mode="clip")
         ends = np.flatnonzero(c == 0)  # trailing zeros also before the last three digits
         key[ends] -= _TRAILING_ZEROS[b[ends]] + (b[ends] == 0) * _TRAILING_ZEROS[a[ends]]
         key += np.multiply(np.signbit(x, out=flags[2, :n]), 150, out=m)  # 15 layouts x 10
-        np.take(templates, key, out=picks[:n].view(templates.dtype).ravel())
-        np.add(picks[:n], base[:n], out=index[:n])
-        t = np.take(source, index[:n], out=text[:n])
+        np.take(templates, key, out=index[:n].view(templates.dtype).ravel(), mode="clip")
+        index[:n] += base[:n]
+        t = np.take(source, index[:n], out=text[:n], mode="clip")
         for i in np.flatnonzero(slow):
             t[i] = 0
             line = b"%.9g%c" % (x[i], 10 if (i + 1) % n_cols == 0 else 32)

@@ -25,9 +25,9 @@ Ideal modulation is linear in the state, so its inputs follow from the
 triple's 3x3 Gram matrix and its POVM from a 3x3 coupling matrix, one grid
 pass per winding; phase-only takes one per state.
 
-Fields are built and transformed in place, with the bits of the out-of-place
-expressions, so no step holds more than about one complex grid of temporaries;
-arrays that callers share, such as the mode triple, are never written.
+Fields are built and transformed in place, 1/32 of the rows at a time, with the
+bits of the out-of-place expressions: a field's build holds it and a few percent
+of a grid; arrays that callers share, such as the mode triple, are never written.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 _MAX_WINDING = 5
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
-# more than about 8 of them
+# more than about 6.2 of them (optical simulate; modes about 2.2)
 _MAX_GRID_SIZE = 4096
 
 
@@ -104,11 +104,6 @@ class OpticsConfig:
     def axis(self) -> np.ndarray:
         return (np.arange(self.grid_size) - self.grid_size // 2) * self.step
 
-    def meshgrid(self):
-        """Sample coordinates (x, y) over the grid: broadcast views of one axis, not copies."""
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="xy", copy=False)
-
     def conjugate_waist(self, waist: float) -> float:
         """Waist of the unitary-DFT image of a Gaussian of the given waist."""
         return self_fourier_waist(self.grid_size, self.extent) ** 2 / waist
@@ -140,28 +135,43 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
-def _vortex(l: int, cfg: OpticsConfig):
+def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], out=None):
     """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l| of the mode
-    waist, exact at grid zeros."""
+    waist over the given rows (into out, if given), exact at grid zeros."""
     if l == 0:
         return 1.0
-    xx, yy = cfg.meshgrid()
-    factor = np.multiply(1j * np.sign(l), yy)
-    np.add(xx, factor, out=factor)
+    x = cfg.axis()
+    y = np.multiply(1j * np.sign(l), x[rows, None])
+    factor = np.empty((len(y), len(x)), dtype=complex) if out is None else out
+    factor[...] = y  # broadcast by assignment: a broadcasting ufunc buffers each such operand
+    np.add(x, factor, out=factor)
     np.multiply(np.sqrt(2.0) / cfg.waist, factor, out=factor)
-    factor **= abs(l)  # not np.power(out=): ** squares by np.square, as the old expression did
+    if abs(l) > 1:  # z ** 1 is z; not np.power(out=): ** squares by np.square
+        factor **= abs(l)
     return factor
 
 
-def _gaussian_samples(waist: float, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized complex samples e^{-r^2/waist^2}."""
-    xx, yy = cfg.meshgrid()
-    return np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
+def _mode_samples(waist: float, l: int, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized complex samples e^{-r^2/waist^2} times the vortex factor of l,
+    made 1/32 of the rows at a time."""
+    n, x2 = cfg.grid_size, cfg.axis() ** 2
+    samples = np.zeros((n, n), dtype=complex)
+    for rows in (np.s_[r:r + n // 32] for r in range(0, n, n // 32)):
+        r2 = np.add(x2, x2[rows, None])
+        r2 /= -waist**2
+        samples.real[rows] = np.exp(r2, out=r2)
+        if l != 0:
+            samples[rows] *= _vortex(l, cfg, rows)
+    return samples
 
 
 def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
-    """Unit-power field of samples, which the caller hands over: divided in place."""
-    norm = np.sqrt((np.abs(samples) ** 2).sum() * cfg.cell_area)
+    """Unit-power field of samples, which the caller hands over: divided in place; the
+    power of 32 row blocks, added pairwise, is numpy's pairwise sum of the whole grid."""
+    sums = np.array([(np.abs(block) ** 2).sum() for block in samples.reshape(32, -1)])
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    norm = np.sqrt(sums[0] * cfg.cell_area)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero field")
     samples /= norm
@@ -172,23 +182,19 @@ def oam_mode_field(l: int, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power Laguerre-Gauss p=0 mode with winding number l."""
     if abs(l) > _MAX_WINDING:
         raise ValueError(f"|l| <= {_MAX_WINDING} supported, got l={l}")
-    field = _gaussian_samples(cfg.waist, cfg)
-    if l != 0:
-        field *= _vortex(l, cfg)
-    return _normalized(field, cfg)
+    return _normalized(_mode_samples(cfg.waist, l, cfg), cfg)
 
 
 def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     """Unit-power fundamental Gaussian of the given waist."""
     if waist <= 0:
         raise ValueError("waist must be positive")
-    return _normalized(_gaussian_samples(waist, cfg), cfg)
+    return _normalized(_mode_samples(waist, 0, cfg), cfg)
 
 
-def _superposed(psi, term, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized sum of term(psi_k, l_k) = psi_k LG(l_k) samples over the
-    (l=+1, 0, -1) triple; term is not called for a zero amplitude."""
-    total = np.zeros((cfg.grid_size, cfg.grid_size), dtype=complex)
+def _superposed(psi, term, total: np.ndarray) -> np.ndarray:
+    """Unnormalized sum of term(psi_k, l_k) = psi_k LG(l_k) samples over the (l=+1, 0,
+    -1) triple, added into the zeroed grid total; term is not called for a zero amplitude."""
     for c, l in zip(psi, MODE_WINDINGS):
         if c != 0:
             total += term(c, l)
@@ -205,7 +211,7 @@ def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
         samples *= c
         return samples
 
-    return _normalized(_superposed(psi, term, cfg), cfg)
+    return _normalized(_superposed(psi, term, np.zeros((cfg.grid_size,) * 2, complex)), cfg)
 
 
 def phase_mask_of(field: FieldGrid) -> np.ndarray:
@@ -223,21 +229,21 @@ def apply_phase_mask(field: FieldGrid, mask: np.ndarray, conjugate: bool = False
     return FieldGrid(field.samples * np.exp(1j * sign * mask), field.extent)
 
 
-def lens_fourier(field: FieldGrid) -> FieldGrid:
-    """Centered unitary 2-D DFT: one ideal lens focal-plane transform, done in
-    place on one copy of the input (its ifftshift)."""
-    out = np.fft.ifftshift(field.samples)
+def lens_fourier(field: FieldGrid, overwrite: bool = False) -> FieldGrid:
+    """Centered unitary 2-D DFT: one ideal lens focal-plane transform, done in place
+    on a copy of the samples or, with overwrite, on the samples the caller hands over."""
+    out = _shifted(field.samples if overwrite else field.samples.copy(), np.fft.ifftshift)
     np.fft.fft2(out, out=out)
     out /= field.grid_size
-    return FieldGrid(_fftshifted(out), field.extent)
+    return FieldGrid(_shifted(out, np.fft.fftshift), field.extent)
 
 
-def _fftshifted(a: np.ndarray) -> np.ndarray:
-    """np.fft.fftshift of a square array: for an even side, a itself with its
-    diagonal quadrants swapped."""
+def _shifted(a: np.ndarray, shift) -> np.ndarray:
+    """shift (np.fft.fftshift or ifftshift) of a square array: for an even side,
+    where the two agree, a itself with its diagonal quadrants swapped."""
     n = a.shape[0]
     if n % 2:
-        return np.fft.fftshift(a)
+        return shift(a)
     h = n // 2
     for top, bottom in ((np.s_[:h, :h], np.s_[h:, h:]), (np.s_[:h, h:], np.s_[h:, :h])):
         quarter = a[top].copy()
@@ -246,22 +252,20 @@ def _fftshifted(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _inverted(a: np.ndarray, axes) -> np.ndarray:
-    """a with index k -> (-k) mod n along each given axis: reversed, then rolled by one."""
-    return np.roll(np.flip(a, axis=axes), 1, axis=axes)
-
-
 def parity_index(n: int) -> np.ndarray:
     """Index map k -> (-k) mod n of the coordinate inversion on a centered
     n-point axis; the edge index 0, whose mirror falls off the grid, maps to
     itself."""
-    return _inverted(np.arange(n), 0)
+    return -np.arange(n) % n
 
 
-def parity_flip(field: FieldGrid) -> FieldGrid:
-    """Coordinate inversion (x, y) -> (-x, -y) on the centered grid: the
-    parity index on both axes, exactly the permutation a squared DFT realizes."""
-    return FieldGrid(_inverted(field.samples, (0, 1)), field.extent)
+def parity_flip(field: FieldGrid, out=None) -> FieldGrid:
+    """Coordinate inversion (x, y) -> (-x, -y) on the centered grid (into out, if
+    given): the parity index on both axes, the permutation a squared DFT realizes."""
+    a, out = field.samples, np.empty_like(field.samples) if out is None else out
+    out[0, 0], out[0, 1:] = a[0, 0], a[0, :0:-1]  # row and column 0 stay, the rest reverse
+    out[1:, 0], out[1:, 1:] = a[:0:-1, 0], a[:0:-1, :0:-1]
+    return FieldGrid(out, field.extent)
 
 
 def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
@@ -272,11 +276,11 @@ def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
     return complex((field.samples * g.samples.conj()).sum() * cfg.cell_area)
 
 
-def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
+def _conversion_envelope(cfg: OpticsConfig, out=None) -> np.ndarray:
     """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
-    with the exponentials combined before evaluation; requires the
-    back-propagated fiber waist to be at least the mode waist, otherwise E
-    would diverge faster than the fields decay."""
+    with the exponentials combined before evaluation (into out, if given);
+    requires the back-propagated fiber waist to be at least the mode waist,
+    otherwise E would diverge faster than the fields decay."""
     w = cfg.waist
     w_conj = cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
@@ -284,15 +288,17 @@ def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
             "ideal mode conversion needs a back-propagated fiber waist >= mode waist; "
             f"got {float(w_conj)!r} < {w!r}"
         )
-    xx, yy = cfg.meshgrid()
-    gauss_peak = np.sqrt(2.0 / np.pi) / w_conj
-    return np.exp((xx * xx + yy * yy) * (1.0 / w_conj**2 - 1.0 / w**2)) / gauss_peak
+    x2 = cfg.axis() ** 2
+    r2 = np.add(x2, x2[:, None], out=out)
+    r2 *= 1.0 / w_conj**2 - 1.0 / w**2
+    return np.divide(np.exp(r2, out=r2), np.sqrt(2.0 / np.pi) / w_conj, out=r2)  # by G's peak
 
 
-def _conversion_term(l: int, cfg: OpticsConfig):
-    """t_l = amp_l Q_l, the normalized vortex factor of LG_l: t_l E is conj of
-    the conversion mask of the flipped basis mode (-1)^l LG_l."""
-    return np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l)))) * _vortex(l, cfg)
+def _conversion_term(l: int, cfg: OpticsConfig, out=None):
+    """t_l = amp_l Q_l, the normalized vortex factor of LG_l (into out, if given): t_l E
+    is conj of the conversion mask of the flipped basis mode (-1)^l LG_l."""
+    amp = np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l))))
+    return amp if l == 0 else np.multiply(amp, _vortex(l, cfg, out=out), out=out)
 
 
 def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
@@ -358,14 +364,16 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     """
     inputs = np.array([_qutrit(s) for s in input_states])
     signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
-    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg)).samples.conj()
+    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True).samples
+    np.conjugate(back, out=back)
     modes = {l: oam_mode_field(l, cfg).samples for l in MODE_WINDINGS}
+    work, spare = np.empty_like(back), np.empty_like(back)  # held, also as real scratch
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
         return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
 
     def flipped(field: np.ndarray) -> np.ndarray:
-        return parity_flip(FieldGrid(field, cfg.extent)).samples
+        return parity_flip(FieldGrid(field, cfg.extent), spare).samples
 
     if not phase_only:
         # amplitudes(LG_l) is column l of G, so row j of a is G psi_j
@@ -374,18 +382,20 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         if not (power > 0.0).all():
             raise ValueError("cannot normalize a zero field")
         a /= np.sqrt(power)[:, None]
-        back *= _conversion_envelope(cfg)
-        # likewise row l of coupling is column l of B, so row i of e is B c_i
-        coupling = np.array([amplitudes(flipped(back * _conversion_term(l, cfg)))
-                             for l in MODE_WINDINGS])
+        back *= _conversion_envelope(cfg, work.view(float)[:, :cfg.grid_size])
+        # likewise row l of coupling is column l of B, so row i of e is B c_i; t_l comes
+        # first, as in numpy's in-place evaluation of back * t_l: the order moves last bits
+        coupling = np.array([amplitudes(flipped(np.multiply(
+            _conversion_term(l, cfg, work), back, out=work))) for l in MODE_WINDINGS])
         e = signed @ coupling
     else:
         def hologram(psi, field: np.ndarray) -> np.ndarray:
-            """field e^{i arg u}, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are divided
-            by |u| as real arrays, as a complex division can overflow on subnormals."""
-            u = _superposed(psi, lambda c, l: c * modes[l], cfg)
+            """field e^{i arg u} in work, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are
+            divided by |u| as real arrays, as a complex division can overflow on subnormals."""
+            work.fill(0.0)
+            u = _superposed(psi, lambda c, l: np.multiply(c, modes[l], out=spare), work)
             u[u == 0] = 1.0
-            mag = np.abs(u)
+            mag = np.abs(u, out=spare.view(float)[:, :cfg.grid_size])
             u.real /= mag
             u.imag /= mag
             u *= field

@@ -16,6 +16,7 @@ normalize traces internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,10 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
         ValueError: dimension < 2, a non-finite amplitude, zero vector, or
             (with normalize=False) norm deviating from 1 by more than 1e-12.
     """
-    psi = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
+    try:
+        psi = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"amplitudes must be finite, got {amplitudes!r}") from None
     if psi.size < 2:
         raise ValueError("state dimension must be >= 2")
     largest = float(np.abs(psi.view(float)).max())
@@ -133,7 +137,10 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        try:
+            ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("kraus operators must be finite") from None
         d = ks[0].shape[0]
         for k in ks:
             if k.shape != (d, d):
@@ -158,7 +165,7 @@ def identity_channel() -> KrausChannel:
 
 def phase_rotation_channel(theta: float) -> KrausChannel:
     """Unitary qutrit channel diag(1, 1, e^{i theta}) phasing |R>."""
-    if not math.isfinite(theta):
+    if not abs(theta) <= sys.float_info.max:  # NaN, inf, an int beyond floats
         raise ValueError(f"theta must be finite, got {theta!r}")
     u = np.eye(3, dtype=complex)
     u[2, 2] = np.exp(1j * theta)

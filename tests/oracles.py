@@ -112,10 +112,16 @@ def four_f_image(field: FieldGrid) -> FieldGrid:
     return lens_fourier(lens_fourier(field))
 
 
+def meshgrid(cfg: OpticsConfig):
+    """Sample coordinates (x, y) over the grid: broadcast views of one axis, not copies."""
+    x = cfg.axis()
+    return np.meshgrid(x, x, indexing="xy", copy=False)
+
+
 def lg_mode_samples(l: int, waist: float, cfg: OpticsConfig) -> np.ndarray:
     """Unit-power LG(p=0, l) samples of the given waist, each step a new array:
     the out-of-place construction that the package builds in place."""
-    xx, yy = cfg.meshgrid()
+    xx, yy = meshgrid(cfg)
     field = np.exp(-(xx * xx + yy * yy) / waist**2).astype(complex)
     if l != 0:
         field = field * ((np.sqrt(2.0) / waist) * (xx + 1j * np.sign(l) * yy)) ** abs(l)

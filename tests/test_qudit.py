@@ -169,6 +169,19 @@ class TestKrausChannels:
             with pytest.raises(ValueError, match=f"^{message}"):
                 build(bad)
 
+    # numpy's float conversion raises OverflowError for these, naming no argument
+    @pytest.mark.parametrize("bad", [10**400, -10**400], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: state_vector([v, 1, 0], normalize=True), "amplitudes must be finite"),
+        (lambda v: state_vector([1, 0, v]), "amplitudes must be finite"),
+        (lambda v: KrausChannel((np.diag([1, v, 0]),)), "kraus operators must be finite"),
+        (lambda v: KrausChannel((np.eye(3) / 2, np.full((3, 3), v, dtype=object))),
+         "kraus operators must be finite"),
+        (phase_rotation_channel, "theta must be finite"),
+    ])
+    def test_rejects_ints_beyond_floats(self, build, message, bad):
+        self.test_rejects_non_finite(build, message, bad)
+
     def test_trace_preserved_for_cptp(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
