@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import json
 import os
 import sys
 
@@ -32,7 +30,6 @@ from .config import (
     ConfigReadError,
     RunConfig,
     load_config,
-    parse_state,
 )
 from .counts import exact_counts, simulate_counts
 from .optics import (
@@ -85,10 +82,10 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
     (optics.effective_operators): each input's prepared field reduced to the
     LG triple the memory stores, and the measurement chain as a POVM on it.
     """
-    inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
-    if cfg.measurement_mode == "abstract":
-        rho_in, povm = np.stack([projector_of(s) for s in inputs]), None
+    if cfg.measurement_mode == "abstract":  # None: the scheme's projectors
+        rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
     else:
+        inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
         with _optics_guard():
             rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics,
                                                cfg.measurement_mode == "optical-phase-only")
@@ -258,13 +255,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     written: list = []
     try:
-        cfg = load_config(args.config, seed=args.seed, mode=args.mode)
-        if getattr(args, "state", None) is not None:  # only modes takes --state
-            try:
-                spec = json.loads(args.state)
-            except json.JSONDecodeError:
-                spec = args.state
-            cfg = dataclasses.replace(cfg, state=parse_state(spec))
+        cfg = load_config(args.config, seed=args.seed, mode=args.mode,
+                          state=getattr(args, "state", None))  # only modes takes --state
         handler, key, what = COMMANDS[args.command]
         out = args.out or cfg.output.get(key)
         if not out:

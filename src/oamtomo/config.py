@@ -1,8 +1,8 @@
 """Run configuration: the JSON layer of the command-line front end.
 
 This module checks each value's JSON kind and unknown keys, and holds the
-rules that only the CLI has: dimension, measurement_mode, bootstrap_samples,
-output and the optics defaults.  Each range or bound is checked once, by the
+rules that only the CLI has: dimension, measurement_mode, bootstrap_samples
+and output.  Each default, range or bound of a section is stated once, by the
 constructor that owns the value (SourceConfig, OpticsConfig, state_vector,
 the channels); ConfigError passes its refusal on with the field path in
 front.  An unreadable or syntactically invalid file raises ConfigReadError.
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .counts import SourceConfig
-from .optics import OpticsConfig, self_fourier_waist
+from .optics import OpticsConfig
 from .qudit import (
     KrausChannel,
     canonical_input_states,
@@ -161,39 +161,30 @@ def _require(mapping, field: str, kind: str, default, path: str):
     return value
 
 
-def _construct(cls, kwargs: dict, raw: dict, path: str):
-    """cls(**kwargs) for the section raw, whose keys must all be fields of cls."""
+def _section(cls, raw: dict, path: str):
+    """cls(**raw) for the config section raw, its refusals prefixed with path: each
+    given key's JSON kind follows its annotation in cls, and no other key is allowed."""
+    kinds = {"int": "an integer", "float": "a number", "float | None": "a number"}
+    for f in fields(cls):
+        if f.name in raw:
+            _require(raw, f.name, kinds[f.type], None, path)
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path}{sorted(unknown)[0]}", "unknown field")
     try:
-        return cls(**kwargs)
+        return cls(**raw)
     except ValueError as exc:  # the message starts with the field it refuses
         raise ConfigError(*f"{path}{exc}".split(": ", 1))
 
 
-def _parse_source(raw: dict) -> SourceConfig:
-    kinds = {"int": "an integer", "float": "a number"}  # SourceConfig's annotations, as strings
-    kwargs = {f.name: _require(raw, f.name, kinds[f.type], f.default, "source.")
-              for f in fields(SourceConfig)}
-    return _construct(SourceConfig, kwargs, raw, "source.")
-
-
-def _parse_optics(raw: dict) -> OpticsConfig:
-    n = _require(raw, "grid_size", "an integer", 512, "optics.")
-    extent = _require(raw, "extent", "a number", 1.0, "optics.")
-    default_waist = self_fourier_waist(n, extent) if n > 0 and extent > 0 else 1.0
-    waist = _require(raw, "waist", "a number", default_waist, "optics.")
-    fiber = _require(raw, "fiber_waist", "a number", default_waist, "optics.")
-    kwargs = dict(grid_size=n, extent=float(extent), waist=float(waist), fiber_waist=float(fiber))
-    return _construct(OpticsConfig, kwargs, raw, "optics.")
-
-
-def load_config(path, seed: int | None = None, mode: str | None = None) -> RunConfig:
+def load_config(path, seed: int | None = None, mode: str | None = None,
+                state: str | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    seed and mode, when given, override source.seed and measurement_mode;
-    the echoed configuration reflects the effective values.
+    seed, mode and state, when given, override source.seed, measurement_mode
+    and state; state is the text of a state spec, JSON (null, an amplitude
+    list) or a bare state name.  The echoed configuration reflects the
+    effective values.
     """
     try:
         with open(path) as fh:
@@ -202,6 +193,11 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
         raise ConfigReadError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
+    if state is not None:
+        try:
+            raw["state"] = json.loads(state)
+        except json.JSONDecodeError:
+            raw["state"] = state
 
     dimension = _require(raw, "dimension", "an integer", 3, "")
     if dimension != 3:
@@ -210,10 +206,8 @@ def load_config(path, seed: int | None = None, mode: str | None = None) -> RunCo
     source_raw = dict(_require(raw, "source", "an object", {}, ""))
     if seed is not None:
         source_raw["seed"] = seed
-    source = _parse_source(source_raw)
-
-    optics_raw = _require(raw, "optics", "an object", {}, "")
-    optics = _parse_optics(optics_raw)
+    source = _section(SourceConfig, source_raw, "source.")
+    optics = _section(OpticsConfig, _require(raw, "optics", "an object", {}, ""), "optics.")
 
     measurement_mode = mode if mode is not None else _require(
         raw, "measurement_mode", "a string", "abstract", ""

@@ -65,13 +65,15 @@ class OpticsConfig:
 
     grid_size N samples per axis over [-extent, extent); waist is the
     LG-family waist, fiber_waist the far-field collection Gaussian's waist.
-    Each refusal starts with the name of the field it refuses.
+    Each waist left as None becomes the grid's self-Fourier waist.  The
+    lengths are stored as floats.  Each refusal starts with the name of the
+    field it refuses.
     """
 
-    grid_size: int
-    extent: float
-    waist: float
-    fiber_waist: float
+    grid_size: int = 512
+    extent: float = 1.0
+    waist: float | None = None
+    fiber_waist: float | None = None
 
     def __post_init__(self):
         n = self.grid_size
@@ -81,10 +83,19 @@ class OpticsConfig:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         for name in ("extent", "waist", "fiber_waist"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf, an int beyond floats
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+                raise ValueError(f"{name}: must be finite, got {value!r}")
         if self.extent <= 0:
             raise ValueError("extent: must be positive")
+        for name in ("extent", "waist", "fiber_waist"):  # stored as floats, extent first
+            value = getattr(self, name)
+            if value is None:
+                value = self_fourier_waist(n, self.extent)
+                if not value <= sys.float_info.max:
+                    raise ValueError(f"extent: {self.extent!r} is too large: the default "
+                                     f"{name}, the self-Fourier waist, is not finite")
+            object.__setattr__(self, name, float(value))
         for name in ("waist", "fiber_waist"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
@@ -259,13 +270,16 @@ def parity_index(n: int) -> np.ndarray:
     return -np.arange(n) % n
 
 
-def parity_flip(field: FieldGrid, out=None) -> FieldGrid:
+def parity_flip(field, out=None):
     """Coordinate inversion (x, y) -> (-x, -y) on the centered grid (into out, if
-    given): the parity index on both axes, the permutation a squared DFT realizes."""
-    a, out = field.samples, np.empty_like(field.samples) if out is None else out
+    given): the parity index on both axes, the permutation a squared DFT realizes.
+    A FieldGrid gives a FieldGrid; a bare array of samples gives an array, unchecked."""
+    if isinstance(field, FieldGrid):
+        return FieldGrid(parity_flip(field.samples, out), field.extent)
+    a, out = field, np.empty_like(field) if out is None else out
     out[0, 0], out[0, 1:] = a[0, 0], a[0, :0:-1]  # row and column 0 stay, the rest reverse
     out[1:, 0], out[1:, 1:] = a[:0:-1, 0], a[:0:-1, :0:-1]
-    return FieldGrid(out, field.extent)
+    return out
 
 
 def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
@@ -372,9 +386,6 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     def amplitudes(field: np.ndarray) -> np.ndarray:
         return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
 
-    def flipped(field: np.ndarray) -> np.ndarray:
-        return parity_flip(FieldGrid(field, cfg.extent), spare).samples
-
     if not phase_only:
         # amplitudes(LG_l) is column l of G, so row j of a is G psi_j
         a = inputs @ np.array([amplitudes(m) for m in modes.values()])
@@ -385,8 +396,8 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         back *= _conversion_envelope(cfg, work.view(float)[:, :cfg.grid_size])
         # likewise row l of coupling is column l of B, so row i of e is B c_i; t_l comes
         # first, as in numpy's in-place evaluation of back * t_l: the order moves last bits
-        coupling = np.array([amplitudes(flipped(np.multiply(
-            _conversion_term(l, cfg, work), back, out=work))) for l in MODE_WINDINGS])
+        coupling = np.array([amplitudes(parity_flip(np.multiply(
+            _conversion_term(l, cfg, work), back, out=work), spare)) for l in MODE_WINDINGS])
         e = signed @ coupling
     else:
         def hologram(psi, field: np.ndarray) -> np.ndarray:
@@ -402,7 +413,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
             return u
 
         a = np.array([amplitudes(hologram(psi, modes[0])) for psi in inputs])
-        e = np.array([amplitudes(flipped(hologram(c, back))) for c in signed])
+        e = np.array([amplitudes(parity_flip(hologram(c, back), spare)) for c in signed])
     rho, povm = (v[:, :, None] * v[:, None, :].conj() for v in (a, e))
     if not (np.isfinite(rho).all() and np.isfinite(povm).all()):
         raise ValueError("field contains non-finite samples")

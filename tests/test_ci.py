@@ -34,3 +34,11 @@ def test_workflow_pins_the_manifest_versions():
     minor = ".".join(made_with["python"].split(".")[:2])
     assert python == [minor], (
         f"tier1.yml sets up Python {python}, the manifest was made with {made_with['python']}")
+
+
+def test_tier1_job_has_a_timeout():
+    # a hung test stops the job instead of holding a runner for GitHub's 6 h default
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    for job in workflow["jobs"].values():
+        assert 0 < job["timeout-minutes"] <= 30

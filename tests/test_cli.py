@@ -112,6 +112,12 @@ class TestSimulate:
         ({"optics": {"fiber_waist": -1}}, [], "optics.fiber_waist: must be positive"),
         ({"optics": {"waist": 0.3}}, [],
          "optics.waist: 0.3 exceeds extent/4 = 0.25 (aliasing guard)"),
+        # a defaulted waist, the self-Fourier waist, that overflows is refused as the
+        # extent's fault, the one key the config gave
+        ({"optics": {"extent": 1e308}}, [], "optics.extent: 1e+308 is too large: the "
+         "default waist, the self-Fourier waist, is not finite"),
+        ({"optics": {"extent": 1e308, "waist": 0.1}}, [], "optics.extent: 1e+308 is too "
+         "large: the default fiber_waist, the self-Fourier waist, is not finite"),
     ])
     def test_range_errors_name_the_field(self, tmp_path, capsys, overrides, flags, message):
         # every rule of SourceConfig and OpticsConfig, refused before any work
@@ -203,6 +209,19 @@ class TestSimulate:
                 assert str(refused.value) == f"{name}.{exc}"
             else:
                 assert getattr(load_config(path), name) == expected
+
+    def test_library_defaults_are_the_empty_sections(self, tmp_path):
+        run = load_config(_write_config(tmp_path / "cfg.json", source={}))
+        assert run.source == SourceConfig()
+        assert run.optics == OpticsConfig()
+
+    def test_integer_lengths_echo_as_floats(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json",
+                            optics={"grid_size": 128, "extent": 4, "waist": 1, "fiber_waist": 1})
+        out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[1]
+        assert '"optics":{"extent":4.0,"fiber_waist":1.0,"grid_size":128,"waist":1.0}' in header
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -582,6 +601,26 @@ class TestModes:
         out = tmp_path / "grids"
         assert main(["modes", "--config", cfg, "--out", str(out), "--state", "R"]) == 0
         assert main(["modes", "--config", cfg, "--out", str(tmp_path / "g2")]) == 3
+
+    def test_null_state_flag_clears_the_state(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", state="L",
+                            optics={"grid_size": 128, "extent": 1.0})
+        out = tmp_path / "grids"
+        assert main(["modes", "--config", cfg, "--out", str(out), "--state", "null"]) == 3
+        assert not out.exists()
+        assert load_config(cfg, state="null").echo["state"] is None
+        run = load_config(cfg, state="[1,-1,1]")
+        assert run.echo["state"] == [1, -1, 1]
+        np.testing.assert_array_equal(run.state, np.array([1, -1, 1]) / np.sqrt(3))
+
+    def test_state_flag_overrides_an_invalid_state(self, tmp_path):
+        # --state replaces the config's state before it is checked, as --seed and
+        # --mode replace theirs
+        cfg = _write_config(tmp_path / "cfg.json", state="nonsense",
+                            optics={"grid_size": 128, "extent": 1.0})
+        out = tmp_path / "grids"
+        assert main(["modes", "--config", cfg, "--out", str(out), "--state", "psi4"]) == 0
+        assert len(os.listdir(out)) == 6
 
     def test_invalid_state_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", state="nonsense",

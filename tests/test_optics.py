@@ -81,6 +81,21 @@ class TestConfig:
             OpticsConfig(128.5, 1.0, 0.1, 0.1)
         assert OpticsConfig(np.int64(256), 1.0, 0.1, 0.1).grid_size == 256
 
+    def test_defaults(self):
+        # 512 samples over [-1, 1) and the self-Fourier waists, the run config's defaults
+        w = self_fourier_waist(512, 1.0)
+        assert OpticsConfig() == OpticsConfig(512, 1.0, w, w)
+        small = OpticsConfig(grid_size=256)
+        assert small.waist == small.fiber_waist == self_fourier_waist(256, 1.0)
+        given = OpticsConfig(128, 4, 1, 1)
+        assert [type(v) for v in (given.extent, given.waist, given.fiber_waist)] == [float] * 3
+
+    @pytest.mark.parametrize("waist, defaulted", [(None, "waist"), (0.1, "fiber_waist")])
+    def test_extent_too_large_for_a_default_waist(self, waist, defaulted):
+        with pytest.raises(ValueError, match=f"^extent: .* the default {defaulted}, ") as refused:
+            OpticsConfig(128, 1e308, waist)
+        assert "np." not in str(refused.value)
+
     def test_conjugate_waist_roundtrip(self, cfg):
         w = 0.08
         assert cfg.conjugate_waist(cfg.conjugate_waist(w)) == pytest.approx(w)
@@ -481,6 +496,18 @@ class TestEffectiveOperators:
         finally:
             tracemalloc.stop()
         assert peak <= 6.25 * cfg.grid_size**2 * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
+    def test_passes_build_no_field_grid(self, small, phase_only, monkeypatch):
+        # the grid passes flip bare arrays: the only FieldGrids are the mode triple,
+        # the fiber Gaussian and its transform, however many states there are
+        built, check = [], FieldGrid.__post_init__
+        monkeypatch.setattr(FieldGrid, "__post_init__", lambda f: built.append(f) or check(f))
+        states = canonical_input_states()
+        for n in (1, 9):
+            built.clear()
+            effective_operators(states[:n], states[:n], small, phase_only)
+            assert len(built) == 5
 
     def test_rejects_non_qutrits(self, small):
         states = canonical_input_states()
