@@ -12,8 +12,9 @@ coincidence window, a counts_per_setting above 1e18, the channel `unitary
 inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
 more than one chunk of cli.BOOTSTRAP_CHUNK; optical-ideal and
 optical-phase-only `simulate` of QPT and psi4 (seed 1 and noiseless) at the
-benchmark's N = 256; and `modes` for psi4, L, [1,-1,1] and psi9 at N = 128
-and 512: 206 cases.
+benchmark's N = 256; and `modes` for psi4, L, [1,-1,1], psi9 and the
+unequal-weight complex state [0.3, [0, -0.5], 0.8] at N = 128 and 512: 208
+cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -68,7 +69,7 @@ CHANNELS = (
     {"kraus": [[[0.9, 0, 0], [0, 1, 0], [0, 0, 0.8]]]},  # lossy storage, trace-decreasing
 )
 SOURCES = ((1, False), (2, False), (1, True))  # (seed, noiseless)
-MODE_STATES = ("psi4", "L", [1, -1, 1], "psi9")
+MODE_STATES = ("psi4", "L", [1, -1, 1], "psi9", [0.3, [0, -0.5], 0.8])
 MODE_GRIDS = (128, 512)
 
 
