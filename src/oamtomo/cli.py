@@ -197,21 +197,19 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     # are the mask grids with rows and values permuted by the parity index
     flip = parity_index(cfg.optics.grid_size)
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
-    for kind, values in kinds:
-        grid = values(mask)
-        fileio.write_grid(output("mask", kind), grid, cfg.optics.extent)
-        fileio.write_grid(output("image", kind), grid, cfg.optics.extent, flip)
-    del grid
+    for kind, value in kinds:
+        fileio.write_grid(output("mask", kind), mask.samples, cfg.optics.extent, value)
+        fileio.write_grid(output("image", kind), mask.samples, cfg.optics.extent, value, flip)
     with _optics_guard():  # transformed in place: the mask's grids are written
         fourier = lens_fourier(mask, overwrite=True)
     del mask
-    for kind, values in kinds:
-        fileio.write_grid(output("fourier", kind), values(fourier), cfg.optics.extent)
+    for kind, value in kinds:
+        fileio.write_grid(output("fourier", kind), fourier.samples, cfg.optics.extent, value)
 
 
-def _intensity(field) -> np.ndarray:
-    """|samples|^2, squared in place."""
-    values = np.abs(field.samples)
+def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
+    """|samples|^2 (into out, if given), squared in place."""
+    values = np.abs(samples, out=out)
     return np.square(values, out=values)
 
 

@@ -40,8 +40,11 @@ class SourceConfig:
 
     def __post_init__(self):
         for name in ("counts_per_setting", "background", "efficiency", "window"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf, an int beyond floats
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, an int beyond floats
+                raise ValueError(f"{name}: must be finite, got {value!r}")
         for name in ("counts_per_setting", "background"):
             if getattr(self, name) > _MAX_MEAN_COUNTS:
                 raise ValueError(f"{name}: must be at most {_MAX_MEAN_COUNTS:g}, "
@@ -54,7 +57,7 @@ class SourceConfig:
             raise ValueError("efficiency: must be in [0, 1]")
         if self.window <= 0:
             raise ValueError("window: must be positive")
-        if not isinstance(self.seed, numbers.Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed: must be nonnegative")

@@ -101,14 +101,14 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_grid(path, values, extent: float, order=None) -> None:
-    """np.savetxt's '%.9g' text of a 2-D grid under an 'N extent' header line,
-    written a block of rows at a time.  With order, an index array, line r
-    holds row order[r] with its values taken at order."""
+def write_grid(path, samples, extent: float, value=None, order=None) -> None:
+    """np.savetxt's '%.9g' text of a grid's values under an 'N extent' header
+    line, made and written a block of rows at a time; value and order are those
+    of gridtext.grid_text."""
     from .gridtext import grid_text  # only modes writes grids: other commands skip its import
 
-    values = np.asarray(values, dtype=float)
+    samples = np.asarray(samples)
     with open(path, "wb") as fh:
-        fh.write(f"{len(values)} {format_sig(extent)}\n".encode())
-        for text in grid_text(values, order):
+        fh.write(f"{len(samples)} {format_sig(extent)}\n".encode())
+        for text in grid_text(samples, value, order):
             fh.write(text)

@@ -107,18 +107,22 @@ def _decimal(x, floats, ints, flags):
     return e, m, slow
 
 
-def grid_text(values, order=None):
-    """Yield the '%.9g' text of a 2-D float64 array, as np.savetxt writes it
-    without a header, in uint8 arrays of one block of rows each.  With order,
-    an index array, line r holds row order[r] with its values taken at order.
+def grid_text(samples, value=None, order=None):
+    """Yield the '%.9g' text of the values of a 2-D array of samples, as
+    np.savetxt writes them without a header, in uint8 arrays of one block of
+    rows each.  value(block, out) makes the float64 values of a block of
+    samples in out (a row of the block's size); without value the samples are
+    the values.  With order, an index array, line r holds row order[r] with its
+    samples taken at order, gathered one block at a time.
 
-    A block is 1/32 of a square grid.  Its scratch, about 265 B a value (136 B
-    the byte index of its text), is allocated once and reused for every block.
+    A block is 1/32 of a square grid.  Its scratch, about 273 B a value (136 B
+    the byte index of its text), is allocated once and reused for every block;
+    a gathered block of complex samples adds 16 B a value while it is read.
     Every take is mode='clip', which writes straight into out (mode='raise'
     buffers the whole output): each index is in range by construction, and a
     wrong one would still be clipped into its table.
     """
-    n_rows, n_cols = values.shape
+    n_rows, n_cols = samples.shape
     rows = max(1, n_rows // 32)
     size = rows * n_cols
     planes = np.zeros((5, size), np.uint32)  # the words of value i are column i
@@ -131,7 +135,7 @@ def grid_text(values, order=None):
     templates = (_TEMPLATES // 4 * (4 * size) + _TEMPLATES % 4).astype(np.intp)
     templates = templates.view(np.dtype((np.void, 8 * _WIDTH))).ravel()
     base = np.arange(0, 4 * size, 4)[:, None]
-    floats = np.empty((2, size))
+    floats = np.empty((3, size))  # the values, and _decimal's two rows
     ints = np.empty((6, size), np.intp)
     flags = np.empty((3, size), bool)
     index = np.empty((size, _WIDTH), np.intp)
@@ -139,11 +143,13 @@ def grid_text(values, order=None):
     keep = np.empty((size, _WIDTH), bool)
     for r0 in range(0, n_rows, rows):
         if order is None:
-            x = values[r0:r0 + rows].ravel()
+            x = samples[r0:r0 + rows].ravel()
         else:
-            x = values[np.ix_(order[r0:r0 + rows], order)].ravel()
+            x = samples[np.ix_(order[r0:r0 + rows], order)].ravel()
         n = x.size
-        e, m, slow = _decimal(x, floats[:, :n], ints[:2, :n], flags[:, :n])
+        if value is not None:
+            x = value(x, floats[0, :n])
+        e, m, slow = _decimal(x, floats[1:, :n], ints[:2, :n], flags[:, :n])
         a, b, c, key = ints[2:, :n]  # the mantissa's three groups of digits
         np.floor_divide(m, 1000000, out=a)
         np.floor_divide(m, 1000, out=b)

@@ -27,7 +27,9 @@ pass per winding; phase-only takes one per state.
 
 Fields are built and transformed in place, 1/32 of the rows at a time, with the
 bits of the out-of-place expressions: a field's build holds it and a few percent
-of a grid; arrays that callers share, such as the mode triple, are never written.
+of a grid.  A superposition is summed the same way, in a pass for its modes' norms
+and one for the sum, so it holds no whole mode.  Arrays that callers share, such as
+the mode triple, are never written.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 _MAX_WINDING = 5
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
-# more than about 6.2 of them (optical simulate; modes about 2.2)
+# more than about 6.2 of them (optical simulate; modes about 1.7)
 _MAX_GRID_SIZE = 4096
 
 
@@ -77,14 +79,18 @@ class OpticsConfig:
 
     def __post_init__(self):
         n = self.grid_size
-        if not isinstance(n, numbers.Integral):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ValueError(f"grid_size: must be an integer, got {n!r}")
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         for name in ("extent", "waist", "fiber_waist"):
             value = getattr(self, name)
-            if value is not None and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
                 raise ValueError(f"{name}: must be finite, got {value!r}")
         if self.extent <= 0:
             raise ValueError("extent: must be positive")
@@ -162,30 +168,52 @@ def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], out=None):
     return factor
 
 
-def _mode_samples(waist: float, l: int, cfg: OpticsConfig) -> np.ndarray:
-    """Unnormalized complex samples e^{-r^2/waist^2} times the vortex factor of l,
-    made 1/32 of the rows at a time."""
+def _gaussian_blocks(waist: float, cfg: OpticsConfig):
+    """Yield (rows, g) for each block of 1/32 of the rows: g is the real Gaussian
+    e^{-r^2/waist^2} over those rows, made once for every mode built on them."""
     n, x2 = cfg.grid_size, cfg.axis() ** 2
-    samples = np.zeros((n, n), dtype=complex)
     for rows in (np.s_[r:r + n // 32] for r in range(0, n, n // 32)):
         r2 = np.add(x2, x2[rows, None])
         r2 /= -waist**2
-        samples.real[rows] = np.exp(r2, out=r2)
-        if l != 0:
-            samples[rows] *= _vortex(l, cfg, rows)
+        yield rows, np.exp(r2, out=r2)
+
+
+def _mode_block(g, l: int, cfg: OpticsConfig, rows, out: np.ndarray) -> np.ndarray:
+    """Unnormalized complex samples of LG(p=0, l) over rows into out: the Gaussian g
+    of _gaussian_blocks times the vortex factor of l."""
+    out.real, out.imag = g, 0.0
+    if l != 0:
+        out *= _vortex(l, cfg, rows)
+    return out
+
+
+def _mode_samples(waist: float, l: int, cfg: OpticsConfig) -> np.ndarray:
+    """Unnormalized samples of LG(p=0, l) with the given waist, made a row block at a time."""
+    samples = np.empty((cfg.grid_size,) * 2, dtype=complex)
+    for rows, g in _gaussian_blocks(waist, cfg):
+        _mode_block(g, l, cfg, rows, samples[rows])
     return samples
 
 
-def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
-    """Unit-power field of samples, which the caller hands over: divided in place; the
-    power of 32 row blocks, added pairwise, is numpy's pairwise sum of the whole grid."""
-    sums = np.array([(np.abs(block) ** 2).sum() for block in samples.reshape(32, -1)])
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    norm = np.sqrt(sums[0] * cfg.cell_area)
+def _power(block: np.ndarray) -> float:
+    """Sum of |s|^2 over a contiguous block: numpy's pairwise sum of its samples."""
+    return (np.abs(block) ** 2).sum()
+
+
+def _norm(powers, cfg: OpticsConfig) -> float:
+    """Root of the power of a field from the powers of its 32 row blocks, added
+    pairwise: numpy's pairwise sum of the whole grid, times the cell area."""
+    while len(powers) > 1:
+        powers = powers[0::2] + powers[1::2]
+    norm = np.sqrt(powers[0] * cfg.cell_area)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero field")
-    samples /= norm
+    return norm
+
+
+def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
+    """Unit-power field of samples, which the caller hands over: divided in place."""
+    samples /= _norm(np.array([_power(block) for block in samples.reshape(32, -1)]), cfg)
     return FieldGrid(samples, cfg.extent)
 
 
@@ -203,31 +231,32 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
     return _normalized(_mode_samples(waist, 0, cfg), cfg)
 
 
-def _superposed(psi, term, total: np.ndarray) -> np.ndarray:
-    """Unnormalized sum of term(psi_k, l_k) = psi_k LG(l_k) samples over the (l=+1, 0,
-    -1) triple, added into the zeroed grid total; term is not called for a zero amplitude."""
-    for c, l in zip(psi, MODE_WINDINGS):
-        if c != 0:
-            total += term(c, l)
-    return total
-
-
 def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
-    """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple,
-    built one mode at a time, each new mode array scaled in place."""
-    psi = _qutrit(state)
+    """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple, the sum
+    of psi_k LG(l_k) over the nonzero amplitudes, made a row block at a time in two
+    passes of one scratch block: the first takes each mode's block powers, the second
+    rebuilds each block, normalizes and scales it and adds it into the field."""
+    terms = [(c, l) for c, l in zip(_qutrit(state), MODE_WINDINGS) if c != 0]
+    n = cfg.grid_size
+    block = np.empty((n // 32, n), dtype=complex)
+    powers = np.array([[_power(_mode_block(g, l, cfg, rows, block)) for _, l in terms]
+                       for rows, g in _gaussian_blocks(cfg.waist, cfg)])
+    norms = [_norm(p, cfg) for p in powers.T]
+    field = np.zeros((n, n), dtype=complex)
+    for rows, g in _gaussian_blocks(cfg.waist, cfg):
+        for (c, l), norm in zip(terms, norms):
+            _mode_block(g, l, cfg, rows, block)
+            block /= norm
+            block *= c
+            field[rows] += block
+    return _normalized(field, cfg)
 
-    def term(c, l):
-        samples = oam_mode_field(l, cfg).samples
-        samples *= c
-        return samples
 
-    return _normalized(_superposed(psi, term, np.zeros((cfg.grid_size,) * 2, complex)), cfg)
-
-
-def phase_mask_of(field: FieldGrid) -> np.ndarray:
-    """Entrywise argument in (-pi, pi]; the argument of 0 is taken as 0."""
-    mask = np.angle(field.samples)
+def phase_mask_of(field, out=None) -> np.ndarray:
+    """Entrywise argument in (-pi, pi] of a FieldGrid or a bare array of samples (into
+    out, if given), np.angle's arctan2 with -pi taken as pi; the argument of 0 is 0."""
+    samples = field.samples if isinstance(field, FieldGrid) else field
+    mask = np.arctan2(samples.imag, samples.real, out=out)
     mask[mask == -np.pi] = np.pi
     return mask
 
@@ -403,8 +432,11 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         def hologram(psi, field: np.ndarray) -> np.ndarray:
             """field e^{i arg u} in work, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are
             divided by |u| as real arrays, as a complex division can overflow on subnormals."""
-            work.fill(0.0)
-            u = _superposed(psi, lambda c, l: np.multiply(c, modes[l], out=spare), work)
+            u = work
+            u.fill(0.0)
+            for c, l in zip(psi, MODE_WINDINGS):
+                if c != 0:
+                    u += np.multiply(c, modes[l], out=spare)
             u[u == 0] = 1.0
             mag = np.abs(u, out=spare.view(float)[:, :cfg.grid_size])
             u.real /= mag

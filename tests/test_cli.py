@@ -24,6 +24,7 @@ from oamtomo.optics import (
     OpticsConfig,
     effective_operators,
     lens_fourier,
+    parity_index,
     phase_mask_of,
     superposition_field,
 )
@@ -710,11 +711,13 @@ class TestModes:
     @pytest.mark.parametrize("n", [256, 512])
     @pytest.mark.parametrize("state", ["L", "psi4", "[1,1,1]", "[1,-1,1]"])
     def test_export_memory(self, tmp_path, state, n):
-        # fields built 1/32 of the rows at a time, the mask transformed in place once
-        # its grids are written, and text made 1/32 grid at a time with unbuffered
-        # takes (about 0.55 grids of scratch): the traced peak is 2.21 complex grids
-        # at N = 256 and 2.15-2.16 at N = 512, set while a grid is written; the field
-        # build peaks at 2.12 / 2.09 and the transform at 1.54 / 1.51 (3.16-3.17 with
+        # the field summed 1/32 of the rows at a time, the mask transformed in place
+        # once its grids are written, and each grid's values and text made 1/32 grid
+        # at a time from the complex samples, with unbuffered takes (about 0.55 grids
+        # of scratch): the traced peak is 1.71-1.72 complex grids at N = 256 and
+        # 1.65-1.66 at N = 512, set while a grid is written; the field build peaks at
+        # 1.15-1.16 / 1.12 and the transform at 1.53-1.54 / 1.51 (2.21 / 2.15-2.16
+        # with whole modes in the build and whole value grids, 3.16-3.17 with
         # whole-grid temporaries in the field build and buffered takes, 4.03-4.04
         # with out-of-place fields and whole grids of text)
         cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": n, "extent": 1.0})
@@ -726,7 +729,7 @@ class TestModes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * n * n * np.dtype(complex).itemsize
+        assert peak <= 1.8 * n * n * np.dtype(complex).itemsize
 
 
 def _savetxt(values, header: str) -> str:
@@ -778,6 +781,27 @@ class TestGridFile:
             path = tmp_path / "grid.txt"
             write_grid(path, self.VALUES, 0.25, order=order)
             assert path.read_text() == _savetxt(self.VALUES[np.ix_(order, order)], "4 0.25")
+
+    def test_values_made_per_block_from_complex_samples(self, tmp_path):
+        # each block's |s|^2 or phase is made from that block of the samples (for the
+        # image's order, from the gathered block): the text of the whole-grid values.
+        # The samples hold exact zeros, whose phase is 0, and samples at angle -pi,
+        # whose phase is pi
+        n = 128
+        rng = np.random.default_rng(21)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s[rng.random((n, n)) < 0.05] = 0.0
+        s.imag[(rng.random((n, n)) < 0.05) & (s.real < 0)] = -0.0
+        angle = np.angle(s)
+        assert (s == 0).any() and (angle == -np.pi).any()
+        phase = np.where(angle == -np.pi, np.pi, angle)
+        path = tmp_path / "grid.txt"
+        for order in (None, parity_index(n)):
+            for value, values in ((cli._intensity, np.abs(s) ** 2), (phase_mask_of, phase)):
+                write_grid(path, s, 0.5, value, order=order)
+                if order is not None:
+                    values = values[np.ix_(order, order)]
+                assert path.read_text() == _savetxt(values, f"{n} 0.5")
 
     @hyp_settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),

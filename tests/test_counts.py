@@ -51,17 +51,23 @@ class TestSourceConfig:
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency", "window"]),
-           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400,
+                                  True, False, np.True_, "5", "nan", b"5"]))
     def test_rejects_non_finite(self, field, value):
+        # a bool or a non-number is refused as such, before its finiteness
         kwargs = {"counts_per_setting": 100.0, field: value}
+        refusal = ("finite" if isinstance(value, (float, int)) and not isinstance(value, bool)
+                   else "a number")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
+            with pytest.raises(ValueError, match=f"^{field}: must be {refusal}, got "):
                 SourceConfig(**kwargs)
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^seed: must be an integer, got 1\.5$"):
             SourceConfig(100, seed=1.5)
+        with pytest.raises(ValueError, match=r"^seed: must be an integer, got True$"):
+            SourceConfig(100, seed=True)
         assert SourceConfig(100, seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("kwargs, field", [

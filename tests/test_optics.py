@@ -68,17 +68,23 @@ class TestConfig:
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(["extent", "waist", "fiber_waist"]),
-           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400,
+                                  True, False, np.True_, "1", "nan", b"1"]))
     def test_rejects_non_finite(self, field, value):
+        # a bool or a non-number is refused as such, before its finiteness
         kwargs = {"grid_size": 128, "extent": 1.0, "waist": 0.1, "fiber_waist": 0.1, field: value}
+        refusal = ("finite" if isinstance(value, (float, int)) and not isinstance(value, bool)
+                   else "a number")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
+            with pytest.raises(ValueError, match=f"^{field}: must be {refusal}, got "):
                 OpticsConfig(**kwargs)
 
     def test_grid_size_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got 128\.5$"):
             OpticsConfig(128.5, 1.0, 0.1, 0.1)
+        with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got True$"):
+            OpticsConfig(True, 1.0, 0.1, 0.1)
         assert OpticsConfig(np.int64(256), 1.0, 0.1, 0.1).grid_size == 256
 
     def test_defaults(self):
@@ -153,12 +159,13 @@ class TestInPlaceBuilders:
                                        [1e-3, 1, 1j]])
     def test_superposition_matches_out_of_place_construction(self, small, state):
         psi = np.array(state, dtype=complex) / np.linalg.norm(state)
-        field = superposition_field(psi, small)
-        before = field.samples.copy()
-        assert field.samples.tobytes() == superposition_samples(psi, small).tobytes()
-        again = superposition_field(psi, small)
-        assert not np.shares_memory(field.samples, again.samples)
-        assert np.array_equal(field.samples, before)
+        for cfg in (small, matched_config(512, 1.0)):
+            field = superposition_field(psi, cfg)
+            before = field.samples.copy()
+            assert field.samples.tobytes() == superposition_samples(psi, cfg).tobytes()
+            again = superposition_field(psi, cfg)
+            assert not np.shares_memory(field.samples, again.samples)
+            assert np.array_equal(field.samples, before)
 
     @pytest.mark.parametrize("n", [128, 256, 512, 1024])
     @pytest.mark.parametrize("scale", [1.0, 1e150])
