@@ -198,13 +198,13 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     flip = parity_index(cfg.optics.grid_size)
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
     for kind, value in kinds:
-        fileio.write_grid(output("mask", kind), mask.samples, cfg.optics.extent, value)
-        fileio.write_grid(output("image", kind), mask.samples, cfg.optics.extent, value, flip)
+        fileio.write_grid(output("mask", kind), mask, cfg.optics.extent, value)
+        fileio.write_grid(output("image", kind), mask, cfg.optics.extent, value, flip)
     with _optics_guard():  # transformed in place: the mask's grids are written
         fourier = lens_fourier(mask, overwrite=True)
     del mask
     for kind, value in kinds:
-        fileio.write_grid(output("fourier", kind), fourier.samples, cfg.optics.extent, value)
+        fileio.write_grid(output("fourier", kind), fourier, cfg.optics.extent, value)
 
 
 def _intensity(samples: np.ndarray, out=None) -> np.ndarray:

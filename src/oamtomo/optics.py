@@ -2,9 +2,12 @@
 
 All lengths are dimensionless grid units; physical scalings (lens focal
 lengths, wavelength, the far-field arm) only rescale coordinates and cancel
-in coupling probabilities, so they are not simulated.  The mode family is
-Laguerre-Gauss with radial index 0: amplitude (sqrt(2) r / w)^|l| e^{-r^2/w^2}
-e^{i l phi}, the standard OAM eigenmodes with closed-form overlaps.
+in coupling probabilities, so they are not simulated.  A field is the
+(grid_size, grid_size) complex array of its samples, and the OpticsConfig
+holds its geometry; the builders refuse a geometry that makes a sample
+non-finite.  The mode family is Laguerre-Gauss with radial index 0:
+amplitude (sqrt(2) r / w)^|l| e^{-r^2/w^2} e^{i l phi}, the standard OAM
+eigenmodes with closed-form overlaps.
 
 lens_fourier is a centered, unitary 2-D DFT: one ideal lens focal-plane
 transform.  Two of them reproduce the input with coordinates inverted
@@ -126,25 +129,6 @@ class OpticsConfig:
         return self_fourier_waist(self.grid_size, self.extent) ** 2 / waist
 
 
-@dataclass(frozen=True)
-class FieldGrid:
-    """Sampled complex transverse field over a square grid."""
-
-    samples: np.ndarray
-    extent: float
-
-    def __post_init__(self):
-        s = self.samples
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("field samples must form a square grid")
-        if not np.isfinite(s).all():
-            raise ValueError("field contains non-finite samples")
-
-    @property
-    def grid_size(self) -> int:
-        return self.samples.shape[0]
-
-
 def _qutrit(state) -> np.ndarray:
     psi = state_vector(state)
     if psi.size != 3:
@@ -211,27 +195,29 @@ def _norm(powers, cfg: OpticsConfig) -> float:
     return norm
 
 
-def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> FieldGrid:
+def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
     """Unit-power field of samples, which the caller hands over: divided in place."""
     samples /= _norm(np.array([_power(block) for block in samples.reshape(32, -1)]), cfg)
-    return FieldGrid(samples, cfg.extent)
+    if not np.isfinite(samples).all():
+        raise ValueError("field contains non-finite samples")
+    return samples
 
 
-def oam_mode_field(l: int, cfg: OpticsConfig) -> FieldGrid:
+def oam_mode_field(l: int, cfg: OpticsConfig) -> np.ndarray:
     """Unit-power Laguerre-Gauss p=0 mode with winding number l."""
     if abs(l) > _MAX_WINDING:
         raise ValueError(f"|l| <= {_MAX_WINDING} supported, got l={l}")
     return _normalized(_mode_samples(cfg.waist, l, cfg), cfg)
 
 
-def gaussian_field(waist: float, cfg: OpticsConfig) -> FieldGrid:
+def gaussian_field(waist: float, cfg: OpticsConfig) -> np.ndarray:
     """Unit-power fundamental Gaussian of the given waist."""
     if waist <= 0:
         raise ValueError("waist must be positive")
     return _normalized(_mode_samples(waist, 0, cfg), cfg)
 
 
-def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
+def superposition_field(state, cfg: OpticsConfig) -> np.ndarray:
     """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple, the sum
     of psi_k LG(l_k) over the nonzero amplitudes, made a row block at a time in two
     passes of one scratch block: the first takes each mode's block powers, the second
@@ -252,30 +238,30 @@ def superposition_field(state, cfg: OpticsConfig) -> FieldGrid:
     return _normalized(field, cfg)
 
 
-def phase_mask_of(field, out=None) -> np.ndarray:
-    """Entrywise argument in (-pi, pi] of a FieldGrid or a bare array of samples (into
-    out, if given), np.angle's arctan2 with -pi taken as pi; the argument of 0 is 0."""
-    samples = field.samples if isinstance(field, FieldGrid) else field
-    mask = np.arctan2(samples.imag, samples.real, out=out)
+def phase_mask_of(field: np.ndarray, out=None) -> np.ndarray:
+    """Entrywise argument in (-pi, pi] of a field (into out, if given), np.angle's
+    arctan2 with -pi taken as pi; the argument of 0 is 0."""
+    mask = np.arctan2(field.imag, field.real, out=out)
     mask[mask == -np.pi] = np.pi
     return mask
 
 
-def apply_phase_mask(field: FieldGrid, mask: np.ndarray, conjugate: bool = False) -> FieldGrid:
+def apply_phase_mask(field: np.ndarray, mask: np.ndarray, conjugate: bool = False) -> np.ndarray:
     """Multiply by e^{+i mask} (or e^{-i mask} with conjugate=True)."""
-    if np.shape(mask) != field.samples.shape:
+    if np.shape(mask) != field.shape:
         raise ValueError("grid geometries do not match")
     sign = -1.0 if conjugate else 1.0
-    return FieldGrid(field.samples * np.exp(1j * sign * mask), field.extent)
+    return field * np.exp(1j * sign * mask)
 
 
-def lens_fourier(field: FieldGrid, overwrite: bool = False) -> FieldGrid:
-    """Centered unitary 2-D DFT: one ideal lens focal-plane transform, done in place
-    on a copy of the samples or, with overwrite, on the samples the caller hands over."""
-    out = _shifted(field.samples if overwrite else field.samples.copy(), np.fft.ifftshift)
+def lens_fourier(field: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Centered unitary 2-D DFT of a square field: one ideal lens focal-plane transform,
+    done in place on a copy of the field or, with overwrite, on the field the caller
+    hands over."""
+    out = _shifted(field if overwrite else field.copy(), np.fft.ifftshift)
     np.fft.fft2(out, out=out)
-    out /= field.grid_size
-    return FieldGrid(_shifted(out, np.fft.fftshift), field.extent)
+    out /= out.shape[0]
+    return _shifted(out, np.fft.fftshift)
 
 
 def _shifted(a: np.ndarray, shift) -> np.ndarray:
@@ -299,24 +285,22 @@ def parity_index(n: int) -> np.ndarray:
     return -np.arange(n) % n
 
 
-def parity_flip(field, out=None):
-    """Coordinate inversion (x, y) -> (-x, -y) on the centered grid (into out, if
-    given): the parity index on both axes, the permutation a squared DFT realizes.
-    A FieldGrid gives a FieldGrid; a bare array of samples gives an array, unchecked."""
-    if isinstance(field, FieldGrid):
-        return FieldGrid(parity_flip(field.samples, out), field.extent)
+def parity_flip(field: np.ndarray, out=None) -> np.ndarray:
+    """Coordinate inversion (x, y) -> (-x, -y) of a field on the centered grid (into
+    out, if given): the parity index on both axes, the permutation a squared DFT
+    realizes."""
     a, out = field, np.empty_like(field) if out is None else out
     out[0, 0], out[0, 1:] = a[0, 0], a[0, :0:-1]  # row and column 0 stay, the rest reverse
     out[1:, 0], out[1:, 1:] = a[:0:-1, 0], a[:0:-1, :0:-1]
     return out
 
 
-def fiber_overlap(field: FieldGrid, cfg: OpticsConfig) -> complex:
+def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
     """Coupling amplitude into the collection Gaussian of waist fiber_waist."""
-    if field.grid_size != cfg.grid_size or field.extent != cfg.extent:
+    if field.shape != (cfg.grid_size,) * 2:
         raise ValueError("grid geometries do not match")
     g = gaussian_field(cfg.fiber_waist, cfg)
-    return complex((field.samples * g.samples.conj()).sum() * cfg.cell_area)
+    return complex((field * g.conj()).sum() * cfg.cell_area)
 
 
 def _conversion_envelope(cfg: OpticsConfig, out=None) -> np.ndarray:
@@ -381,7 +365,7 @@ def optical_projection_probability(
         flipped = superposition_field(psi_meas * _PARITY, cfg)
         field = apply_phase_mask(field, phase_mask_of(flipped), conjugate=True)
     else:
-        field = FieldGrid(field.samples * _conversion_field(psi_meas, cfg), cfg.extent)
+        field = field * _conversion_field(psi_meas, cfg)
 
     # far field: one transform; the dropped quadratic phase cancels in the coupling magnitude
     return abs(fiber_overlap(lens_fourier(field), cfg)) ** 2
@@ -407,9 +391,9 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     """
     inputs = np.array([_qutrit(s) for s in input_states])
     signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
-    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True).samples
+    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
     np.conjugate(back, out=back)
-    modes = {l: oam_mode_field(l, cfg).samples for l in MODE_WINDINGS}
+    modes = {l: oam_mode_field(l, cfg) for l in MODE_WINDINGS}
     work, spare = np.empty_like(back), np.empty_like(back)  # held, also as real scratch
 
     def amplitudes(field: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from oamtomo.optics import (
     MODE_WINDINGS,
-    FieldGrid,
     OpticsConfig,
     lens_fourier,
     self_fourier_waist,
@@ -92,13 +91,12 @@ def matched_config(grid_size: int = 512, extent: float = 1.0) -> OpticsConfig:
     return OpticsConfig(grid_size, extent, w, w)
 
 
-def power(field: FieldGrid) -> float:
-    """Total power sum |samples|^2 dA of a sampled field."""
-    step = 2.0 * field.extent / field.grid_size
-    return float((np.abs(field.samples) ** 2).sum() * (step * step))
+def power(samples: np.ndarray, cfg: OpticsConfig) -> float:
+    """Total power sum |samples|^2 dA of a field sampled on the grid of cfg."""
+    return float((np.abs(samples) ** 2).sum() * cfg.cell_area)
 
 
-def farfield(field: FieldGrid) -> FieldGrid:
+def farfield(field: np.ndarray) -> np.ndarray:
     """Fraunhofer propagation: a single focal-plane transform.
 
     The residual quadratic phase of far-field diffraction is dropped; it
@@ -107,7 +105,7 @@ def farfield(field: FieldGrid) -> FieldGrid:
     return lens_fourier(field)
 
 
-def four_f_image(field: FieldGrid) -> FieldGrid:
+def four_f_image(field: np.ndarray) -> np.ndarray:
     """Two successive lens transforms: the parity-inverted input field."""
     return lens_fourier(lens_fourier(field))
 
@@ -137,16 +135,16 @@ def superposition_samples(psi, cfg: OpticsConfig) -> np.ndarray:
     return total / np.sqrt((np.abs(total) ** 2).sum() * cfg.cell_area)
 
 
-def winding_number(field: FieldGrid, radius: float) -> int:
-    """Net phase winding around a centered circle of the given radius."""
-    if radius <= 0 or radius >= field.extent:
+def winding_number(samples: np.ndarray, radius: float, cfg: OpticsConfig) -> int:
+    """Net phase winding around a centered circle of the given radius of a field
+    sampled on the grid of cfg."""
+    if radius <= 0 or radius >= cfg.extent:
         raise ValueError("radius must lie inside the grid")
-    n = field.grid_size
-    step = 2.0 * field.extent / n
+    n, step = cfg.grid_size, cfg.step
     theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     ix = np.clip(np.rint(radius * np.cos(theta) / step).astype(int) + n // 2, 0, n - 1)
     iy = np.clip(np.rint(radius * np.sin(theta) / step).astype(int) + n // 2, 0, n - 1)
-    phases = np.angle(field.samples[iy, ix])
+    phases = np.angle(samples[iy, ix])
     diffs = np.diff(np.concatenate([phases, phases[:1]]))
     wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(wrapped.sum() / (2.0 * np.pi)))

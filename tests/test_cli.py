@@ -695,7 +695,7 @@ class TestModes:
         run = load_config(cfg)
         mask = superposition_field(run.state, run.optics)
         for plane, field in (("mask", mask), ("fourier", lens_fourier(mask))):
-            for kind, values in (("intensity", np.abs(field.samples) ** 2),
+            for kind, values in (("intensity", np.abs(field) ** 2),
                                  ("phase", phase_mask_of(field))):
                 expected = io.StringIO()
                 np.savetxt(expected, values, fmt="%.9g", header="128 1", comments="")
