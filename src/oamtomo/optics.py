@@ -26,7 +26,8 @@ to one field, and by Parseval the far-field fiber overlap is an inner product
 with the fiber Gaussian traced back through the lens: one transform in all.
 Ideal modulation is linear in the state, so its inputs follow from the
 triple's 3x3 Gram matrix and its POVM from a 3x3 coupling matrix, one grid
-pass per winding; phase-only takes one per state.
+pass per winding; phase-only takes one per distinct state, its hologram, which
+serves the state's inputs and measurements alike.
 
 Fields are built and transformed in place, 1/32 of the rows at a time, with the
 bits of the out-of-place expressions: a field's build holds it and a few percent
@@ -386,14 +387,16 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     Ideal modulation is linear in the state: a = G psi / sqrt(psi^H G psi) for
     the Gram matrix G_kl = <LG_k | LG_l> dA, and e = B c for the parity-signed
     state c, where column l of B is the e of conj(M) = t_l E (_conversion_term).
-    Phase-only modulation (phase_only=True) is not: each state costs one pass
-    over the grid.
+    Phase-only modulation (phase_only=True) is not: one pass over the grid, its
+    hologram, per distinct state serves the state's inputs and measurements.
     """
     inputs = np.array([_qutrit(s) for s in input_states])
-    signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
-    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
-    np.conjugate(back, out=back)
+    meas = np.array([_qutrit(s) for s in meas_states])
     modes = {l: oam_mode_field(l, cfg) for l in MODE_WINDINGS}
+    # with equal waists the fiber Gaussian is LG_0, the same build bit for bit
+    fiber = modes[0] if cfg.fiber_waist == cfg.waist else gaussian_field(cfg.fiber_waist, cfg)
+    back = lens_fourier(fiber, overwrite=fiber is not modes[0])
+    np.conjugate(back, out=back)
     work, spare = np.empty_like(back), np.empty_like(back)  # held, also as real scratch
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
@@ -411,25 +414,37 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         # first, as in numpy's in-place evaluation of back * t_l: the order moves last bits
         coupling = np.array([amplitudes(parity_flip(np.multiply(
             _conversion_term(l, cfg, work), back, out=work), spare)) for l in MODE_WINDINGS])
-        e = signed @ coupling
+        e = (meas * _PARITY) @ coupling
     else:
-        def hologram(psi, field: np.ndarray) -> np.ndarray:
-            """field e^{i arg u} in work, u = sum psi_k LG_k, arg 0 = 0; Re u and Im u are
-            divided by |u| as real arrays, as a complex division can overflow on subnormals."""
-            u = work
+        def hologram(psi, u: np.ndarray, scratch: np.ndarray, at=...) -> np.ndarray:
+            """e^{i arg u} in u over the samples at (all of them by default), u = sum psi_k LG_k,
+            arg 0 = 0; Re u and Im u are divided by |u| as real arrays, as a complex division
+            can overflow on subnormals."""
             u.fill(0.0)
             for c, l in zip(psi, MODE_WINDINGS):
                 if c != 0:
-                    u += np.multiply(c, modes[l], out=spare)
+                    u += np.multiply(c, modes[l][at], out=scratch)
             u[u == 0] = 1.0
-            mag = np.abs(u, out=spare.view(float)[:, :cfg.grid_size])
+            mag = np.abs(u, out=scratch.view(float)[..., :u.shape[-1]])
             u.real /= mag
             u.imag /= mag
-            u *= field
             return u
 
-        a = np.array([amplitudes(hologram(psi, modes[0])) for psi in inputs])
-        e = np.array([amplitudes(parity_flip(hologram(c, back), spare)) for c in signed])
+        # LG_l(-r) = (-1)^l LG_l(r), so P(hologram(c) back) = hologram(psi) P(back) off
+        # row and column 0, which P keeps in place: one hologram per distinct state serves
+        # its inputs and its measurements, and back is flipped once, into work's grid
+        back, work, p = parity_flip(back, work), back, parity_index(cfg.grid_size)
+        a, e = np.empty((len(inputs), 3), complex), np.empty((len(meas), 3), complex)
+        for psi in dict.fromkeys(map(tuple, (*inputs, *meas))):  # distinct, by value
+            h = hologram(psi, work, spare)
+            if (js := (inputs == psi).all(axis=1)).any():
+                a[js] = amplitudes(np.multiply(h, modes[0], out=spare))
+            if (ks := (meas == psi).all(axis=1)).any():
+                field = np.multiply(h, back, out=spare)
+                for cut, at in ((np.s_[0], (0, p)), (np.s_[:, 0], (p, 0))):  # P's fixed edge
+                    u = hologram(psi * _PARITY, work[0], work[1], at)  # h is spent: work is free
+                    np.multiply(u, back[cut], out=field[cut])
+                e[ks] = amplitudes(field)
     rho, povm = (v[:, :, None] * v[:, None, :].conj() for v in (a, e))
     if not (np.isfinite(rho).all() and np.isfinite(povm).all()):
         raise ValueError("field contains non-finite samples")

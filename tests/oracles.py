@@ -3,16 +3,24 @@
 None of this runs in the pipeline: the CLI neither converts Kraus operators
 to a process matrix nor applies one, draws no random channel or state,
 traces no phase winding, measures no field's power, builds no mode field out
-of place and computes no photon-statistics ratio.  These functions give the tests independent oracles
+of place, reduces no optics chain one state at a time and computes no
+photon-statistics ratio.  These functions give the tests independent oracles
 and inputs.
 """
 
 import numpy as np
 
 from oamtomo.optics import (
+    _PARITY,
     MODE_WINDINGS,
     OpticsConfig,
+    _conversion_envelope,
+    _conversion_term,
+    _qutrit,
+    gaussian_field,
     lens_fourier,
+    oam_mode_field,
+    parity_flip,
     self_fourier_waist,
 )
 from oamtomo.qudit import KrausChannel
@@ -148,6 +156,49 @@ def winding_number(samples: np.ndarray, radius: float, cfg: OpticsConfig) -> int
     diffs = np.diff(np.concatenate([phases, phases[:1]]))
     wrapped = (diffs + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(wrapped.sum() / (2.0 * np.pi)))
+
+
+
+def per_state_operators(input_states, meas_states, cfg: OpticsConfig, phase_only: bool = False):
+    """optics.effective_operators as one grid pass per state: the fiber Gaussian built
+    by gaussian_field whatever its waist and, with phase_only, a hologram for each input
+    and another for each parity-signed measurement state, its product with the
+    back-propagated Gaussian flipped in turn.  The package shares one hologram per
+    distinct state and flips the Gaussian once; its rho and povm have these bits."""
+    inputs = np.array([_qutrit(s) for s in input_states])
+    signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
+    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
+    np.conjugate(back, out=back)
+    modes = {l: oam_mode_field(l, cfg) for l in MODE_WINDINGS}
+    work, spare = np.empty_like(back), np.empty_like(back)
+
+    def amplitudes(field: np.ndarray) -> np.ndarray:
+        return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
+
+    if not phase_only:
+        a = inputs @ np.array([amplitudes(m) for m in modes.values()])
+        a /= np.sqrt(np.einsum("jk,jk->j", inputs.conj(), a).real)[:, None]
+        back *= _conversion_envelope(cfg, work.view(float)[:, :cfg.grid_size])
+        coupling = np.array([amplitudes(parity_flip(np.multiply(
+            _conversion_term(l, cfg, work), back, out=work), spare)) for l in MODE_WINDINGS])
+        e = signed @ coupling
+    else:
+        def hologram(psi, field: np.ndarray) -> np.ndarray:
+            u = work
+            u.fill(0.0)
+            for c, l in zip(psi, MODE_WINDINGS):
+                if c != 0:
+                    u += np.multiply(c, modes[l], out=spare)
+            u[u == 0] = 1.0
+            mag = np.abs(u, out=spare.view(float)[:, :cfg.grid_size])
+            u.real /= mag
+            u.imag /= mag
+            u *= field
+            return u
+
+        a = np.array([amplitudes(hologram(psi, modes[0])) for psi in inputs])
+        e = np.array([amplitudes(parity_flip(hologram(c, back), spare)) for c in signed])
+    return tuple(v[:, :, None] * v[:, None, :].conj() for v in (a, e))
 
 
 # --- counts: single-photon diagnostics ---

@@ -42,3 +42,19 @@ def test_tier1_job_has_a_timeout():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     for job in workflow["jobs"].values():
         assert 0 < job["timeout-minutes"] <= 30
+
+
+def test_workflow_runs_the_traced_memory_tests_alone():
+    # tracemalloc bounds count what a call allocates, numpy's first-use caches included;
+    # run first in a pytest process of their own, a bound that holds only after another
+    # test warmed a cache fails in CI instead of passing by the suite's order
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step["run"] for job in workflow["jobs"].values() for step in job["steps"]
+            if "run" in step]
+    tests = ["tests/test_optics.py::TestEffectiveOperators::test_memory_stays_flat",
+             "tests/test_cli.py::TestModes::test_export_memory"]
+    memory = [run for run in runs if any(test in run for test in tests)]
+    assert len(memory) == 1, runs
+    assert "python -m pytest" in memory[0]
+    assert re.findall(r'"(tests/[^"]+)"', memory[0]) == tests

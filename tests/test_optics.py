@@ -30,6 +30,7 @@ from oracles import (
     lg_mode_samples,
     matched_config,
     meshgrid,
+    per_state_operators,
     power,
     superposition_samples,
     winding_number,
@@ -496,9 +497,12 @@ class TestEffectiveOperators:
     def test_memory_stays_flat(self, phase_only):
         # grid work runs one field at a time in two grids held across the passes: no
         # stack of per-state or per-mode grids; the traced peak is 6.20 complex grids
-        # (ideal) and 6.07 (phase-only)
+        # (ideal) and 6.07 (phase-only).  numpy caches an FFT plan per length on first
+        # use, about 0.11 grid at N = 256, so a transform of that size runs before the
+        # trace: the bound then holds whichever test ran first
         cfg = matched_config(256, 1.0)
         states = canonical_input_states()
+        np.fft.fft2(np.zeros((cfg.grid_size,) * 2, dtype=complex))
         tracemalloc.start()
         try:
             effective_operators(states, states, cfg, phase_only)
@@ -511,6 +515,49 @@ class TestEffectiveOperators:
         states = canonical_input_states()
         with pytest.raises(ValueError):
             effective_operators([[1.0, 0.0]], states, small)
+
+    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
+    @pytest.mark.parametrize("cfg", [OpticsConfig(128), OpticsConfig(256),
+                                     OpticsConfig(128, 1.0, None, 0.06)],
+                             ids=["default-128", "default-256", "fiber-waist-0.06"])
+    def test_matches_per_state_reduction(self, cfg, phase_only):
+        # one hologram per distinct state, the Gaussian flipped once and LG_0 as the fiber
+        # Gaussian give the bits of a pass per state; states are inputs and measurements,
+        # inputs only (the stored state) and measurements only, in different orders
+        canonical = list(canonical_input_states())
+        stored = np.array([0.3, -0.5j, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+        for inputs, meas in (([*canonical, stored], canonical[::-1]), ([stored], canonical)):
+            got = effective_operators(inputs, meas, cfg, phase_only)
+            want = per_state_operators(inputs, meas, cfg, phase_only)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_phase_only_matches_per_state_reduction_at_the_widest_waist(self):
+        # at waist = extent/4 the samples of row and column 0, which the parity flip keeps
+        # in place, reach the amplitudes' last bits: there a measurement takes the
+        # hologram of its parity-signed state, not the flipped hologram of the state
+        cfg = OpticsConfig(128, 1.0, 0.25, 0.25)
+        states = canonical_input_states()
+        got = effective_operators(states, states, cfg, phase_only=True)
+        want = per_state_operators(states, states, cfg, phase_only=True)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
+    def test_builds_and_flips(self, small, phase_only, monkeypatch):
+        # with equal waists the fiber Gaussian is a transformed copy of LG_0, not a
+        # fourth build; the phase-only path flips the back-propagated Gaussian once
+        # instead of a field per measurement, the ideal path one field per winding
+        calls = {}
+        for name in ("gaussian_field", "oam_mode_field", "parity_flip"):
+            def counted(*args, _call=getattr(optics, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(optics, name, counted)
+        states = canonical_input_states()
+        for cfg, gaussians in ((matched_config(128, 1.0), 0), (small, 1)):
+            calls.update(gaussian_field=0, oam_mode_field=0, parity_flip=0)
+            effective_operators(states, states, cfg, phase_only)
+            assert calls == {"gaussian_field": gaussians, "oam_mode_field": 3,
+                             "parity_flip": 1 if phase_only else 3}
 
 
 class TestWindingNumber:
