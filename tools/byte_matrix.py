@@ -13,8 +13,11 @@ inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
 more than one chunk of cli.BOOTSTRAP_CHUNK; optical-ideal and
 optical-phase-only `simulate` of QPT and psi4 (seed 1 and noiseless) at the
 benchmark's N = 256; and `modes` for psi4, L, [1,-1,1], psi9 and the
-unequal-weight complex state [0.3, [0, -0.5], 0.8] at N = 128 and 512: 208
-cases.
+unequal-weight complex state [0.3, [0, -0.5], 0.8] at N = 128 and 512; and
+seven command-line forms at N = 128: `simulate --seed x`,
+`simulate --mode bogus`, `reconstruct-process` without --counts (each exit
+2, its usage on stderr), `--conf` for --config, `--out=counts.txt`, `--seed 1
+--seed 2`, and `modes --state psi4`: 215 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -117,6 +120,18 @@ def cases():
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
+    # command-line forms: usage errors (exit 2), an abbreviated flag,
+    # --flag=value, a repeated flag (the last wins) and modes' --state
+    for name, command in (
+            ("seed-junk", simulate + ["--seed", "x"]),
+            ("mode-bogus", simulate + ["--mode", "bogus"]),
+            ("no-counts", ["reconstruct-process", "--config", "run.json", "--out", "report.json"]),
+            ("abbreviated", ["simulate", "--conf", "run.json", "--out", "counts.txt"]),
+            ("equals", ["simulate", "--config", "run.json", "--out=counts.txt"]),
+            ("seed-twice", simulate + ["--seed", "1", "--seed", "2"]),
+            ("modes-state", ["modes", "--config", "run.json", "--out", "grids",
+                             "--state", "psi4"])):
+        yield f"cli-{name}", {"optics": {"grid_size": 128}}, [command]
 
 
 def files_under(top: str) -> set:
