@@ -8,18 +8,18 @@ reconstruct-process  counts file -> process matrix report with fidelity
 reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
-Exit codes: 0 success, 2 unreadable config, 3 invalid parameters (an output
-that cannot be written or that is an input file included), 4 incomplete
-counts, 5 degenerate count normalization.  Partial outputs are
-removed on failure; identical config and seed give byte-identical files.
+Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
+usage text), 3 invalid parameters (an output that cannot be written or that is an
+input file included), 4 incomplete counts, 5 degenerate count normalization.  Partial
+outputs are removed on failure; identical config and seed give byte-identical files.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -213,49 +213,72 @@ def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
     return np.square(values, out=values)
 
 
+# flag -> its argparse keywords, which _parse obeys too
+FLAGS = {
+    "config": {"required": True, "help": "JSON run configuration"},
+    "out": {"help": "output path (overrides config output section)"},
+    "seed": {"type": int, "help": "override source.seed"},
+    "mode": {"choices": MEASUREMENT_MODES, "help": "override measurement_mode"},
+    "counts": {"required": True, "help": "counts file to reconstruct from"},
+    "state": {"help": "state name or JSON amplitude list (overrides config)"},
+}
+_COMMON = ("config", "out", "seed", "mode")
+
 # command -> (handler, key of its output in the config's output section, what
-# that output is).  A handler lists in `written` the files it writes to; a
-# failed run removes them, so it leaves no partial or stale file there.
+# that output is, its flags in FLAGS).  A handler lists in `written` the files
+# it writes to; a failed run removes them, so it leaves no partial or stale file there.
 COMMANDS = {
-    "simulate": (cmd_simulate, "counts", "path"),
-    "reconstruct-process": (cmd_reconstruct_process, "report", "path"),
-    "reconstruct-state": (cmd_reconstruct_state, "report", "path"),
-    "modes": (cmd_modes, "grids", "directory"),
+    "simulate": (cmd_simulate, "counts", "path", _COMMON),
+    "reconstruct-process": (cmd_reconstruct_process, "report", "path", _COMMON + ("counts",)),
+    "reconstruct-state": (cmd_reconstruct_state, "report", "path", _COMMON + ("counts",)),
+    "modes": (cmd_modes, "grids", "directory", _COMMON + ("state",)),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oamtomo",
-        description="Simulate and reconstruct qutrit storage tomography experiments.",
-    )
+def _build_parser():
+    import argparse  # and with it gettext and locale: only help and usage errors need it
+    parser = argparse.ArgumentParser(prog="oamtomo", description=(
+        "Simulate and reconstruct qutrit storage tomography experiments."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, counts=False):
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", help="output path (overrides config output section)")
-        p.add_argument("--seed", type=int, help="override source.seed")
-        p.add_argument("--mode", choices=MEASUREMENT_MODES, help="override measurement_mode")
-        if counts:
-            p.add_argument("--counts", required=True, help="counts file to reconstruct from")
-
-    common(sub.add_parser("simulate", help="generate a coincidence counts file"))
-    common(sub.add_parser("reconstruct-process", help="reconstruct the process matrix"),
-           counts=True)
-    common(sub.add_parser("reconstruct-state", help="reconstruct a stored state"), counts=True)
-    modes = sub.add_parser("modes", help="export mask/Fourier/image plane grids")
-    common(modes)
-    modes.add_argument("--state", help="state name or JSON amplitude list (overrides config)")
+    helps = ("generate a coincidence counts file", "reconstruct the process matrix",
+             "reconstruct a stored state", "export mask/Fourier/image plane grids")
+    for (command, (*_, flags)), text in zip(COMMANDS.items(), helps):  # in COMMANDS' order
+        p = sub.add_parser(command, help=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
+def _parse(argv):
+    """argparse's namespace for `COMMAND --flag VALUE ...` with each flag's full name,
+    or None where argparse must read argv: help, an abbreviation, --flag=value, a
+    value starting with '-', a missing required flag or a value argparse refuses."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    args = dict.fromkeys(COMMANDS[argv[0]][3])
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in args or value[:1] == "-":
+            return None
+        try:
+            args[name] = FLAGS[name].get("type", str)(value)
+        except ValueError:
+            return None
+        if args[name] not in FLAGS[name].get("choices", (args[name],)):
+            return None
+    if any(v is None and FLAGS[f].get("required") for f, v in args.items()):
+        return None
+    return types.SimpleNamespace(command=argv[0], **args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or _build_parser().parse_args(argv)
     written: list = []
     try:
         cfg = load_config(args.config, seed=args.seed, mode=args.mode,
                           state=getattr(args, "state", None))  # only modes takes --state
-        handler, key, what = COMMANDS[args.command]
+        handler, key, what, _ = COMMANDS[args.command]
         out = args.out or cfg.output.get(key)
         if not out:
             raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
@@ -288,21 +311,16 @@ def _refuse_input(path: str, args, field: str) -> None:
     a finished run would overwrite that input, and a failed one delete it."""
     for flag in ("config", "counts"):
         source = getattr(args, flag, None)
-        try:
-            same = source is not None and os.path.samefile(path, source)
-        except OSError:  # either path missing: not the same file
-            same = False
-        if same:
-            raise ConfigError(field, f"{path!r} is the --{flag} file, an input")
+        with contextlib.suppress(OSError):  # either path missing: not the same file
+            if source is not None and os.path.samefile(path, source):
+                raise ConfigError(field, f"{path!r} is the --{flag} file, an input")
 
 
 def _fail(written, message: str) -> None:
     print(f"oamtomo: {message}", file=sys.stderr)
     for path in written:
-        try:
+        with contextlib.suppress(OSError):
             os.remove(path)
-        except OSError:
-            pass
 
 
 if __name__ == "__main__":

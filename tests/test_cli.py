@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from oamtomo import cli, gridtext
 from oamtomo.cli import _probability_rows, main
-from oamtomo.config import ConfigError, load_config
+from oamtomo.config import MEASUREMENT_MODES, ConfigError, load_config
 from oamtomo.counts import SourceConfig
 from oamtomo.fileio import read_counts, round_sig, write_grid
 from oamtomo.optics import (
@@ -1196,3 +1197,96 @@ class TestConfigContract:
     @example(doc={"measurement_mode": "abstract", "state": "psi4", "bootstrap_samples": 10**15})
     def test_reconstruct_state_exits_cleanly(self, valid_counts, doc):
         self._check("reconstruct-state", doc, "--counts", valid_counts["reconstruct-state"])
+
+
+# words a command line is drawn from: each command's flags, distractors argparse
+# reads otherwise (help, an end of options, abbreviations, --flag=value, a word
+# that is no flag) and values
+_FLAG_WORDS = [f"--{flag}" for flag in cli.FLAGS] + ["-h", "--", "--conf", "--co", "--seed=3",
+                                                     "++out"]
+_VALUE_WORDS = st.one_of(
+    st.sampled_from(["-1", "-x", "", "007", " 3", "٣", "1_000", "x", "run.json", "psi4",
+                     *MEASUREMENT_MODES]),
+    st.text(max_size=3))
+# values a flag takes more often than others: ints for --seed, modes for --mode
+_VALUES = {"--seed": st.one_of(st.integers(-9, 10**6).map(str), _VALUE_WORDS),
+           "--mode": st.one_of(st.sampled_from(MEASUREMENT_MODES), _VALUE_WORDS)}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*cli.COMMANDS] * 4 + ["-h", "simulat", ""]))
+    own = ([f"--{flag}" for flag in cli.COMMANDS[command][3]] if command in cli.COMMANDS
+           else ["--config"])
+    required = [flag for flag in own if cli.FLAGS[flag[2:]].get("required")]
+    # mostly the command's own flags, and its required ones in 3 lines of 4, so
+    # that many lines parse
+    flags = draw(st.lists(st.sampled_from(own * 8 + _FLAG_WORDS), max_size=5))
+    flags = draw(st.permutations(flags + required * draw(st.sampled_from([0, 1, 1, 1]))))
+    words = [word for flag in flags for word in (flag, draw(_VALUES.get(flag, _VALUE_WORDS)))]
+    tail = draw(st.sampled_from([[]] * 7 + [["--config"], ["x"]]))  # an odd word
+    return [command, *words, *tail]
+
+
+def _fresh(*args, script=None):
+    """Run `python -m oamtomo.cli args` in a fresh interpreter, or with script,
+    `python -c script args`, a script that runs the module as -m does."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = ["-c", script] if script else ["-m", "oamtomo.cli"]
+    return subprocess.run([sys.executable, *command, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+class TestCommandLine:
+    @hyp_settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(argv=_argvs())
+    @example(argv=["simulate", "--config", "007", "--seed", "٣", "--seed", " 3",
+                   "--mode", "optical-ideal"])
+    @example(argv=["modes", "--state", "", "--config", "a", "--seed", "1_000", "--out", "o"])
+    @example(argv=["reconstruct-state", "--counts", "c", "--config", "simulate"])
+    def test_parse_is_argparse_where_it_accepts(self, argv):
+        args = cli._parse(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus", "--config", "a"], ["simulate", "--config"],
+        ["simulate", "--config", "a", "extra"], ["-h"], ["simulate", "-h", "x"],
+        ["simulate", "--conf", "a"], ["simulate", "--config=a"], ["simulate", "--config", "-a"],
+        ["simulate", "--config", "a", "--seed", "-1"], ["simulate", "--config", "a", "--", "x"],
+        ["simulate", "--config", "a", "++out", "o"], ["simulate", "--config", "a", "--counts", "c"],
+        ["simulate", "--out", "o"], ["reconstruct-process", "--config", "a"],
+        ["simulate", "--config", "a", "--seed", "x"],
+        ["simulate", "--config", "a", "--mode", "bogus"]])
+    def test_parse_declines_what_argparse_must_read(self, argv):
+        assert cli._parse(argv) is None
+
+    def test_well_formed_commands_load_no_argparse(self, tmp_path):
+        # the parse is the gain: argparse, with gettext and locale, costs a fresh
+        # command about 2 ms of CPU; help and usage errors still load them
+        script = ("import runpy, sys\n"
+                  "try:\n"
+                  "    runpy.run_module('oamtomo.cli', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit as exc:\n"
+                  "    loaded = {'argparse', 'gettext', 'locale'} & sys.modules.keys()\n"
+                  "    print(exc.code, sorted(loaded))\n")
+        cfg = _write_config(tmp_path / "cfg.json")
+        counts, report = str(tmp_path / "counts.txt"), str(tmp_path / "report.json")
+        for argv in (["simulate", "--config", cfg, "--out", counts],
+                     ["reconstruct-process", "--config", cfg, "--counts", counts, "--out", report]):
+            run = _fresh(*argv, script=script)
+            assert (run.stdout, run.stderr) == ("0 []\n", "")
+        assert _report(pathlib.Path(report))["report"] == "process"
+        # an abbreviation: argparse reads it
+        assert _fresh("simulate", "--conf", cfg, "--out", counts,
+                      script=script).stdout == "0 ['argparse', 'gettext', 'locale']\n"
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: oamtomo [-h] {simulate,reconstruct-process,reconstruct-state,modes}"),
+        (["simulate", "--help"], "usage: oamtomo simulate [-h] --config CONFIG [--out OUT]")])
+    def test_help_is_argparse(self, argv, usage):
+        run = _fresh(*argv)
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.startswith(usage + " ")
