@@ -319,8 +319,10 @@ def _refuse_input(path: str, args, field: str) -> None:
 def _fail(written, message: str) -> None:
     print(f"oamtomo: {message}", file=sys.stderr)
     for path in written:
-        with contextlib.suppress(OSError):
+        try:
             os.remove(path)
+        except OSError:
+            pass
 
 
 if __name__ == "__main__":
