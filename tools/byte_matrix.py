@@ -12,12 +12,14 @@ coincidence window, a counts_per_setting above 1e18, the channel `unitary
 inf`, a 2 x 2 Kraus operator); one abstract QPT bootstrap of 3000 samples,
 more than one chunk of cli.BOOTSTRAP_CHUNK; optical-ideal and
 optical-phase-only `simulate` of QPT and psi4 (seed 1 and noiseless) at the
-benchmark's N = 256; and `modes` for psi4, L, [1,-1,1], psi9 and the
+benchmark's N = 256; optical-ideal and optical-phase-only QPT (seed 1) at
+N = 128 with fiber_waist 0.08, unequal to the mode waist, each a `simulate`
+then a `reconstruct-process`; and `modes` for psi4, L, [1,-1,1], psi9 and the
 unequal-weight complex state [0.3, [0, -0.5], 0.8] at N = 128 and 512; and
 seven command-line forms at N = 128: `simulate --seed x`,
 `simulate --mode bogus`, `reconstruct-process` without --counts (each exit
 2, its usage on stderr), `--conf` for --config, `--out=counts.txt`, `--seed 1
---seed 2`, and `modes --state psi4`: 215 cases.
+--seed 2`, and `modes --state psi4`: 217 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -117,6 +119,14 @@ def cases():
         if state is not None:
             config["state"] = state
         yield f"m{m}-i{k}-s{seed}{'n' if noiseless else ''}-n256", config, [simulate]
+    # a fiber waist unequal to the mode waist: its own Gaussian, not LG_0
+    for m, mode in list(enumerate(MODES))[1:]:
+        config = {"channel": CHANNELS[1], "measurement_mode": mode,
+                  "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1},
+                  "optics": {"grid_size": 128, "fiber_waist": 0.08}}
+        yield f"m{m}-fiber-waist", config, [simulate, [
+            "reconstruct-process", "--config", "run.json", "--counts", "counts.txt",
+            "--out", "report.json"]]
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
