@@ -1,11 +1,11 @@
 """Run configuration: the JSON layer of the command-line front end.
 
-This module checks each value's JSON kind and unknown keys, and holds the
-rules that only the CLI has: dimension, measurement_mode, bootstrap_samples
-and output.  Each default, range or bound of a section is stated once, by the
-constructor that owns the value (SourceConfig, OpticsConfig, state_vector,
-the channels); ConfigError passes its refusal on with the field path in
-front.  An unreadable or syntactically invalid file raises ConfigReadError.
+This module refuses unknown keys, checks each top-level value's JSON kind and
+holds the rules only the CLI has: dimension, measurement_mode, bootstrap_samples
+and output.  The constructor that owns a section value (SourceConfig,
+OpticsConfig, state_vector, the channels) alone states its rules: kind, default,
+range and bound; ConfigError passes a refusal on with the field path in front.
+An unreadable or syntactically invalid file raises ConfigReadError.
 """
 
 from __future__ import annotations
@@ -146,28 +146,23 @@ def parse_complex_entry(entry) -> complex:
 
 
 # JSON value kinds that _require checks, by the name its messages give them
-_KINDS = {"an integer": int, "a number": (int, float), "a boolean": bool, "a string": str,
-          "an object": dict}
+_KINDS = {"an integer": int, "a boolean": bool, "a string": str, "an object": dict}
 
 
-def _require(mapping, field: str, kind: str, default, path: str):
+def _require(mapping, field: str, kind: str, default):
     value = mapping.get(field, default)
     if kind != "a boolean" and isinstance(value, bool):
-        raise ConfigError(f"{path}{field}", f"expected {kind}, got a boolean")
+        raise ConfigError(field, f"expected {kind}, got a boolean")
     if not isinstance(value, _KINDS[kind]):
-        raise ConfigError(f"{path}{field}", f"expected {kind}, got {value!r}")
-    if kind in ("an integer", "a number") and not _finite_number(value):
-        raise ConfigError(f"{path}{field}", f"expected a finite number, got {value!r}")
+        raise ConfigError(field, f"expected {kind}, got {value!r}")
+    if kind == "an integer" and not _finite_number(value):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
     return value
 
 
 def _section(cls, raw: dict, path: str):
-    """cls(**raw) for the config section raw, its refusals prefixed with path: each
-    given key's JSON kind follows its annotation in cls, and no other key is allowed."""
-    kinds = {"int": "an integer", "float": "a number", "float | None": "a number"}
-    for f in fields(cls):
-        if f.name in raw:
-            _require(raw, f.name, kinds[f.type], None, path)
+    """cls(**raw) for the config section raw, its refusals prefixed with path: cls
+    alone checks each value, and no key that is not a field of cls is allowed."""
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path}{sorted(unknown)[0]}", "unknown field")
@@ -199,26 +194,25 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         except json.JSONDecodeError:
             raw["state"] = state
 
-    dimension = _require(raw, "dimension", "an integer", 3, "")
+    dimension = _require(raw, "dimension", "an integer", 3)
     if dimension != 3:
         raise ConfigError("dimension", f"only dimension 3 is supported, got {dimension}")
 
-    source_raw = dict(_require(raw, "source", "an object", {}, ""))
+    source_raw = dict(_require(raw, "source", "an object", {}))
     if seed is not None:
         source_raw["seed"] = seed
     source = _section(SourceConfig, source_raw, "source.")
-    optics = _section(OpticsConfig, _require(raw, "optics", "an object", {}, ""), "optics.")
+    optics = _section(OpticsConfig, _require(raw, "optics", "an object", {}), "optics.")
 
     measurement_mode = mode if mode is not None else _require(
-        raw, "measurement_mode", "a string", "abstract", ""
-    )
+        raw, "measurement_mode", "a string", "abstract")
     if measurement_mode not in MEASUREMENT_MODES:
         raise ConfigError(
             "measurement_mode", f"must be one of {MEASUREMENT_MODES}, got {measurement_mode!r}"
         )
 
-    noiseless = _require(raw, "noiseless", "a boolean", False, "")
-    bootstrap = _require(raw, "bootstrap_samples", "an integer", 0, "")
+    noiseless = _require(raw, "noiseless", "a boolean", False)
+    bootstrap = _require(raw, "bootstrap_samples", "an integer", 0)
     if bootstrap < 0:
         raise ConfigError("bootstrap_samples", "must be nonnegative")
     if bootstrap > _MAX_BOOTSTRAP:
@@ -228,7 +222,7 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     channel = parse_channel(raw.get("channel", "identity"))
     state = parse_state(raw.get("state"))
 
-    output = _require(raw, "output", "an object", {}, "")
+    output = _require(raw, "output", "an object", {})
     unknown = set(output) - {"counts", "report", "grids"}
     if unknown:
         raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")

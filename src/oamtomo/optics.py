@@ -90,7 +90,7 @@ class OpticsConfig:
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         for name in ("extent", "waist", "fiber_waist"):
             value = getattr(self, name)
-            if value is None:
+            if value is None and name != "extent":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
@@ -139,9 +139,7 @@ def _qutrit(state) -> np.ndarray:
 
 def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], out=None):
     """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l| of the mode
-    waist over the given rows (into out, if given), exact at grid zeros."""
-    if l == 0:
-        return 1.0
+    waist over the given rows (into out, if given), exact at grid zeros; l != 0."""
     x = cfg.axis()
     y = np.multiply(1j * np.sign(l), x[rows, None])
     factor = np.empty((len(y), len(x)), dtype=complex) if out is None else out
@@ -205,9 +203,9 @@ def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
 
 
 def oam_mode_field(l: int, cfg: OpticsConfig) -> np.ndarray:
-    """Unit-power Laguerre-Gauss p=0 mode with winding number l."""
-    if abs(l) > _MAX_WINDING:
-        raise ValueError(f"|l| <= {_MAX_WINDING} supported, got l={l}")
+    """Unit-power Laguerre-Gauss p=0 mode with integer winding number l."""
+    if l not in range(-_MAX_WINDING, _MAX_WINDING + 1):
+        raise ValueError(f"l: must be an integer with |l| <= {_MAX_WINDING}, got {l!r}")
     return _normalized(_mode_samples(cfg.waist, l, cfg), cfg)
 
 

@@ -204,10 +204,8 @@ def dephasing_channel(p: float) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing strength must be in [0, 1], got {p!r}")
-    omega = np.exp(2j * np.pi / 3)
-    clock = np.diag(omega ** np.arange(3))
     ks = [np.sqrt(1.0 - p + p / 3) * np.eye(3, dtype=complex)]
-    ks += [np.sqrt(p / 3) * np.linalg.matrix_power(clock, k) for k in range(1, 3)]
+    ks += [np.sqrt(p / 3) * z for z in _weyl_operators()[1:3]]  # Z and Z^2
     return KrausChannel(tuple(ks))
 
 

@@ -169,8 +169,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"source": {"counts_per_setting": True}},
-         "source.counts_per_setting: expected a number, got a boolean"),
-        ({"source": {"seed": 1.5}}, "source.seed: expected an integer, got 1.5"),
+         "source.counts_per_setting: must be a number, got True"),
+        ({"source": {"seed": 1.5}}, "source.seed: must be an integer, got 1.5"),
         ({"optics": [128]}, "optics: expected an object, got [128]"),
     ])
     def test_type_errors_name_the_kind(self, tmp_path, capsys, overrides, message):
@@ -180,31 +180,41 @@ class TestSimulate:
         assert capsys.readouterr().err == f"oamtomo: invalid configuration: {message}\n"
         assert not out.exists()
 
-    # JSON numbers that pass the kind checks, the counts bound and its neighbours among them
+    # every JSON kind: finite numbers, the counts bound and its neighbours among them,
+    # then null, booleans, NaN, the infinities, integers beyond floats, strings, lists
+    # and objects
     _NUMBER = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([1e18, math.nextafter(1e18, math.inf), 10**18 + 1]))
+    _OTHER = st.one_of(st.none(), st.booleans(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),
+                       st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1))
 
     @hyp_settings(deadline=None, derandomize=True, database=None, max_examples=300,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(source=st.fixed_dictionaries({}, optional={
                **dict.fromkeys(("counts_per_setting", "background", "efficiency", "window"),
-                               _NUMBER),
-               "seed": st.integers(-2, 2**64)}),
+                               st.one_of(_NUMBER, _OTHER)),
+               "seed": st.one_of(st.integers(-2, 2**64), _OTHER)}),
            optics=st.fixed_dictionaries({
-               "grid_size": st.one_of(st.integers(-1, 9000), st.sampled_from([128, 4096])),
-               **dict.fromkeys(("extent", "waist", "fiber_waist"), _NUMBER)}))
+               "grid_size": st.one_of(st.integers(-1, 9000), st.sampled_from([128, 4096]),
+                                      _OTHER),
+               **dict.fromkeys(("extent", "waist", "fiber_waist"), st.one_of(_NUMBER, _OTHER))}))
+    @example(source={"seed": 10**400},
+             optics={"grid_size": 128, "extent": 1, "waist": None, "fiber_waist": None})
+    @example(source={}, optics={"grid_size": 128, "extent": None, "waist": 0.1,
+                                "fiber_waist": 0.1})
     def test_library_refuses_what_the_cli_refuses(self, tmp_path, source, optics):
         # load_config refuses a section exactly when its constructor refuses the
-        # same values, with the constructor's message after the section prefix
-        as_floats = {k: v if k == "grid_size" else float(v) for k, v in optics.items()}
-        for name, cls, values, kwargs in (("source", SourceConfig, source, source),
-                                          ("optics", OpticsConfig, optics, as_floats)):
+        # same JSON values, with the constructor's message after the section prefix
+        for name, cls, values in (("source", SourceConfig, source),
+                                  ("optics", OpticsConfig, optics)):
             # a new file each time: truncating one in place is slow on some file systems
             fd, path = tempfile.mkstemp(suffix=".json", dir=tmp_path)
             with os.fdopen(fd, "w") as fh:
                 json.dump({name: values}, fh)
             try:
-                expected = cls(**kwargs)
+                expected = cls(**values)
             except ValueError as exc:
                 with pytest.raises(ConfigError) as refused:
                     load_config(path)

@@ -79,6 +79,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{field}: must be {refusal}, got "):
                 OpticsConfig(**kwargs)
 
+    def test_extent_is_not_optional(self):
+        # only the two waists take None, as their default
+        with pytest.raises(ValueError, match=r"^extent: must be a number, got None$"):
+            OpticsConfig(extent=None)
+
     def test_grid_size_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got 128\.5$"):
             OpticsConfig(128.5, 1.0, 0.1, 0.1)
@@ -129,8 +134,9 @@ class TestModeFields:
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-6)
 
     def test_rejects_large_winding(self, cfg):
-        with pytest.raises(ValueError):
-            oam_mode_field(6, cfg)
+        for l in (6, 1.5):  # a fractional winding is no LG mode
+            with pytest.raises(ValueError, match=r"^l: must be an integer with \|l\| <= 5, got "):
+                oam_mode_field(l, cfg)
 
     @pytest.mark.parametrize("build", [
         lambda cfg: oam_mode_field(0, cfg),
