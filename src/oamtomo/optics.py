@@ -5,9 +5,9 @@ lengths, wavelength, the far-field arm) only rescale coordinates and cancel
 in coupling probabilities, so they are not simulated.  A field is the
 (grid_size, grid_size) complex array of its samples, and the OpticsConfig
 holds its geometry; the builders refuse a geometry that makes a sample
-non-finite.  The mode family is Laguerre-Gauss with radial index 0:
-amplitude (sqrt(2) r / w)^|l| e^{-r^2/w^2} e^{i l phi}, the standard OAM
-eigenmodes with closed-form overlaps.
+non-finite.  The modes are the Laguerre-Gauss triple with radial index 0 and
+l = +1, 0, -1: amplitude (sqrt(2) r / w)^|l| e^{-r^2/w^2} e^{i l phi}, the
+standard OAM eigenmodes with closed-form overlaps.
 
 lens_fourier is a centered, unitary 2-D DFT: one ideal lens focal-plane
 transform.  Two of them reproduce the input with coordinates inverted
@@ -41,7 +41,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -52,8 +51,6 @@ MODE_WINDINGS = (1, 0, -1)
 
 # state * _PARITY holds the amplitudes of the parity-flipped field: LG_l picks up (-1)^l
 _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
-
-_MAX_WINDING = 5
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
 # more than about 6.2 of them (optical simulate; modes about 1.7)
@@ -138,17 +135,14 @@ def _qutrit(state) -> np.ndarray:
 
 
 def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], out=None):
-    """LG(p=0, l) vortex factor ((sqrt(2) / waist)(x + i sign(l) y))^|l| of the mode
-    waist over the given rows (into out, if given), exact at grid zeros; l != 0."""
+    """Vortex factor (sqrt(2) / waist)(x + i l y) of LG(p=0, l) for l = +1 or -1 of the
+    triple, of the mode waist over the given rows (into out, if given), exact at grid zeros."""
     x = cfg.axis()
-    y = np.multiply(1j * np.sign(l), x[rows, None])
+    y = np.multiply(1j * l, x[rows, None])
     factor = np.empty((len(y), len(x)), dtype=complex) if out is None else out
     factor[...] = y  # broadcast by assignment: a broadcasting ufunc buffers each such operand
     np.add(x, factor, out=factor)
-    np.multiply(np.sqrt(2.0) / cfg.waist, factor, out=factor)
-    if abs(l) > 1:  # z ** 1 is z; not np.power(out=): ** squares by np.square
-        factor **= abs(l)
-    return factor
+    return np.multiply(np.sqrt(2.0) / cfg.waist, factor, out=factor)
 
 
 def _gaussian_blocks(waist: float, cfg: OpticsConfig):
@@ -203,9 +197,9 @@ def _normalized(samples: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
 
 
 def oam_mode_field(l: int, cfg: OpticsConfig) -> np.ndarray:
-    """Unit-power Laguerre-Gauss p=0 mode with integer winding number l."""
-    if l not in range(-_MAX_WINDING, _MAX_WINDING + 1):
-        raise ValueError(f"l: must be an integer with |l| <= {_MAX_WINDING}, got {l!r}")
+    """Unit-power Laguerre-Gauss p=0 mode of the triple: winding number l in MODE_WINDINGS."""
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l not in MODE_WINDINGS:
+        raise ValueError(f"l: must be one of {MODE_WINDINGS}, got {l!r}")
     return _normalized(_mode_samples(cfg.waist, l, cfg), cfg)
 
 
@@ -254,22 +248,19 @@ def apply_phase_mask(field: np.ndarray, mask: np.ndarray, conjugate: bool = Fals
 
 
 def lens_fourier(field: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Centered unitary 2-D DFT of a square field: one ideal lens focal-plane transform,
-    done in place on a copy of the field or, with overwrite, on the field the caller
-    hands over."""
-    out = _shifted(field if overwrite else field.copy(), np.fft.ifftshift)
+    """Centered unitary 2-D DFT of a square field of even side, as every OpticsConfig
+    grid is: one ideal lens focal-plane transform, done in place on a copy of the field
+    or, with overwrite, on the field the caller hands over."""
+    out = _shifted(field if overwrite else field.copy())
     np.fft.fft2(out, out=out)
     out /= out.shape[0]
-    return _shifted(out, np.fft.fftshift)
+    return _shifted(out)
 
 
-def _shifted(a: np.ndarray, shift) -> np.ndarray:
-    """shift (np.fft.fftshift or ifftshift) of a square array: for an even side,
-    where the two agree, a itself with its diagonal quadrants swapped."""
-    n = a.shape[0]
-    if n % 2:
-        return shift(a)
-    h = n // 2
+def _shifted(a: np.ndarray) -> np.ndarray:
+    """np.fft.fftshift of a square array of even side, which equals its ifftshift:
+    a itself with its diagonal quadrants swapped."""
+    h = a.shape[0] // 2
     for top, bottom in ((np.s_[:h, :h], np.s_[h:, h:]), (np.s_[:h, h:], np.s_[h:, :h])):
         quarter = a[top].copy()
         a[top] = a[bottom]
@@ -321,9 +312,9 @@ def _conversion_envelope(cfg: OpticsConfig, out=None) -> np.ndarray:
 
 
 def _conversion_term(l: int, cfg: OpticsConfig, out=None):
-    """t_l = amp_l Q_l, the normalized vortex factor of LG_l (into out, if given): t_l E
+    """t_l = amp Q_l, the normalized vortex factor of LG_l (into out, if given): t_l E
     is conj of the conversion mask of the flipped basis mode (-1)^l LG_l."""
-    amp = np.sqrt(2.0 / (np.pi * cfg.waist**2 * factorial(abs(l))))
+    amp = np.sqrt(2.0 / (np.pi * cfg.waist**2))
     return amp if l == 0 else np.multiply(amp, _vortex(l, cfg, out=out), out=out)
 
 

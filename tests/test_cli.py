@@ -13,7 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings as hyp_settings, strategies as st
+from hypothesis import (HealthCheck, Phase, example, given, settings as hyp_settings,
+                        strategies as st)
 from hypothesis.extra import numpy as hnp
 
 from oamtomo import cli, gridtext
@@ -37,6 +38,10 @@ from oamtomo.tomography import (
     qpt_linear_inversion,
 )
 from oracles import chi_from_kraus, ideal_storage_chi
+
+# the config property tests report a failing example unshrunk: shrinking one
+# of them ran for over 5 minutes and grew past 700 MB
+_NO_SHRINK = [Phase.explicit, Phase.generate]
 
 
 def _write_config(path, **overrides):
@@ -191,7 +196,7 @@ class TestSimulate:
                        st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1))
 
     @hyp_settings(deadline=None, derandomize=True, database=None, max_examples=300,
-                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+                  phases=_NO_SHRINK, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(source=st.fixed_dictionaries({}, optional={
                **dict.fromkeys(("counts_per_setting", "background", "efficiency", "window"),
                                st.one_of(_NUMBER, _OTHER)),
@@ -1179,14 +1184,16 @@ class TestConfigContract:
     # they need every other field valid: Kraus operators on no qutrit, optics
     # scales whose squares leave the float range, and a grid and a bootstrap too
     # large to allocate (the grid is refused by its bound, before any field exists)
-    @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hyp_settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                  phases=_NO_SHRINK)
     @given(doc=_configs("simulate"))
     @example(doc={"measurement_mode": "abstract", "channel": {"kraus": [[[1, 0], [0, 1]]]}})
     @example(doc={"measurement_mode": "optical-ideal", "optics": {"grid_size": 2**20}})
     def test_simulate_exits_cleanly(self, doc):
         self._check("simulate", doc)
 
-    @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp_settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                  phases=_NO_SHRINK)
     @given(doc=_configs("modes"))
     @example(doc={"measurement_mode": "abstract", "state": "psi4",
                   "optics": {"grid_size": 128, "extent": 1.4e155}})
@@ -1196,13 +1203,15 @@ class TestConfigContract:
     def test_modes_exits_cleanly(self, doc):
         self._check("modes", doc)
 
-    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                  phases=_NO_SHRINK)
     @given(doc=_configs("reconstruct-process"))
     @example(doc={"measurement_mode": "abstract", "bootstrap_samples": 10**15})
     def test_reconstruct_process_exits_cleanly(self, valid_counts, doc):
         self._check("reconstruct-process", doc, "--counts", valid_counts["reconstruct-process"])
 
-    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                  phases=_NO_SHRINK)
     @given(doc=_configs("reconstruct-state"))
     @example(doc={"measurement_mode": "abstract", "state": "psi4", "bootstrap_samples": 10**15})
     def test_reconstruct_state_exits_cleanly(self, valid_counts, doc):

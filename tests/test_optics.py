@@ -8,6 +8,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oamtomo import optics
 from oamtomo.optics import (
+    MODE_WINDINGS,
     OpticsConfig,
     _conversion_field,
     apply_phase_mask,
@@ -125,7 +126,7 @@ class TestModeFields:
         assert abs(f[n // 2, n // 2]) == 0.0
 
     def test_unit_power(self, cfg):
-        for l in (-2, -1, 0, 1, 2):
+        for l in MODE_WINDINGS:
             assert power(oam_mode_field(l, cfg), cfg) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthonormal_triple(self, cfg):
@@ -134,8 +135,9 @@ class TestModeFields:
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-6)
 
     def test_rejects_large_winding(self, cfg):
-        for l in (6, 1.5):  # a fractional winding is no LG mode
-            with pytest.raises(ValueError, match=r"^l: must be an integer with \|l\| <= 5, got "):
+        # only the triple is built; a bool or a float is no winding, even where it equals one
+        for l in (6, 2, -5, 1.5, 1.0, True, False):
+            with pytest.raises(ValueError, match=r"^l: must be one of \(1, 0, -1\), got "):
                 oam_mode_field(l, cfg)
 
     @pytest.mark.parametrize("build", [
@@ -158,7 +160,7 @@ class TestInPlaceBuilders:
         return matched_config(128, 1.0)
 
     def test_mode_fields_match_out_of_place_construction(self, small):
-        for l in range(-5, 6):
+        for l in MODE_WINDINGS:
             field = oam_mode_field(l, small)
             assert field.tobytes() == lg_mode_samples(l, small.waist, small).tobytes()
             assert not np.shares_memory(field, oam_mode_field(l, small))
@@ -321,12 +323,12 @@ class TestLensFourier:
 
     def test_winding_preserved(self, cfg):
         for l in (-1, 1, 2):
-            out = lens_fourier(oam_mode_field(l, cfg))
+            out = lens_fourier(lg_mode_samples(l, cfg.waist, cfg))
             assert winding_number(out, cfg.waist, cfg) == l
 
-    @pytest.mark.parametrize("n", [128, 5])
+    @pytest.mark.parametrize("n", [128, 6])
     def test_in_place_transform_keeps_input(self, n):
-        # an even side shifts by the in-place quadrant swap, an odd one by fftshift
+        # the shift is the in-place quadrant swap, for any even side
         rng = np.random.default_rng(n)
         before = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         f = before.copy()
@@ -335,14 +337,19 @@ class TestLensFourier:
         expected = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(before))) / n
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("n", [128, 5])
+    @pytest.mark.parametrize("n", [128, 6])
     def test_overwrite_transforms_the_samples_handed_over(self, n):
         rng = np.random.default_rng(n)
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         expected = lens_fourier(f)
         out = lens_fourier(f, overwrite=True)
         assert out.tobytes() == expected.tobytes()
-        assert np.shares_memory(out, f) == (n % 2 == 0)
+        assert np.shares_memory(out, f)
+
+    def test_odd_side_is_refused(self):
+        # every OpticsConfig side is even; an odd one fails in the quadrant swap
+        with pytest.raises(ValueError):
+            lens_fourier(np.ones((5, 5), dtype=complex))
 
 
 class TestFourF:
@@ -392,7 +399,7 @@ class TestFiberOverlap:
 
     def test_vortex_orthogonal(self, cfg):
         for l in (-2, -1, 1, 2):
-            assert abs(fiber_overlap(oam_mode_field(l, cfg), cfg)) < 1e-9
+            assert abs(fiber_overlap(lg_mode_samples(l, cfg.waist, cfg), cfg)) < 1e-9
 
     def test_mismatched_waists_closed_form(self, cfg):
         # oracle: overlap of normalized Gaussians = 2 w1 w2 / (w1^2 + w2^2)
@@ -573,4 +580,4 @@ class TestWindingNumber:
             winding_number(f, 2.0, cfg)
 
     def test_higher_order(self, cfg):
-        assert winding_number(oam_mode_field(-2, cfg), cfg.waist, cfg) == -2
+        assert winding_number(lg_mode_samples(-2, cfg.waist, cfg), cfg.waist, cfg) == -2
