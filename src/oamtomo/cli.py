@@ -96,10 +96,7 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
 
 
 def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
-    try:
-        counts = fileio.read_counts(path)
-    except OSError as exc:  # missing, a directory, unreadable: a counts fault, exit 4
-        raise fileio.CountsFileError(f"{path}: {exc.strerror or exc}") from exc
+    counts = fileio.read_counts(path)  # owns every fault of reading the file
     if counts.shape[0] != n_in:
         raise fileio.CountsFileError(f"expected {9 * n_in} settings, found {counts.size // 2}")
     # numpy's largest Poisson mean: a bootstrap cannot resample a count above it

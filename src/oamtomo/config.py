@@ -5,7 +5,7 @@ holds the rules only the CLI has: dimension, measurement_mode, bootstrap_samples
 and output.  The constructor that owns a section value (SourceConfig,
 OpticsConfig, state_vector, the channels) alone states its rules: kind, default,
 range and bound; ConfigError passes a refusal on with the field path in front.
-An unreadable or syntactically invalid file raises ConfigReadError.
+Every fault of reading the file raises ConfigReadError.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ _MAX_BOOTSTRAP = 100000
 
 
 class ConfigReadError(Exception):
-    """The configuration file could not be read or parsed as JSON."""
+    """The configuration file could not be opened, read, decoded as UTF-8 or parsed
+    as JSON (nested too deep or holding an integer int() cannot read included)."""
 
 
 class ConfigError(ValueError):
@@ -160,12 +161,17 @@ def _require(mapping, field: str, kind: str, default):
     return value
 
 
+def _refuse_unknown(raw: dict, known, path: str = "") -> None:
+    """Refuse the first key of raw, in sorted order, that known does not hold."""
+    unknown = set(raw).difference(known)
+    if unknown:
+        raise ConfigError(f"{path}{sorted(unknown)[0]}", "unknown field")
+
+
 def _section(cls, raw: dict, path: str):
     """cls(**raw) for the config section raw, its refusals prefixed with path: cls
     alone checks each value, and no key that is not a field of cls is allowed."""
-    unknown = set(raw) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{path}{sorted(unknown)[0]}", "unknown field")
+    _refuse_unknown(raw, (f.name for f in fields(cls)), path)
     try:
         return cls(**raw)
     except ValueError as exc:  # the message starts with the field it refuses
@@ -179,19 +185,20 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     seed, mode and state, when given, override source.seed, measurement_mode
     and state; state is the text of a state spec, JSON (null, an amplitude
     list) or a bare state name.  The echoed configuration reflects the
-    effective values.
+    effective values.  The file is read as UTF-8; every fault of reading it
+    raises ConfigReadError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON or UTF-8
         raise ConfigReadError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
     if state is not None:
         try:
             raw["state"] = json.loads(state)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON: a state name
             raw["state"] = state
 
     dimension = _require(raw, "dimension", "an integer", 3)
@@ -223,21 +230,12 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     state = parse_state(raw.get("state"))
 
     output = _require(raw, "output", "an object", {})
-    unknown = set(output) - {"counts", "report", "grids"}
-    if unknown:
-        raise ConfigError(f"output.{sorted(unknown)[0]}", "unknown field")
-    for key in ("counts", "report", "grids"):
+    output_keys = ("counts", "report", "grids")
+    _refuse_unknown(output, output_keys, "output.")
+    for key in output_keys:
         value = output.get(key)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"output.{key}", f"expected a path string, got {value!r}")
-
-    known = {
-        "dimension", "channel", "state", "source", "optics", "measurement_mode",
-        "noiseless", "bootstrap_samples", "output",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
 
     echo = {
         "dimension": dimension,
@@ -249,6 +247,7 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         "noiseless": noiseless,
         "bootstrap_samples": bootstrap,
     }
+    _refuse_unknown(raw, [*echo, "output"])
     return RunConfig(
         channel=channel,
         state=state,

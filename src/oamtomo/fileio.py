@@ -53,38 +53,46 @@ def write_counts(path, counts, echo: dict) -> None:
     ]
     for (j, i), (raw, bg) in zip(np.ndindex(counts.shape[:2]), counts.reshape(-1, 2)):
         lines.append(f"{j + 1} {i + 1} {raw} {bg}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_counts(path) -> np.ndarray:
     """Parse a counts file into an int64 array of shape (n_in, 9, 2).
 
-    The one check of counts that come from outside the program: it accepts
-    what write_counts writes, in any line order, and raises CountsFileError
-    naming the line or setting for anything else.  Input indices run over
-    1..n_in with n_in 1 (state mode) or 9 (process mode), each with
-    projectors 1..9 exactly once, and every count is a nonnegative integer
-    that fits int64.  Header lines are skipped.
+    The one reader of counts from outside the program, owning all its faults: it
+    accepts what write_counts writes, in any line order, and raises
+    CountsFileError naming the line or setting for anything else, or the path
+    if the file cannot be read.  Input indices run over 1..n_in with n_in 1
+    (state mode) or 9 (process mode), each with projectors 1..9 exactly once,
+    and every count is a nonnegative integer that fits int64.  The file is
+    read as UTF-8 a line at a time; header lines are skipped.
     """
     found = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4 or not all(p.isascii() and p.isdigit() for p in parts):
-                raise CountsFileError(
-                    f"{path}:{ln}: expected 4 nonnegative integers, got {line!r}")
-            j, i, raw, bg = (int(p) for p in parts)
-            if not (1 <= j <= 9 and 1 <= i <= 9):
-                raise CountsFileError(f"{path}:{ln}: setting ({j}, {i}) is out of range")
-            if max(raw, bg) > _INT64_MAX:
-                raise CountsFileError(f"{path}:{ln}: count exceeds the int64 range")
-            if (j, i) in found:
-                raise CountsFileError(f"{path}:{ln}: duplicate record for setting ({j}, {i})")
-            found[j, i] = raw, bg
+    try:  # a byte that is not UTF-8 reads as U+FFFD, which the digit check refuses
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 4 or not all(p.isascii() and p.isdigit() for p in parts):
+                    raise CountsFileError(
+                        f"{path}:{ln}: expected 4 nonnegative integers, got {line!r}")
+                try:
+                    j, i, raw, bg = (int(p) for p in parts)
+                except ValueError:  # beyond int()'s digit limit
+                    raise CountsFileError(f"{path}:{ln}: a number is too long to read")
+                if not (1 <= j <= 9 and 1 <= i <= 9):
+                    raise CountsFileError(f"{path}:{ln}: setting ({j}, {i}) is out of range")
+                if max(raw, bg) > _INT64_MAX:
+                    raise CountsFileError(f"{path}:{ln}: count exceeds the int64 range")
+                if (j, i) in found:
+                    raise CountsFileError(
+                        f"{path}:{ln}: duplicate record for setting ({j}, {i})")
+                found[j, i] = raw, bg
+    except OSError as exc:
+        raise CountsFileError(f"{path}: {exc.strerror or exc}") from exc
     if not found:
         raise CountsFileError(f"{path}: no count records found")
     n_in = 1 if max(j for j, _ in found) == 1 else 9
@@ -97,7 +105,7 @@ def read_counts(path) -> np.ndarray:
 
 
 def write_report(path, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 

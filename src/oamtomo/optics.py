@@ -69,8 +69,8 @@ class OpticsConfig:
     grid_size N samples per axis over [-extent, extent); waist is the
     LG-family waist, fiber_waist the far-field collection Gaussian's waist.
     Each waist left as None becomes the grid's self-Fourier waist.  The
-    lengths are stored as floats.  Each refusal starts with the name of the
-    field it refuses.
+    lengths are checked in field order and stored as floats.  Each refusal
+    starts with the name of the field it refuses.
     """
 
     grid_size: int = 512
@@ -85,27 +85,20 @@ class OpticsConfig:
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
-        for name in ("extent", "waist", "fiber_waist"):
+        for name in ("extent", "waist", "fiber_waist"):  # extent first: the default waists need it
             value = getattr(self, name)
             if value is None and name != "extent":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: must be a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
-                raise ValueError(f"{name}: must be finite, got {value!r}")
-        if self.extent <= 0:
-            raise ValueError("extent: must be positive")
-        for name in ("extent", "waist", "fiber_waist"):  # stored as floats, extent first
-            value = getattr(self, name)
-            if value is None:
                 value = self_fourier_waist(n, self.extent)
                 if not value <= sys.float_info.max:
                     raise ValueError(f"extent: {self.extent!r} is too large: the default "
                                      f"{name}, the self-Fourier waist, is not finite")
-            object.__setattr__(self, name, float(value))
-        for name in ("waist", "fiber_waist"):
-            if getattr(self, name) <= 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+                raise ValueError(f"{name}: must be finite, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name}: must be positive")
+            object.__setattr__(self, name, float(value))
         if self.waist > self.extent / 4.0:
             raise ValueError(
                 f"waist: {self.waist!r} exceeds extent/4 = {self.extent / 4.0!r} (aliasing guard)"

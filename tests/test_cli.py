@@ -1217,6 +1217,38 @@ class TestConfigContract:
     def test_reconstruct_state_exits_cleanly(self, valid_counts, doc):
         self._check("reconstruct-state", doc, "--counts", valid_counts["reconstruct-state"])
 
+    # input text its reader cannot decode, nest or convert: a config that is not
+    # UTF-8, nested too deep or holding an integer beyond int()'s digit limit; such
+    # --state text, which is then a state name; and such a counts record (line 6)
+    @pytest.mark.parametrize("config, state, record, code, prefix", [
+        (b'{"channel": "\xff"}', None, None, 2, "config: {cfg}: "),
+        (b"[" * 100000, None, None, 2, "config: {cfg}: "),
+        (b'{"dimension": ' + b"3" * 5000 + b"}", None, None, 2, "config: {cfg}: "),
+        (None, "[" * 50000, None, 3, "invalid configuration: state: "),
+        (None, "3" * 5000, None, 3, "invalid configuration: state: "),
+        (None, None, b"1 3 10\xff 0", 4, "counts: {counts}:6: "),
+        (None, None, b"1 3 " + b"9" * 5000 + b" 0", 4, "counts: {counts}:6: "),
+    ], ids=["config-not-utf8", "config-nested", "config-long-int", "state-nested",
+            "state-long-int", "counts-not-utf8", "counts-long-int"])
+    def test_undecodable_inputs_exit_cleanly(self, tmp_path, valid_counts, config, state,
+                                             record, code, prefix):
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4")
+        if config is not None:
+            pathlib.Path(cfg).write_bytes(config)
+        counts = tmp_path / "counts.txt"
+        lines = pathlib.Path(valid_counts["reconstruct-process"]).read_bytes().split(b"\n")
+        lines[5] = record or lines[5]
+        counts.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        command = (["modes", "--state", state] if state is not None
+                   else ["reconstruct-process", "--counts", str(counts)] if record
+                   else ["simulate"])
+        run = _fresh(*command, "--config", cfg, "--out", str(out))
+        assert run.returncode == code, run.stderr[:300]
+        assert run.stderr.startswith("oamtomo: " + prefix.format(cfg=cfg, counts=counts))
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
 
 # words a command line is drawn from: each command's flags, distractors argparse
 # reads otherwise (help, an end of options, abbreviations, --flag=value, a word
@@ -1301,6 +1333,21 @@ class TestCommandLine:
         # an abbreviation: argparse reads it
         assert _fresh("simulate", "--conf", cfg, "--out", counts,
                       script=script).stdout == "0 ['argparse', 'gettext', 'locale']\n"
+
+    def test_text_files_are_opened_with_an_encoding(self, tmp_path, monkeypatch):
+        # every text file a command reads or writes names its encoding, so no
+        # byte depends on the locale: an open() without one fails the run here
+        monkeypatch.setenv("PYTHONWARNDEFAULTENCODING", "1")
+        monkeypatch.setenv("PYTHONWARNINGS", "error::EncodingWarning")
+        cfg = _write_config(tmp_path / "cfg.json", state="psi4",
+                            measurement_mode="optical-ideal", optics={"grid_size": 128})
+        counts = str(tmp_path / "counts.txt")
+        for argv in (["simulate", "--out", counts],
+                     ["reconstruct-state", "--counts", counts, "--out", str(tmp_path / "r.json")],
+                     ["modes", "--out", str(tmp_path / "grids")]):
+            run = _fresh(*argv, "--config", cfg)
+            assert (run.returncode, run.stderr) == (0, ""), argv
+        assert len(os.listdir(tmp_path / "grids")) == 6
 
     @pytest.mark.parametrize("argv, usage", [
         (["--help"], "usage: oamtomo [-h] {simulate,reconstruct-process,reconstruct-state,modes}"),

@@ -80,6 +80,13 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{field}: must be {refusal}, got "):
                 OpticsConfig(**kwargs)
 
+    def test_first_bad_length_in_field_order_is_refused(self):
+        # extent, waist and fiber_waist are checked one at a time, each in full
+        with pytest.raises(ValueError, match=r"^extent: must be positive$"):
+            OpticsConfig(128, 0, "x")
+        with pytest.raises(ValueError, match=r"^waist: must be positive$"):
+            OpticsConfig(128, 1.0, -1, math.nan)
+
     def test_extent_is_not_optional(self):
         # only the two waists take None, as their default
         with pytest.raises(ValueError, match=r"^extent: must be a number, got None$"):
