@@ -9,9 +9,10 @@ reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
-usage text), 3 invalid parameters (an output that cannot be written or that is an
-input file included), 4 incomplete counts, 5 degenerate count normalization.  Partial
-outputs are removed on failure; identical config and seed give byte-identical files.
+usage text), 3 invalid parameters (an output path that is missing, an input file or
+unwritable included; main takes --out whenever given, else the config's path), 4
+incomplete counts, 5 degenerate count normalization.  Partial outputs are removed on
+failure; identical config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
-    written.append(out_path)
     make = exact_counts if cfg.noiseless else simulate_counts
     fileio.write_counts(out_path, make(_probability_rows(cfg), cfg.source), cfg.echo)
 
@@ -153,7 +153,6 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
 
 
 def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
-    written.append(out_path)
     counts = _read_counts(args.counts, 9, cfg)
     ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
     doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
@@ -163,7 +162,6 @@ def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) 
 
 
 def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) -> None:
-    written.append(out_path)
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1, cfg)
@@ -179,10 +177,9 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
         raise ConfigError("state", "a state is required for mode export")
     with _optics_guard():
         mask = superposition_field(cfg.state, cfg.optics)
-    try:  # only once the mask field exists: a bad geometry leaves no directory
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:  # e.g. a file of that name, which is left alone
-        raise ConfigError("output.grids", f"cannot create directory {out_dir!r}: {exc.strerror}")
+    # only once the mask field exists: a bad geometry leaves no directory, and a
+    # file of that name is left alone (main names output.grids)
+    os.makedirs(out_dir, exist_ok=True)
 
     def output(plane: str, kind: str) -> str:
         path = os.path.join(out_dir, f"{plane}_{kind}.txt")
@@ -222,8 +219,8 @@ FLAGS = {
 _COMMON = ("config", "out", "seed", "mode")
 
 # command -> (handler, key of its output in the config's output section, what
-# that output is, its flags in FLAGS).  A handler lists in `written` the files
-# it writes to; a failed run removes them, so it leaves no partial or stale file there.
+# that output is, its flags in FLAGS).  main lists a file output in `written`, modes
+# each grid file it writes; a failed run removes them, leaving no partial or stale file.
 COMMANDS = {
     "simulate": (cmd_simulate, "counts", "path", _COMMON),
     "reconstruct-process": (cmd_reconstruct_process, "report", "path", _COMMON + ("counts",)),
@@ -276,10 +273,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, mode=args.mode,
                           state=getattr(args, "state", None))  # only modes takes --state
         handler, key, what, _ = COMMANDS[args.command]
-        out = args.out or cfg.output.get(key)
+        out = cfg.output.get(key) if args.out is None else args.out  # --out, even if empty
         if not out:
             raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
         _refuse_input(out, args, f"output.{key}")
+        if what == "path":
+            written.append(out)
         try:
             handler(cfg, args, out, written)
         except OSError as exc:  # --counts faults arrive as CountsFileError
@@ -305,7 +304,8 @@ def main(argv=None) -> int:
 
 def _refuse_input(path: str, args, field: str) -> None:
     """Raise ConfigError(field) if path is the file --config or --counts names:
-    a finished run would overwrite that input, and a failed one delete it."""
+    a finished run would overwrite that input, and a failed one delete it.  Its
+    other faults are main's (unwritable) or load_config's (a NUL byte)."""
     for flag in ("config", "counts"):
         source = getattr(args, flag, None)
         with contextlib.suppress(OSError):  # either path missing: not the same file

@@ -91,18 +91,15 @@ def parse_channel(spec):
                 raise ConfigError("channel", str(exc))
         raise ConfigError("channel", f"unrecognized channel spec {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"kraus"}:
-        try:
-            ks = [
+        try:  # TypeError: a kraus value, operator or row that is not a list
+            ks = tuple(
                 np.array([[parse_complex_entry(e) for e in row] for row in op], dtype=complex)
                 for op in spec["kraus"]
-            ]
+            )
+            if any(k.shape != (3, 3) for k in ks):
+                raise ValueError("expected 3 x 3 Kraus operators")
+            return KrausChannel(ks)
         except (ValueError, TypeError) as exc:
-            raise ConfigError("channel.kraus", str(exc))
-        if any(k.shape != (3, 3) for k in ks):
-            raise ConfigError("channel.kraus", "expected 3 x 3 Kraus operators")
-        try:
-            return KrausChannel(tuple(ks))
-        except ValueError as exc:
             raise ConfigError("channel.kraus", str(exc))
     raise ConfigError("channel", f"expected null, a spec string, or a kraus object, got {spec!r}")
 
@@ -121,11 +118,8 @@ def parse_state(spec):
     if isinstance(spec, (list, tuple)):
         try:
             amps = [parse_complex_entry(e) for e in spec]
-        except ValueError as exc:
-            raise ConfigError("state", str(exc))
-        if len(amps) != 3:
-            raise ConfigError("state", f"expected 3 amplitudes, got {len(amps)}")
-        try:
+            if len(amps) != 3:
+                raise ValueError(f"expected 3 amplitudes, got {len(amps)}")
             return state_vector(amps, normalize=True)
         except ValueError as exc:
             raise ConfigError("state", str(exc))
@@ -232,10 +226,11 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     output = _require(raw, "output", "an object", {})
     output_keys = ("counts", "report", "grids")
     _refuse_unknown(output, output_keys, "output.")
-    for key in output_keys:
+    for key in output_keys:  # a NUL byte can come only from here: argv cannot hold one
         value = output.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"output.{key}", f"expected a path string, got {value!r}")
+        if value is not None and (not isinstance(value, str) or "\0" in value):
+            rule = " without NUL" if isinstance(value, str) else ""
+            raise ConfigError(f"output.{key}", f"expected a path string{rule}, got {value!r}")
 
     echo = {
         "dimension": dimension,

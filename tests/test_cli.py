@@ -696,7 +696,7 @@ class TestModes:
         target.write_text("kept\n")
         assert main(["modes", "--config", cfg, "--out", str(target)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("oamtomo: invalid configuration: output.grids: ")
+        assert err.startswith("oamtomo: invalid configuration: output.grids: cannot write ")
         assert err.count("\n") == 1
         assert target.read_text() == "kept\n"
 
@@ -930,6 +930,33 @@ class TestOutputs:
         assert {path: pathlib.Path(path).read_bytes() for path in before} == before
         assert os.listdir(grids) == (["image_phase.txt"] if command == "modes" else [])
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "counts"), ("reconstruct-process", "report"), ("reconstruct-state", "report"),
+        ("modes", "grids"),
+    ])
+    @pytest.mark.parametrize("fault", ["NUL in the config's path", "empty --out"])
+    def test_refused_output_path_exits_3(self, tmp_path, capsys, command, key, fault):
+        # a NUL byte can come only from the config; --out, when given, is the path even if empty
+        overrides = {} if command in ("simulate", "reconstruct-process") else {
+            "state": "L", "optics": {"grid_size": 128}}
+        counts = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", _write_config(tmp_path / "c.json", **overrides),
+                     "--out", str(counts)]) == 0
+        named = "a\0b" if fault.startswith("NUL") else str(tmp_path / "named")
+        cfg = _write_config(tmp_path / "cfg.json", output={key: named}, **overrides)
+        argv = [command, "--config", cfg]
+        if command.startswith("reconstruct"):
+            argv += ["--counts", str(counts)]
+        if fault == "empty --out":
+            argv += ["--out", ""]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamtomo: invalid configuration: output.{key}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestDeterminism:
     def test_counts_and_reports_byte_identical(self, tmp_path):
@@ -1075,6 +1102,25 @@ class TestKrausConfig:
     def test_bad_kraus_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", channel={"kraus": [[["x"]]]})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "c.txt")]) == 3
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"channel": {"kraus": 5}}, "channel.kraus: 'int' object is not iterable"),
+        ({"channel": {"kraus": [[[1, 0], [0, 1]]]}}, "channel.kraus: expected 3 x 3 Kraus operators"),
+        ({"channel": {"kraus": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]}},
+         "channel.kraus: channel is trace-increasing: max eig of sum K^dag K = 4.0"),
+        ({"channel": {"kraus": []}}, "channel.kraus: channel needs at least one Kraus operator"),
+        ({"state": [1, 0]}, "state: expected 3 amplitudes, got 2"),
+        ({"state": [0, 0, 0]}, "state: zero state vector"),
+        ({"state": [[1, 2, 3], 0, 0]},
+         "state: expected a finite number or [re, im] pair, got [1, 2, 3]"),
+        # a ragged row: numpy's own wording follows the field
+        ({"channel": {"kraus": [[[1, 0, 0], [0, 1], [0, 0, 1]]]}}, "channel.kraus: "),
+    ])
+    def test_state_and_kraus_refusal_messages(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError) as refused:
+            load_config(_write_config(tmp_path / "cfg.json", **overrides))
+        text = str(refused.value)
+        assert text == message or (message == "channel.kraus: " and text.startswith(message))
 
 
 # JSON numbers as a hand-written config may hold them: NaN, infinities,
