@@ -9,9 +9,10 @@ bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
 counts it wrote; three runs that fail in `reconstruct-*`; six `simulate`
 runs refused for a bad value (--seed -1, a negative fiber waist, a zero
 coincidence window, a counts_per_setting above 1e18, the channel `unitary
-inf`, a 2 x 2 Kraus operator); two `simulate` runs whose output path is
-refused (a NUL byte in the config's `output.counts` with no --out, and an
-empty --out while the config names `output.counts`); one abstract QPT
+inf`, a 2 x 2 Kraus operator); three `simulate` runs whose output path is
+refused (a NUL byte or a lone surrogate in the config's `output.counts` with
+no --out, and an empty --out while the config names `output.counts`); one
+`simulate` of a config that carries `"dimension": 3`; one abstract QPT
 bootstrap of 3000 samples, more than one chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
 noiseless) at the benchmark's N = 256; optical-ideal and optical-phase-only
@@ -21,7 +22,7 @@ each a `simulate` then a `reconstruct-process`; and `modes` for psi4, L,
 N = 128 and 512; and seven command-line forms at N = 128:
 `simulate --seed x`, `simulate --mode bogus`, `reconstruct-process` without
 --counts (each exit 2, its usage on stderr), `--conf` for --config,
-`--out=counts.txt`, `--seed 1 --seed 2`, and `modes --state psi4`: 219 cases.
+`--out=counts.txt`, `--seed 1 --seed 2`, and `modes --state psi4`: 221 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -109,10 +110,14 @@ def cases():
                                 ("channel-inf", {"channel": "unitary inf"}, []),
                                 ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}}, [])):
         yield f"err-{name}", config, [simulate + flags]
-    # output paths refused (exit 3): a NUL byte in the config's, an empty --out
+    # output paths refused (exit 3): a NUL byte or a lone surrogate in the config's,
+    # an empty --out
     yield "err-output-nul", {"output": {"counts": "a\0b"}}, [["simulate", "--config", "run.json"]]
+    yield "err-output-surrogate", {"output": {"counts": "\ud800x"}}, [
+        ["simulate", "--config", "run.json"]]
     yield "err-out-empty", {"output": {"counts": "counts.txt"}}, [
         ["simulate", "--config", "run.json", "--out", ""]]
+    yield "dimension-3", {"dimension": 3}, [simulate]
     config = {"channel": CHANNELS[1], "bootstrap_samples": 3000,
               "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1}}
     yield "boot-chunked", config, [simulate, ["reconstruct-process", "--config", "run.json",
