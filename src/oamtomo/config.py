@@ -1,11 +1,12 @@
 """Run configuration: the JSON layer of the command-line front end.
 
 This module refuses unknown keys, checks each top-level value's JSON kind and
-holds the rules only the CLI has: dimension, measurement_mode, bootstrap_samples
-and output.  The constructor that owns a section value (SourceConfig,
-OpticsConfig, state_vector, the channels) alone states its rules: kind, default,
-range and bound; ConfigError passes a refusal on with the field path in front.
-Every fault of reading the file raises ConfigReadError.
+holds the rules only the CLI has: dimension (only 3, so not echoed),
+measurement_mode, bootstrap_samples and output.  The constructor that owns a
+section value (SourceConfig, OpticsConfig, state_vector, the channels) alone
+states its rules: kind, default, range and bound; ConfigError passes a refusal
+on with the field path in front.  Every fault of reading the file raises
+ConfigReadError.
 """
 
 from __future__ import annotations
@@ -233,7 +234,6 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
             raise ConfigError(f"output.{key}", f"expected a path string{rule}, got {value!r}")
 
     echo = {
-        "dimension": dimension,
         "channel": raw.get("channel", "identity"),
         "state": raw.get("state"),
         "source": asdict(source),
@@ -242,7 +242,7 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         "noiseless": noiseless,
         "bootstrap_samples": bootstrap,
     }
-    _refuse_unknown(raw, [*echo, "output"])
+    _refuse_unknown(raw, [*echo, "dimension", "output"])
     return RunConfig(
         channel=channel,
         state=state,

@@ -26,20 +26,17 @@ class SourceConfig:
     counts_per_setting is the expected signal coincidence total at unit
     probability and unit efficiency; background the expected accidental
     total per setting; both at most 1e18, so that counts fit int64.
-    efficiency folds in every loss between source and detector; window is
-    the coincidence window in seconds, validated and echoed in counts
-    headers, but read by no computation.  Each refusal starts with the name
-    of the field it refuses.
+    efficiency folds in every loss between source and detector.  Each
+    refusal starts with the name of the field it refuses.
     """
 
     counts_per_setting: float = 10000
     background: float = 0.0
     efficiency: float = 1.0
-    window: float = 50e-9
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("counts_per_setting", "background", "efficiency", "window"):
+        for name in ("counts_per_setting", "background", "efficiency"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
@@ -55,8 +52,6 @@ class SourceConfig:
             raise ValueError("background: must be nonnegative")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency: must be in [0, 1]")
-        if self.window <= 0:
-            raise ValueError("window: must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         if self.seed < 0:

@@ -45,11 +45,10 @@ def _rounded(doc):
 def write_counts(path, counts, echo: dict) -> None:
     """One line per setting (input, projector, raw, background; indices 1-based)
     of an (n_in, 9, 2) counts array, after a comment header echoing the
-    effective configuration and seed."""
+    effective configuration, source.seed included."""
     lines = [
         "# oamtomo counts",
         "# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
-        f"# seed: {echo.get('source', {}).get('seed', 0)}",
     ]
     for (j, i), (raw, bg) in zip(np.ndindex(counts.shape[:2]), counts.reshape(-1, 2)):
         lines.append(f"{j + 1} {i + 1} {raw} {bg}")

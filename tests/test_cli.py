@@ -60,6 +60,11 @@ def _report(path):
     return json.loads(path.read_text())
 
 
+def _echo(counts_path):
+    """The configuration a counts file's header echoes."""
+    return json.loads(counts_path.read_text().splitlines()[1].removeprefix("# config: "))
+
+
 class TestSimulate:
     def test_writes_81_records(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
@@ -71,13 +76,54 @@ class TestSimulate:
         assert counts[0, :, 0].argmax() == 0
 
     def test_header_echoes_config_and_seed(self, tmp_path):
+        # the seed is stated once, in the echoed source section
         cfg = _write_config(tmp_path / "cfg.json")
         out = tmp_path / "counts.txt"
         main(["simulate", "--config", cfg, "--out", str(out)])
-        head = out.read_text().splitlines()[:3]
-        assert head[0].startswith("#")
-        assert '"seed": 7' in head[1].replace('"seed":7', '"seed": 7')
-        assert head[2] == "# seed: 7"
+        head = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert head[0] == "# oamtomo counts" and len(head) == 2
+        assert _echo(out)["source"]["seed"] == 7
+
+    def test_window_is_an_unknown_field(self, tmp_path, capsys):
+        # no model reads a coincidence window, so a config that sets one is refused
+        cfg = _write_config(tmp_path / "cfg.json", source={"window": 5e-8})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "counts.txt")]) == 3
+        assert capsys.readouterr().err == (
+            "oamtomo: invalid configuration: source.window: unknown field\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_dimension_3_parses_and_is_not_echoed(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert json.loads(pathlib.Path(cfg).read_text())["dimension"] == 3
+        counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
+        assert main(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        assert main(["reconstruct-process", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 0
+        for echo in (_echo(counts), _report(report)["config"]):
+            assert "dimension" not in echo and "window" not in echo["source"]
+
+    def test_dimension_other_than_3_is_refused(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", dimension=4)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "counts.txt")]) == 3
+        assert capsys.readouterr().err == ("oamtomo: invalid configuration: dimension: "
+                                           "only dimension 3 is supported, got 4\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"channel": "depolarizing 0.1", "source": {"counts_per_setting": 20000,
+                                                   "background": 30.0, "seed": 5}},
+        {"measurement_mode": "optical-phase-only", "optics": {"grid_size": 128}},
+        {"state": [0.3, [0, -0.5], 0.8], "channel": "unitary 0.7"},
+    ], ids=["abstract", "phase-only-n128", "state"])
+    def test_header_config_reproduces_the_counts(self, tmp_path, overrides):
+        # the echo is a complete configuration: simulating from it writes the same bytes
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(first)]) == 0
+        (tmp_path / "echo.json").write_text(json.dumps(_echo(first)))
+        assert main(["simulate", "--config", str(tmp_path / "echo.json"),
+                     "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_null_channel_gives_pure_background(self, tmp_path):
         cfg = _write_config(
@@ -108,7 +154,6 @@ class TestSimulate:
         ({"source": {"counts_per_setting": 0}}, [], "source.counts_per_setting: must be positive"),
         ({"source": {"background": -1}}, [], "source.background: must be nonnegative"),
         ({"source": {"efficiency": 1.5}}, [], "source.efficiency: must be in [0, 1]"),
-        ({"source": {"window": 0}}, [], "source.window: must be positive"),
         ({"source": {"seed": -1}}, [], "source.seed: must be nonnegative"),
         ({}, ["--seed", "-1"], "source.seed: must be nonnegative"),
         *[({"optics": {"grid_size": n}}, [],
@@ -135,7 +180,6 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, field", [
-        ({"source": {"counts_per_setting": 100, "window": float("nan")}}, "source.window"),
         ({"optics": {"extent": float("nan")}}, "optics.extent"),
         ({"source": {"counts_per_setting": 100, "background": float("nan")}},
          "source.background"),
@@ -198,7 +242,7 @@ class TestSimulate:
     @hyp_settings(deadline=None, derandomize=True, database=None, max_examples=300,
                   phases=_NO_SHRINK, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(source=st.fixed_dictionaries({}, optional={
-               **dict.fromkeys(("counts_per_setting", "background", "efficiency", "window"),
+               **dict.fromkeys(("counts_per_setting", "background", "efficiency"),
                                st.one_of(_NUMBER, _OTHER)),
                "seed": st.one_of(st.integers(-2, 2**64), _OTHER)}),
            optics=st.fixed_dictionaries({
@@ -1171,7 +1215,7 @@ def _configs(draw, command):
                            st.lists(_AMPLITUDE, min_size=2, max_size=4), _NUMBERS),
         "source": st.fixed_dictionaries({}, optional={
             "counts_per_setting": _NUMBERS, "background": _NUMBERS, "efficiency": _NUMBERS,
-            "window": _NUMBERS, "seed": _NUMBERS}),
+            "seed": _NUMBERS}),
         "noiseless": st.one_of(st.booleans(), _NUMBERS),
         "bootstrap_samples": _BOOTSTRAP if command.startswith("reconstruct") else _NUMBERS,
     }

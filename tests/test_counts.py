@@ -29,11 +29,10 @@ IDENTITY_TABLE = np.array(
 class TestSourceConfig:
     def test_defaults(self):
         cfg = SourceConfig(counts_per_setting=1000)
-        assert cfg.window == pytest.approx(50e-9)
         assert cfg.efficiency == 1.0
         # counts headers echo the defaults, so each keeps its type: 10000, not 10000.0
-        assert astuple(SourceConfig()) == (10000, 0.0, 1.0, 50e-9, 0)
-        assert [type(v) for v in astuple(SourceConfig())] == [int, float, float, float, int]
+        assert astuple(SourceConfig()) == (10000, 0.0, 1.0, 0)
+        assert [type(v) for v in astuple(SourceConfig())] == [int, float, float, int]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,7 +40,6 @@ class TestSourceConfig:
             dict(counts_per_setting=0),
             dict(counts_per_setting=100, background=-1),
             dict(counts_per_setting=100, efficiency=1.5),
-            dict(counts_per_setting=100, window=0.0),
             dict(counts_per_setting=100, seed=-1),
         ],
     )
@@ -50,7 +48,7 @@ class TestSourceConfig:
             SourceConfig(**kwargs)
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
-    @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency", "window"]),
+    @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400,
                                   True, False, np.True_, "5", "nan", b"5"]))
     def test_rejects_non_finite(self, field, value):
