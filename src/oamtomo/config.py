@@ -12,6 +12,7 @@ ConfigReadError.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -227,11 +228,15 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     output = _require(raw, "output", "an object", {})
     output_keys = ("counts", "report", "grids")
     _refuse_unknown(output, output_keys, "output.")
-    for key in output_keys:  # a NUL byte can come only from here: argv cannot hold one
+    for key in output_keys:  # NUL and a lone surrogate can come only from here, not argv
         value = output.get(key)
         if value is not None and (not isinstance(value, str) or "\0" in value):
             rule = " without NUL" if isinstance(value, str) else ""
             raise ConfigError(f"output.{key}", f"expected a path string{rule}, got {value!r}")
+        try:
+            os.fsencode(value or "")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"output.{key}", f"cannot encode {value!r} as a path: {exc.reason}")
 
     echo = {
         "channel": raw.get("channel", "identity"),

@@ -978,15 +978,19 @@ class TestOutputs:
         ("simulate", "counts"), ("reconstruct-process", "report"), ("reconstruct-state", "report"),
         ("modes", "grids"),
     ])
-    @pytest.mark.parametrize("fault", ["NUL in the config's path", "empty --out"])
+    @pytest.mark.parametrize("fault", ["NUL in the config's path",
+                                       "lone surrogate in the config's path", "empty --out"])
     def test_refused_output_path_exits_3(self, tmp_path, capsys, command, key, fault):
-        # a NUL byte can come only from the config; --out, when given, is the path even if empty
+        # a NUL byte or a lone surrogate can come only from the config; --out, when
+        # given, is the path even if empty
         overrides = {} if command in ("simulate", "reconstruct-process") else {
             "state": "L", "optics": {"grid_size": 128}}
         counts = tmp_path / "counts.txt"
         assert main(["simulate", "--config", _write_config(tmp_path / "c.json", **overrides),
                      "--out", str(counts)]) == 0
-        named = "a\0b" if fault.startswith("NUL") else str(tmp_path / "named")
+        named = {"NUL in the config's path": "a\0b",
+                 "lone surrogate in the config's path": "\ud800x"}.get(
+                     fault, str(tmp_path / "named"))
         cfg = _write_config(tmp_path / "cfg.json", output={key: named}, **overrides)
         argv = [command, "--config", cfg]
         if command.startswith("reconstruct"):
@@ -1000,6 +1004,13 @@ class TestOutputs:
         assert err.startswith(f"oamtomo: invalid configuration: output.{key}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+    def test_surrogate_escaped_output_path_is_written(self, tmp_path):
+        # U+DC80 is how the file system's encoding reads the byte 0x80: a path, not a fault
+        cfg = _write_config(tmp_path / "cfg.json", output={"counts": str(tmp_path / "\udc80x")})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert read_counts(os.path.join(os.fsencode(tmp_path), b"\x80x")).shape == (9, 9, 2)
 
 
 class TestDeterminism:
