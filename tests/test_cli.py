@@ -84,14 +84,6 @@ class TestSimulate:
         assert head[0] == "# oamtomo counts" and len(head) == 2
         assert _echo(out)["source"]["seed"] == 7
 
-    def test_window_is_an_unknown_field(self, tmp_path, capsys):
-        # no model reads a coincidence window, so a config that sets one is refused
-        cfg = _write_config(tmp_path / "cfg.json", source={"window": 5e-8})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "counts.txt")]) == 3
-        assert capsys.readouterr().err == (
-            "oamtomo: invalid configuration: source.window: unknown field\n")
-        assert os.listdir(tmp_path) == ["cfg.json"]
-
     def test_dimension_3_parses_and_is_not_echoed(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         assert json.loads(pathlib.Path(cfg).read_text())["dimension"] == 3
@@ -154,6 +146,8 @@ class TestSimulate:
         ({"source": {"counts_per_setting": 0}}, [], "source.counts_per_setting: must be positive"),
         ({"source": {"background": -1}}, [], "source.background: must be nonnegative"),
         ({"source": {"efficiency": 1.5}}, [], "source.efficiency: must be in [0, 1]"),
+        # no model reads a coincidence window, so SourceConfig has none
+        ({"source": {"window": 5e-8}}, [], "source.window: unknown field"),
         ({"source": {"seed": -1}}, [], "source.seed: must be nonnegative"),
         ({}, ["--seed", "-1"], "source.seed: must be nonnegative"),
         *[({"optics": {"grid_size": n}}, [],
