@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import warnings
 
 from oamtomo import cli
@@ -33,6 +34,11 @@ def test_json_difference_skips_other_files(tmp_path):
     counts = _write(tmp_path / "counts.txt", "# oamtomo counts\n1 1 5 0\n")
     assert byte_matrix.json_difference(report, counts) is None
     assert byte_matrix.json_difference(counts, report) is None
+
+
+def test_docstring_counts_the_cases():
+    stated = re.search(r"(\d+) cases\.", byte_matrix.__doc__)
+    assert stated and int(stated.group(1)) == len(list(byte_matrix.cases()))
 
 
 def test_outputs_match_the_manifest(tmp_path):
