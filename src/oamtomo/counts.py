@@ -1,10 +1,10 @@
 """Coincidence-count simulation and background subtraction.
 
-Counts are modeled per setting as windowed Poisson totals: the signal
-coincidences at mean efficiency * counts_per_setting * probability + background,
-plus one independent background measurement per setting.  Each setting draws
-from a sub-seed derived from (seed, input, projector), so results are
-bit-reproducible regardless of evaluation order.
+Counts are modeled per setting as Poisson totals: the signal coincidences at
+mean counts_per_setting * probability + background, plus one independent
+background measurement per setting.  Each setting draws from a sub-seed
+derived from (seed, input, projector), so results are bit-reproducible
+regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -24,34 +24,29 @@ class SourceConfig:
     """Statistical model of the photon source and detection chain.
 
     counts_per_setting is the expected signal coincidence total at unit
-    probability and unit efficiency; background the expected accidental
-    total per setting; both at most 1e18, so that counts fit int64.
-    efficiency folds in every loss between source and detector.  Each
-    refusal starts with the name of the field it refuses.
+    probability, every loss common to all settings folded in; background the
+    expected accidental total per setting; both at most 1e18, so that counts
+    fit int64.  Each refusal starts with the name of the field it refuses.
     """
 
     counts_per_setting: float = 10000
     background: float = 0.0
-    efficiency: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("counts_per_setting", "background", "efficiency"):
+        for name in ("counts_per_setting", "background"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, inf, an int beyond floats
                 raise ValueError(f"{name}: must be finite, got {value!r}")
-        for name in ("counts_per_setting", "background"):
-            if getattr(self, name) > _MAX_MEAN_COUNTS:
+            if value > _MAX_MEAN_COUNTS:
                 raise ValueError(f"{name}: must be at most {_MAX_MEAN_COUNTS:g}, "
-                                 f"so that counts fit int64; got {getattr(self, name)!r}")
+                                 f"so that counts fit int64; got {value!r}")
         if self.counts_per_setting <= 0:
             raise ValueError("counts_per_setting: must be positive")
         if self.background < 0:
             raise ValueError("background: must be nonnegative")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency: must be in [0, 1]")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         if self.seed < 0:
@@ -64,7 +59,7 @@ def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:
         raise ValueError(f"expected a (rows<=9, 9) probability table, got shape {p.shape}")
     if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):  # NaN fails both
         raise ValueError("probabilities outside [0, 1] beyond tolerance")
-    return cfg.efficiency * cfg.counts_per_setting * np.clip(p, 0.0, 1.0) + cfg.background
+    return cfg.counts_per_setting * np.clip(p, 0.0, 1.0) + cfg.background
 
 
 def simulate_counts(probabilities, cfg: SourceConfig) -> np.ndarray:

@@ -135,7 +135,7 @@ class TestSimulate:
 
     def test_invalid_parameter_exits_3_with_field_path(self, tmp_path, capsys):
         cfg = _write_config(
-            tmp_path / "cfg.json", source={"counts_per_setting": 100, "efficiency": 2.0}
+            tmp_path / "cfg.json", source={"counts_per_setting": 100, "background": -2.0}
         )
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
@@ -145,9 +145,10 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides, flags, message", [
         ({"source": {"counts_per_setting": 0}}, [], "source.counts_per_setting: must be positive"),
         ({"source": {"background": -1}}, [], "source.background: must be nonnegative"),
-        ({"source": {"efficiency": 1.5}}, [], "source.efficiency: must be in [0, 1]"),
-        # no model reads a coincidence window, so SourceConfig has none
+        # no model reads a coincidence window, and a loss common to every setting
+        # is part of counts_per_setting, so SourceConfig has neither
         ({"source": {"window": 5e-8}}, [], "source.window: unknown field"),
+        ({"source": {"efficiency": 0.5}}, [], "source.efficiency: unknown field"),
         ({"source": {"seed": -1}}, [], "source.seed: must be nonnegative"),
         ({}, ["--seed", "-1"], "source.seed: must be nonnegative"),
         *[({"optics": {"grid_size": n}}, [],
@@ -236,8 +237,7 @@ class TestSimulate:
     @hyp_settings(deadline=None, derandomize=True, database=None, max_examples=300,
                   phases=_NO_SHRINK, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(source=st.fixed_dictionaries({}, optional={
-               **dict.fromkeys(("counts_per_setting", "background", "efficiency"),
-                               st.one_of(_NUMBER, _OTHER)),
+               **dict.fromkeys(("counts_per_setting", "background"), st.one_of(_NUMBER, _OTHER)),
                "seed": st.one_of(st.integers(-2, 2**64), _OTHER)}),
            optics=st.fixed_dictionaries({
                "grid_size": st.one_of(st.integers(-1, 9000), st.sampled_from([128, 4096]),
@@ -1219,8 +1219,7 @@ def _configs(draw, command):
         "state": st.one_of(st.none(), st.sampled_from(_STATE_NAMES),
                            st.lists(_AMPLITUDE, min_size=2, max_size=4), _NUMBERS),
         "source": st.fixed_dictionaries({}, optional={
-            "counts_per_setting": _NUMBERS, "background": _NUMBERS, "efficiency": _NUMBERS,
-            "seed": _NUMBERS}),
+            "counts_per_setting": _NUMBERS, "background": _NUMBERS, "seed": _NUMBERS}),
         "noiseless": st.one_of(st.booleans(), _NUMBERS),
         "bootstrap_samples": _BOOTSTRAP if command.startswith("reconstruct") else _NUMBERS,
     }

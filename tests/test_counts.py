@@ -28,18 +28,15 @@ IDENTITY_TABLE = np.array(
 
 class TestSourceConfig:
     def test_defaults(self):
-        cfg = SourceConfig(counts_per_setting=1000)
-        assert cfg.efficiency == 1.0
         # counts headers echo the defaults, so each keeps its type: 10000, not 10000.0
-        assert astuple(SourceConfig()) == (10000, 0.0, 1.0, 0)
-        assert [type(v) for v in astuple(SourceConfig())] == [int, float, float, int]
+        assert astuple(SourceConfig()) == (10000, 0.0, 0)
+        assert [type(v) for v in astuple(SourceConfig())] == [int, float, int]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(counts_per_setting=0),
             dict(counts_per_setting=100, background=-1),
-            dict(counts_per_setting=100, efficiency=1.5),
             dict(counts_per_setting=100, seed=-1),
         ],
     )
@@ -48,7 +45,7 @@ class TestSourceConfig:
             SourceConfig(**kwargs)
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
-    @given(field=st.sampled_from(["counts_per_setting", "background", "efficiency"]),
+    @given(field=st.sampled_from(["counts_per_setting", "background"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400,
                                   True, False, np.True_, "5", "nan", b"5"]))
     def test_rejects_non_finite(self, field, value):
@@ -80,11 +77,10 @@ class TestSourceConfig:
                 SourceConfig(**kwargs)
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
-    @given(mean=st.floats(0.0, 1e19), background=st.floats(0.0, 1e19),
-           efficiency=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
-    def test_every_config_gives_nonnegative_counts(self, mean, background, efficiency, p):
+    @given(mean=st.floats(0.0, 1e19), background=st.floats(0.0, 1e19), p=st.floats(0.0, 1.0))
+    def test_every_config_gives_nonnegative_counts(self, mean, background, p):
         try:
-            cfg = SourceConfig(mean, background, efficiency)
+            cfg = SourceConfig(mean, background)
         except ValueError:
             assume(False)
         table = np.array([[0.0, p, 1.0] * 3])
@@ -126,15 +122,15 @@ class TestSimulateCounts:
 
     def test_expectation_matches_model(self):
         # per-setting sample mean over seeded draws within 3 standard errors
-        n, b, eta = 200.0, 10.0, 0.8
+        n, b = 160.0, 10.0
         draws = 2000
         table = IDENTITY_TABLE[:3]
         means = np.zeros((3, 9))
         for seed in range(draws):
-            cfg = SourceConfig(counts_per_setting=n, background=b, efficiency=eta, seed=seed)
+            cfg = SourceConfig(counts_per_setting=n, background=b, seed=seed)
             means += simulate_counts(table, cfg)[..., 0]
         means /= draws
-        expected = eta * n * table + b
+        expected = n * table + b
         stderr = np.sqrt(expected / draws)
         assert np.all(np.abs(means - expected) <= 3 * stderr)
 
@@ -159,10 +155,10 @@ class TestSimulateCounts:
 
 class TestExactCounts:
     def test_rounded_expectations(self):
-        cfg = SourceConfig(counts_per_setting=1000, background=7, efficiency=0.5, seed=0)
+        cfg = SourceConfig(counts_per_setting=500, background=7, seed=0)
         counts = exact_counts(IDENTITY_TABLE, cfg)
         for (j, i), p in np.ndenumerate(IDENTITY_TABLE):
-            assert counts[j, i, 0] == int(round(0.5 * 1000 * p + 7))
+            assert counts[j, i, 0] == int(round(500 * p + 7))
             assert counts[j, i, 1] == 7
 
 

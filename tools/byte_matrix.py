@@ -6,13 +6,13 @@ Usage: python3 tools/byte_matrix.py BASE_REV
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x 5
 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
-counts it wrote; three runs that fail in `reconstruct-*`; six `simulate`
+counts it wrote; three runs that fail in `reconstruct-*`; seven `simulate`
 runs refused for a bad value (--seed -1, a negative fiber waist, the unknown
-field `source.window`, a counts_per_setting above 1e18, the channel
-`unitary inf`, a 2 x 2 Kraus operator); one `simulate` with `source.efficiency`
-0.5; three `simulate` runs whose output path is
-refused (a NUL byte or a lone surrogate in the config's `output.counts` with
-no --out, and an empty --out while the config names `output.counts`); one
+fields `source.window` and `source.efficiency`, a counts_per_setting above
+1e18, the channel `unitary inf`, a 2 x 2 Kraus operator); three `simulate`
+runs whose output path is refused (a NUL byte or a lone surrogate in the
+config's `output.counts` with no --out, and an empty --out while the config
+names `output.counts`); one
 `simulate` of a config that carries `"dimension": 3`; one abstract QPT
 bootstrap of 3000 samples, more than one chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
