@@ -11,8 +11,8 @@ modes                export intensity/phase grids of the three imaging planes
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
 usage text), 3 invalid parameters (an output path that is missing, an input file or
 unwritable included; main takes --out whenever given, else the config's path), 4
-incomplete counts, 5 degenerate count normalization.  Partial outputs are removed on
-failure; identical config and seed give byte-identical files.
+incomplete counts, 5 degenerate counts.  A failed run removes the files it wrote and no
+other; identical config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -112,7 +112,9 @@ def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
     make = exact_counts if cfg.noiseless else simulate_counts
-    fileio.write_counts(out_path, make(_probability_rows(cfg), cfg.source), cfg.echo)
+    counts = make(_probability_rows(cfg), cfg.source)
+    written.append(out_path)
+    fileio.write_counts(out_path, counts, cfg.echo)
 
 
 def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
@@ -158,6 +160,7 @@ def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) 
     doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
                   lambda c: qpt_linear_inversion(probabilities_from_counts(c)),
                   project_to_physical_process, lambda chi: pure_fidelity(chi, ideal, process=True))
+    written.append(out_path)
     fileio.write_report(out_path, doc)
 
 
@@ -169,6 +172,7 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
                   lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :]),
                   project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))
     doc["target_state"] = fileio.complex_pairs(cfg.state)
+    written.append(out_path)
     fileio.write_report(out_path, doc)
 
 
@@ -219,8 +223,8 @@ FLAGS = {
 _COMMON = ("config", "out", "seed", "mode")
 
 # command -> (handler, key of its output in the config's output section, what
-# that output is, its flags in FLAGS).  main lists a file output in `written`, modes
-# each grid file it writes; a failed run removes them, leaving no partial or stale file.
+# that output is, its flags in FLAGS).  Each handler lists a file in `written` just before
+# writing it, its work done; a failed run removes those files and no other.
 COMMANDS = {
     "simulate": (cmd_simulate, "counts", "path", _COMMON),
     "reconstruct-process": (cmd_reconstruct_process, "report", "path", _COMMON + ("counts",)),
@@ -277,8 +281,6 @@ def main(argv=None) -> int:
         if not out:
             raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
         _refuse_input(out, args, f"output.{key}")
-        if what == "path":
-            written.append(out)
         try:
             handler(cfg, args, out, written)
         except OSError as exc:  # --counts faults arrive as CountsFileError

@@ -35,7 +35,8 @@ from .qudit import (
 
 
 class DegenerateDataError(ValueError):
-    """Corrected counts cannot be normalized (non-positive basis-row sum)."""
+    """Corrected counts give a basis-row sum or a raw process-matrix trace that is not
+    positive."""
 
 
 @dataclass(frozen=True)
@@ -212,12 +213,16 @@ def project_to_physical_state(rho) -> np.ndarray:
 def project_to_physical_process(chi) -> np.ndarray:
     """PSD process matrix: clamp negative eigenvalues, restore the input trace.
 
-    Leading axes are batch axes.
+    Leading axes are batch axes.  A vanishing trace raises DegenerateDataError; a table
+    of normalized probabilities at most 1 gives a raw trace of at least 1/3.
     """
     chi = np.asarray(chi, dtype=complex)
     trace_in = np.trace(chi, axis1=-2, axis2=-1).real[..., None]
     w, v = _clamped_eigs(chi, "process matrix")
     total = w.sum(axis=-1, keepdims=True)
-    if np.any(total <= 1e-12) or np.any(trace_in <= 1e-12):
-        raise ValueError("process matrix trace vanished under physicality projection")
+    if np.any(vanished := (total <= 1e-12) | (trace_in <= 1e-12)):
+        *batch, _ = np.argwhere(vanished)[0]
+        where = "".join(f"sample {b + 1}, " for b in batch)
+        raise DegenerateDataError(f"{where}process matrix trace vanished under physicality "
+                                  f"projection: raw trace {float(trace_in[(*batch, 0)])!r}")
     return (v * (w * (trace_in / total))[..., None, :]) @ dagger(v)

@@ -429,6 +429,22 @@ class TestReconstructProcess:
         ) == 5
         assert not report.exists()
 
+    @pytest.mark.parametrize("samples", [0, 5])
+    def test_non_positive_raw_trace_exits_5(self, tmp_path, capsys, samples):
+        # counts no channel gives: each superposition input's own projector, whose
+        # weight in the raw trace is -1/9, far above the rest
+        cfg = _write_config(tmp_path / "cfg.json", bootstrap_samples=samples)
+        counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
+        counts.write_text("".join(
+            f"{j} {i} {100 if i <= 3 else 100000 if i == j else 1} 0\n"
+            for j in range(1, 10) for i in range(1, 10)))
+        assert main(["reconstruct-process", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("oamtomo: degenerate counts: process matrix trace vanished ")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
     def test_null_channel_exit_5_prints_a_plain_number(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", channel=None)
         counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
@@ -999,6 +1015,29 @@ class TestOutputs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+
+    # a run that fails before it writes leaves an earlier output as it was
+    @pytest.mark.parametrize("command, overrides, counts, code", [
+        ("reconstruct-process", {}, "missing", 4),
+        ("reconstruct-process", {"channel": None}, "background only", 5),
+        ("simulate", {"measurement_mode": "optical-ideal",
+                      "optics": {"grid_size": 128, "fiber_waist": 0.2}}, None, 3),
+    ])
+    def test_failed_run_keeps_an_earlier_output(self, tmp_path, capsys, command, overrides,
+                                                counts, code):
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        counts_path = tmp_path / "counts.txt"
+        if counts == "background only":
+            assert main(["simulate", "--config", cfg, "--out", str(counts_path)]) == 0
+        out = tmp_path / ("report.json" if command.startswith("reconstruct") else "counts.txt")
+        out.write_bytes(b"an earlier run's output\n")
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if counts:
+            argv += ["--counts", str(tmp_path / "nope.txt" if counts == "missing" else counts_path)]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_bytes() == b"an earlier run's output\n"
 
     def test_surrogate_escaped_output_path_is_written(self, tmp_path):
         # U+DC80 is how the file system's encoding reads the byte 0x80: a path, not a fault

@@ -160,6 +160,13 @@ class TestBatchAxis:
         with pytest.raises(DegenerateDataError, match="sample 5, input 3"):
             probabilities_from_counts(bad)
 
+    def test_vanished_trace_sample_is_named(self, batch):
+        chis = qpt_linear_inversion(probabilities_from_counts(batch))
+        chis[2] *= -1
+        with pytest.raises(DegenerateDataError, match=r"^sample 3, process matrix trace "
+                                                      r"vanished .*: raw trace -"):
+            project_to_physical_process(chis)
+
 
 class TestQstInversion:
     def test_basis_state(self, settings):
@@ -278,8 +285,17 @@ class TestPhysicalityProjection:
         assert np.linalg.eigvalsh(chi).min() >= -1e-10
 
     def test_process_zero_trace(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateDataError, match=r": raw trace -1\.0$"):
             project_to_physical_process(np.diag([-1.0] + [0.0] * 8))
+
+    def test_normalized_tables_give_trace_at_least_a_third(self, settings):
+        # the raw trace is linear in the table; over tables with entries in [0, 1]
+        # whose basis columns sum to 1 per input, as normalized counts of any
+        # channel have them, its least value is 1/3, so the refusal needs other counts
+        weights = np.trace(settings.qpt_map.reshape(9, 9, 9, 9))
+        least = weights[:, :3].min(axis=1) + np.minimum(weights[:, 3:], 0).sum(axis=1)
+        assert least.sum() == pytest.approx(1 / 3, abs=1e-12)
+        np.testing.assert_allclose(np.diag(weights)[3:], -1 / 9, atol=1e-12)
 
 
 class TestIdealChi:
