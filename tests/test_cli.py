@@ -1015,16 +1015,16 @@ class TestOutputs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-
     # a run that fails before it writes leaves an earlier output as it was
-    @pytest.mark.parametrize("command, overrides, counts, code", [
-        ("reconstruct-process", {}, "missing", 4),
-        ("reconstruct-process", {"channel": None}, "background only", 5),
+    @pytest.mark.parametrize("command, overrides, counts, code, refusal", [
+        ("reconstruct-process", {}, "missing", 4, "counts"),
+        ("reconstruct-process", {"channel": None}, "background only", 5, "degenerate counts"),
         ("simulate", {"measurement_mode": "optical-ideal",
-                      "optics": {"grid_size": 128, "fiber_waist": 0.2}}, None, 3),
+                      "optics": {"grid_size": 128, "fiber_waist": 0.2}}, None, 3,
+         "invalid configuration: optics"),
     ])
     def test_failed_run_keeps_an_earlier_output(self, tmp_path, capsys, command, overrides,
-                                                counts, code):
+                                                counts, code, refusal):
         cfg = _write_config(tmp_path / "cfg.json", **overrides)
         counts_path = tmp_path / "counts.txt"
         if counts == "background only":
@@ -1036,7 +1036,8 @@ class TestOutputs:
             argv += ["--counts", str(tmp_path / "nope.txt" if counts == "missing" else counts_path)]
         capsys.readouterr()
         assert main(argv) == code
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamtomo: {refusal}: ") and err.count("\n") == 1
         assert out.read_bytes() == b"an earlier run's output\n"
 
     def test_surrogate_escaped_output_path_is_written(self, tmp_path):

@@ -12,9 +12,9 @@ fields `source.window` and `source.efficiency`, a counts_per_setting above
 1e18, the channel `unitary inf`, a 2 x 2 Kraus operator); three `simulate`
 runs whose output path is refused (a NUL byte or a lone surrogate in the
 config's `output.counts` with no --out, and an empty --out while the config
-names `output.counts`); one
-`simulate` of a config that carries `"dimension": 3`; one abstract QPT
-bootstrap of 3000 samples, more than one chunk of cli.BOOTSTRAP_CHUNK;
+names `output.counts`); one `simulate` of a config that carries
+`"dimension": 3`; one abstract QPT bootstrap of 3000 samples, more than one
+chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
 noiseless) at the benchmark's N = 256; optical-ideal and optical-phase-only
 QPT (seed 1) at N = 128 with fiber_waist 0.08, unequal to the mode waist,
