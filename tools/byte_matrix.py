@@ -6,13 +6,13 @@ Usage: python3 tools/byte_matrix.py BASE_REV
 The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x 5
 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
-counts it wrote; three runs that fail in `reconstruct-*`; seven `simulate`
-runs refused for a bad value (--seed -1, a negative fiber waist, the unknown
-fields `source.window` and `source.efficiency`, a counts_per_setting above
-1e18, the channel `unitary inf`, a 2 x 2 Kraus operator); three `simulate`
-runs whose output path is refused (a NUL byte or a lone surrogate in the
-config's `output.counts` with no --out, and an empty --out while the config
-names `output.counts`); one `simulate` of a config that carries
+counts it wrote; three runs that fail in `reconstruct-*`; eight `simulate`
+runs of a bad value (--seed -1, a negative fiber waist, the unknown fields
+`source.window` and `source.efficiency`, the field `optics.extent`, a
+counts_per_setting above 1e18, the channel `unitary inf`, a 2 x 2 Kraus
+operator); three `simulate` runs whose output path is refused (a NUL byte or
+a lone surrogate in the config's `output.counts` with no --out, and an empty
+--out); one `simulate` of a config that carries
 `"dimension": 3`; one abstract QPT bootstrap of 3000 samples, more than one
 chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
@@ -23,7 +23,7 @@ each a `simulate` then a `reconstruct-process`; and `modes` for psi4, L,
 N = 128 and 512; and seven command-line forms at N = 128:
 `simulate --seed x`, `simulate --mode bogus`, `reconstruct-process` without
 --counts (each exit 2, its usage on stderr), `--conf` for --config,
-`--out=counts.txt`, `--seed 1 --seed 2`, and `modes --state psi4`: 222 cases.
+`--out=counts.txt`, `--seed 1 --seed 2`, and `modes --state psi4`: 223 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -108,6 +108,7 @@ def cases():
                                 ("fiber-waist", {"optics": {"fiber_waist": -1}}, []),
                                 ("window", {"source": {"window": 0}}, []),
                                 ("efficiency", {"source": {"efficiency": 0.5}}, []),
+                                ("extent", {"optics": {"extent": 2.0}}, []),
                                 ("counts-bound", {"source": {"counts_per_setting": 1e19}}, []),
                                 ("channel-inf", {"channel": "unitary inf"}, []),
                                 ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}}, [])):
@@ -117,7 +118,7 @@ def cases():
     yield "err-output-nul", {"output": {"counts": "a\0b"}}, [["simulate", "--config", "run.json"]]
     yield "err-output-surrogate", {"output": {"counts": "\ud800x"}}, [
         ["simulate", "--config", "run.json"]]
-    yield "err-out-empty", {"output": {"counts": "counts.txt"}}, [
+    yield "err-out-empty", {}, [
         ["simulate", "--config", "run.json", "--out", ""]]
     yield "dimension-3", {"dimension": 3}, [simulate]
     config = {"channel": CHANNELS[1], "bootstrap_samples": 3000,
