@@ -9,10 +9,10 @@ reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
-usage text), 3 invalid parameters (an output path that is missing, an input file or
-unwritable included; main takes --out whenever given, else the config's path), 4
-incomplete counts, 5 degenerate counts.  A failed run removes the files it wrote and no
-other; identical config and seed give byte-identical files.
+usage text, a missing --out included), 3 invalid parameters (an --out that is empty,
+an input file or unwritable included), 4 incomplete counts, 5 degenerate counts.  A
+failed run removes the files it wrote and no other; identical config and seed give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -182,12 +182,12 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     with _optics_guard():
         mask = superposition_field(cfg.state, cfg.optics)
     # only once the mask field exists: a bad geometry leaves no directory, and a
-    # file of that name is left alone (main names output.grids)
+    # file of that name is left alone (main names --out)
     os.makedirs(out_dir, exist_ok=True)
 
     def output(plane: str, kind: str) -> str:
         path = os.path.join(out_dir, f"{plane}_{kind}.txt")
-        _refuse_input(path, args, "output.grids")
+        _refuse_input(path, args, "--out")
         written.append(path)
         return path
 
@@ -196,13 +196,13 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
     flip = parity_index(cfg.optics.grid_size)
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
     for kind, value in kinds:
-        fileio.write_grid(output("mask", kind), mask, cfg.optics.extent, value)
-        fileio.write_grid(output("image", kind), mask, cfg.optics.extent, value, flip)
+        fileio.write_grid(output("mask", kind), mask, value)
+        fileio.write_grid(output("image", kind), mask, value, flip)
     with _optics_guard():  # transformed in place: the mask's grids are written
         fourier = lens_fourier(mask, overwrite=True)
     del mask
     for kind, value in kinds:
-        fileio.write_grid(output("fourier", kind), fourier, cfg.optics.extent, value)
+        fileio.write_grid(output("fourier", kind), fourier, value)
 
 
 def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
@@ -214,7 +214,7 @@ def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
 # flag -> its argparse keywords, which _parse obeys too
 FLAGS = {
     "config": {"required": True, "help": "JSON run configuration"},
-    "out": {"help": "output path (overrides config output section)"},
+    "out": {"required": True, "help": "output path (a directory for modes)"},
     "seed": {"type": int, "help": "override source.seed"},
     "mode": {"choices": MEASUREMENT_MODES, "help": "override measurement_mode"},
     "counts": {"required": True, "help": "counts file to reconstruct from"},
@@ -222,14 +222,14 @@ FLAGS = {
 }
 _COMMON = ("config", "out", "seed", "mode")
 
-# command -> (handler, key of its output in the config's output section, what
-# that output is, its flags in FLAGS).  Each handler lists a file in `written` just before
-# writing it, its work done; a failed run removes those files and no other.
+# command -> (handler, its flags in FLAGS).  Each handler writes to --out (modes into
+# that directory), and lists a file in `written` just before writing it, its work done;
+# a failed run removes those files and no other.
 COMMANDS = {
-    "simulate": (cmd_simulate, "counts", "path", _COMMON),
-    "reconstruct-process": (cmd_reconstruct_process, "report", "path", _COMMON + ("counts",)),
-    "reconstruct-state": (cmd_reconstruct_state, "report", "path", _COMMON + ("counts",)),
-    "modes": (cmd_modes, "grids", "directory", _COMMON + ("state",)),
+    "simulate": (cmd_simulate, _COMMON),
+    "reconstruct-process": (cmd_reconstruct_process, _COMMON + ("counts",)),
+    "reconstruct-state": (cmd_reconstruct_state, _COMMON + ("counts",)),
+    "modes": (cmd_modes, _COMMON + ("state",)),
 }
 
 
@@ -240,7 +240,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     helps = ("generate a coincidence counts file", "reconstruct the process matrix",
              "reconstruct a stored state", "export mask/Fourier/image plane grids")
-    for (command, (*_, flags)), text in zip(COMMANDS.items(), helps):  # in COMMANDS' order
+    for (command, (_, flags)), text in zip(COMMANDS.items(), helps):  # in COMMANDS' order
         p = sub.add_parser(command, help=text)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
@@ -253,7 +253,7 @@ def _parse(argv):
     value starting with '-', a missing required flag or a value argparse refuses."""
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
-    args = dict.fromkeys(COMMANDS[argv[0]][3])
+    args = dict.fromkeys(COMMANDS[argv[0]][1])
     for flag, value in zip(argv[1::2], argv[2::2]):
         name = flag[2:]
         if flag[:2] != "--" or name not in args or value[:1] == "-":
@@ -276,16 +276,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, mode=args.mode,
                           state=getattr(args, "state", None))  # only modes takes --state
-        handler, key, what, _ = COMMANDS[args.command]
-        out = cfg.output.get(key) if args.out is None else args.out  # --out, even if empty
-        if not out:
-            raise ConfigError(f"output.{key}", f"no output {what} given (config or --out)")
-        _refuse_input(out, args, f"output.{key}")
+        handler, _ = COMMANDS[args.command]
+        if not args.out:
+            raise ConfigError("--out", "the path is empty")
+        _refuse_input(args.out, args, "--out")
         try:
-            handler(cfg, args, out, written)
+            handler(cfg, args, args.out, written)
         except OSError as exc:  # --counts faults arrive as CountsFileError
-            raise ConfigError(f"output.{key}",
-                              f"cannot write {exc.filename or out!r}: {exc.strerror or exc}")
+            raise ConfigError("--out", f"cannot write {exc.filename or args.out!r}: "
+                                       f"{exc.strerror or exc}")
         return 0
     except ConfigReadError as exc:
         _fail(written, f"config: {exc}")
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
 def _refuse_input(path: str, args, field: str) -> None:
     """Raise ConfigError(field) if path is the file --config or --counts names:
     a finished run would overwrite that input, and a failed one delete it.  Its
-    other faults are main's (unwritable) or load_config's (a NUL byte)."""
+    other faults are main's (empty, unwritable)."""
     for flag in ("config", "counts"):
         source = getattr(args, flag, None)
         with contextlib.suppress(OSError):  # either path missing: not the same file

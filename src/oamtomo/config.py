@@ -2,7 +2,8 @@
 
 This module refuses unknown keys, checks each top-level value's JSON kind and
 holds the rules only the CLI has: dimension (only 3, so not echoed),
-measurement_mode, bootstrap_samples and output.  The constructor that owns a
+measurement_mode and bootstrap_samples.  It describes the experiment alone:
+output paths are the command line's (--out).  The constructor that owns a
 section value (SourceConfig, OpticsConfig, state_vector, the channels) alone
 states its rules: kind, default, range and bound; ConfigError passes a refusal
 on with the field path in front.  Every fault of reading the file raises
@@ -12,7 +13,6 @@ ConfigReadError.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -62,7 +62,6 @@ class RunConfig:
     measurement_mode: str
     noiseless: bool
     bootstrap_samples: int
-    output: dict  # "counts", "report" and "grids" paths, each optional
     echo: dict
 
 
@@ -225,19 +224,6 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
     channel = parse_channel(raw.get("channel", "identity"))
     state = parse_state(raw.get("state"))
 
-    output = _require(raw, "output", "an object", {})
-    output_keys = ("counts", "report", "grids")
-    _refuse_unknown(output, output_keys, "output.")
-    for key in output_keys:  # NUL and a lone surrogate can come only from here, not argv
-        value = output.get(key)
-        if value is not None and (not isinstance(value, str) or "\0" in value):
-            rule = " without NUL" if isinstance(value, str) else ""
-            raise ConfigError(f"output.{key}", f"expected a path string{rule}, got {value!r}")
-        try:
-            os.fsencode(value or "")
-        except UnicodeEncodeError as exc:
-            raise ConfigError(f"output.{key}", f"cannot encode {value!r} as a path: {exc.reason}")
-
     echo = {
         "channel": raw.get("channel", "identity"),
         "state": raw.get("state"),
@@ -247,7 +233,7 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         "noiseless": noiseless,
         "bootstrap_samples": bootstrap,
     }
-    _refuse_unknown(raw, [*echo, "dimension", "output"])
+    _refuse_unknown(raw, [*echo, "dimension"])
     return RunConfig(
         channel=channel,
         state=state,
@@ -256,6 +242,5 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         measurement_mode=measurement_mode,
         noiseless=noiseless,
         bootstrap_samples=bootstrap,
-        output=output,
         echo=echo,
     )

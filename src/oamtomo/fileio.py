@@ -1,8 +1,8 @@
 """File formats: line-oriented counts files, JSON reports, plain-text grids.
 
 All floating-point output is fixed to 9 significant digits so identical
-inputs produce byte-identical files.  Grid text is np.savetxt's '%.9g', made
-by numpy (oamtomo.gridtext) and written a block of rows at a time.
+inputs produce byte-identical files.  Grid text is an 'N 1' header and np.savetxt's
+'%.9g', made by numpy (oamtomo.gridtext) and written a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 class CountsFileError(ValueError):
     """A counts file could not be parsed, or does not hold one complete scheme."""
-
-
-def format_sig(x) -> str:
-    return f"{float(x):.9g}"
 
 
 def round_sig(x) -> float:
@@ -108,14 +104,14 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_grid(path, samples, extent: float, value=None, order=None) -> None:
-    """np.savetxt's '%.9g' text of a grid's values under an 'N extent' header
-    line, made and written a block of rows at a time; value and order are those
-    of gridtext.grid_text."""
+def write_grid(path, samples, value=None, order=None) -> None:
+    """np.savetxt's '%.9g' text of a grid's values under an 'N 1' header line (the
+    side and the half-width, the unit of lengths), made and written a block of rows
+    at a time; value and order are those of gridtext.grid_text."""
     from .gridtext import grid_text  # only modes writes grids: other commands skip its import
 
     samples = np.asarray(samples)
     with open(path, "wb") as fh:
-        fh.write(f"{len(samples)} {format_sig(extent)}\n".encode())
+        fh.write(f"{len(samples)} 1\n".encode())
         for text in grid_text(samples, value, order):
             fh.write(text)

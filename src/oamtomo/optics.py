@@ -1,8 +1,9 @@
 """Sampled-field model of OAM mode preparation and the 4-f projection chain.
 
-All lengths are dimensionless grid units; physical scalings (lens focal
-lengths, wavelength, the far-field arm) only rescale coordinates and cancel
-in coupling probabilities, so they are not simulated.  A field is the
+The grid spans [-1, 1) on each axis, and all lengths are in units of its
+half-width: a length scale, like the physical scalings (lens focal lengths,
+wavelength, the far-field arm), only rescales coordinates and cancels in
+coupling probabilities, so it is not simulated.  A field is the
 (grid_size, grid_size) complex array of its samples, and the OpticsConfig
 holds its geometry; the builders refuse a geometry that makes a sample
 non-finite.  The modes are the Laguerre-Gauss triple with radial index 0 and
@@ -57,24 +58,23 @@ _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 _MAX_GRID_SIZE = 4096
 
 
-def self_fourier_waist(grid_size: int, extent: float) -> float:
+def self_fourier_waist(grid_size: int) -> float:
     """Waist for which a Gaussian is invariant under the grid's unitary DFT."""
-    return 2.0 * extent / np.sqrt(np.pi * grid_size)
+    return 2.0 / np.sqrt(np.pi * grid_size)
 
 
 @dataclass(frozen=True)
 class OpticsConfig:
     """Grid geometry and mode waists.
 
-    grid_size N samples per axis over [-extent, extent); waist is the
-    LG-family waist, fiber_waist the far-field collection Gaussian's waist.
-    Each waist left as None becomes the grid's self-Fourier waist.  The
-    lengths are checked in field order and stored as floats.  Each refusal
-    starts with the name of the field it refuses.
+    grid_size N samples per axis over [-1, 1); waist is the LG-family waist,
+    fiber_waist the far-field collection Gaussian's waist, in units of the grid's
+    half-width.  Each waist left as None becomes the grid's self-Fourier waist.  The
+    waists are checked in field order and stored as floats.  Each refusal starts
+    with the name of the field it refuses.
     """
 
     grid_size: int = 512
-    extent: float = 1.0
     waist: float | None = None
     fiber_waist: float | None = None
 
@@ -85,13 +85,10 @@ class OpticsConfig:
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
             raise ValueError(
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
-        for name in ("extent", "waist", "fiber_waist"):  # extent first: the default waists need it
+        for name in ("waist", "fiber_waist"):
             value = getattr(self, name)
-            if value is None and name != "extent":
-                value = self_fourier_waist(n, self.extent)
-                if not value <= sys.float_info.max:
-                    raise ValueError(f"extent: {self.extent!r} is too large: the default "
-                                     f"{name}, the self-Fourier waist, is not finite")
+            if value is None:
+                value = self_fourier_waist(n)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
@@ -99,14 +96,13 @@ class OpticsConfig:
             if value <= 0:
                 raise ValueError(f"{name}: must be positive")
             object.__setattr__(self, name, float(value))
-        if self.waist > self.extent / 4.0:
-            raise ValueError(
-                f"waist: {self.waist!r} exceeds extent/4 = {self.extent / 4.0!r} (aliasing guard)"
-            )
+        if self.waist > 0.25:
+            raise ValueError(f"waist: {self.waist!r} exceeds 0.25, a quarter of the grid's "
+                             "half-width (aliasing guard)")
 
     @property
     def step(self) -> float:
-        return 2.0 * self.extent / self.grid_size
+        return 2.0 / self.grid_size
 
     @property
     def cell_area(self) -> float:
@@ -117,7 +113,7 @@ class OpticsConfig:
 
     def conjugate_waist(self, waist: float) -> float:
         """Waist of the unitary-DFT image of a Gaussian of the given waist."""
-        return self_fourier_waist(self.grid_size, self.extent) ** 2 / waist
+        return self_fourier_waist(self.grid_size) ** 2 / waist
 
 
 def _qutrit(state) -> np.ndarray:

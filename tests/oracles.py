@@ -93,10 +93,10 @@ def ideal_storage_chi(basis: np.ndarray) -> np.ndarray:
 # --- optics: the self-Fourier geometry, field power, propagation aliases and phase winding ---
 
 
-def matched_config(grid_size: int = 512, extent: float = 1.0) -> OpticsConfig:
+def matched_config(grid_size: int = 512) -> OpticsConfig:
     """Self-Fourier configuration: mode and fiber waists both at the DFT fixed point."""
-    w = self_fourier_waist(grid_size, extent)
-    return OpticsConfig(grid_size, extent, w, w)
+    w = self_fourier_waist(grid_size)
+    return OpticsConfig(grid_size, w, w)
 
 
 def power(samples: np.ndarray, cfg: OpticsConfig) -> float:
@@ -146,7 +146,7 @@ def superposition_samples(psi, cfg: OpticsConfig) -> np.ndarray:
 def winding_number(samples: np.ndarray, radius: float, cfg: OpticsConfig) -> int:
     """Net phase winding around a centered circle of the given radius of a field
     sampled on the grid of cfg."""
-    if radius <= 0 or radius >= cfg.extent:
+    if radius <= 0 or radius >= 1.0:  # the grid's half-width
         raise ValueError("radius must lie inside the grid")
     n, step = cfg.grid_size, cfg.step
     theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)

@@ -134,7 +134,7 @@ def test_criterion_04_shot_noise_robustness():
 
 def test_criterion_05_optics_abstract_consistency():
     start = time.monotonic()
-    cfg = matched_config(512, 1.0)
+    cfg = matched_config(512)
     states = canonical_input_states()
     worst, pair = 0.0, None
     for j in range(9):
@@ -150,7 +150,7 @@ def test_criterion_05_optics_abstract_consistency():
 
 
 def test_criterion_06_four_f_parity_law():
-    cfg = matched_config(512, 1.0)
+    cfg = matched_config(512)
     rng = np.random.default_rng(606)
     for _ in range(10):
         field = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
@@ -160,7 +160,7 @@ def test_criterion_06_four_f_parity_law():
 
 
 def test_criterion_07_lg_orthonormality():
-    cfg = matched_config(512, 1.0)
+    cfg = matched_config(512)
     modes = [oam_mode_field(l, cfg) for l in (-1, 0, 1)]
     gram = np.array([[(a.conj() * b).sum() * cfg.cell_area for b in modes] for a in modes])
     assert np.abs(gram - np.eye(3)).max() < 1e-6

@@ -77,7 +77,7 @@ def test_runner_records_exits_and_tracebacks_and_goes_on(tmp_path, monkeypatch):
     usage = outputs["case/$1 simulate"]
     assert usage.startswith("exit 2: usage: oamtomo simulate [-h] --config CONFIG")
     assert usage.endswith("oamtomo simulate: error: the following arguments are required: "
-                          "--config\n")
+                          "--config, --out\n")
     crash = outputs["case/$2 crash"]
     assert crash.startswith("exit 1: Traceback (most recent call last):\n")
     assert crash.endswith("RuntimeError: stored state lost\n")

@@ -40,7 +40,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def cfg():
-    return matched_config(512, 1.0)
+    return matched_config(512)
 
 
 def _random_field(cfg, seed):
@@ -51,28 +51,28 @@ def _random_field(cfg, seed):
 
 class TestConfig:
     def test_matched_defaults(self, cfg):
-        assert cfg.waist == pytest.approx(self_fourier_waist(512, 1.0))
+        assert cfg.waist == pytest.approx(self_fourier_waist(512))
         assert cfg.waist == cfg.fiber_waist
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            OpticsConfig(300, 1.0, 0.05, 0.05)
+            OpticsConfig(300, 0.05, 0.05)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
-            OpticsConfig(64, 1.0, 0.05, 0.05)
+            OpticsConfig(64, 0.05, 0.05)
 
     def test_aliasing_guard(self):
         with pytest.raises(ValueError):
-            OpticsConfig(512, 1.0, 0.3, 0.05)
+            OpticsConfig(512, 0.3, 0.05)
 
     @hyp_settings(deadline=None, derandomize=True, database=None)
-    @given(field=st.sampled_from(["extent", "waist", "fiber_waist"]),
+    @given(field=st.sampled_from(["waist", "fiber_waist"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400,
                                   True, False, np.True_, "1", "nan", b"1"]))
     def test_rejects_non_finite(self, field, value):
         # a bool or a non-number is refused as such, before its finiteness
-        kwargs = {"grid_size": 128, "extent": 1.0, "waist": 0.1, "fiber_waist": 0.1, field: value}
+        kwargs = {"grid_size": 128, "waist": 0.1, "fiber_waist": 0.1, field: value}
         refusal = ("finite" if isinstance(value, (float, int)) and not isinstance(value, bool)
                    else "a number")
         with warnings.catch_warnings():
@@ -81,38 +81,25 @@ class TestConfig:
                 OpticsConfig(**kwargs)
 
     def test_first_bad_length_in_field_order_is_refused(self):
-        # extent, waist and fiber_waist are checked one at a time, each in full
-        with pytest.raises(ValueError, match=r"^extent: must be positive$"):
-            OpticsConfig(128, 0, "x")
+        # waist and fiber_waist are checked one at a time, each in full
         with pytest.raises(ValueError, match=r"^waist: must be positive$"):
-            OpticsConfig(128, 1.0, -1, math.nan)
-
-    def test_extent_is_not_optional(self):
-        # only the two waists take None, as their default
-        with pytest.raises(ValueError, match=r"^extent: must be a number, got None$"):
-            OpticsConfig(extent=None)
+            OpticsConfig(128, -1, math.nan)
 
     def test_grid_size_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got 128\.5$"):
-            OpticsConfig(128.5, 1.0, 0.1, 0.1)
+            OpticsConfig(128.5, 0.1, 0.1)
         with pytest.raises(ValueError, match=r"^grid_size: must be an integer, got True$"):
-            OpticsConfig(True, 1.0, 0.1, 0.1)
-        assert OpticsConfig(np.int64(256), 1.0, 0.1, 0.1).grid_size == 256
+            OpticsConfig(True, 0.1, 0.1)
+        assert OpticsConfig(np.int64(256), 0.1, 0.1).grid_size == 256
 
     def test_defaults(self):
         # 512 samples over [-1, 1) and the self-Fourier waists, the run config's defaults
-        w = self_fourier_waist(512, 1.0)
-        assert OpticsConfig() == OpticsConfig(512, 1.0, w, w)
+        w = self_fourier_waist(512)
+        assert OpticsConfig() == OpticsConfig(512, w, w)
         small = OpticsConfig(grid_size=256)
-        assert small.waist == small.fiber_waist == self_fourier_waist(256, 1.0)
-        given = OpticsConfig(128, 4, 1, 1)
-        assert [type(v) for v in (given.extent, given.waist, given.fiber_waist)] == [float] * 3
-
-    @pytest.mark.parametrize("waist, defaulted", [(None, "waist"), (0.1, "fiber_waist")])
-    def test_extent_too_large_for_a_default_waist(self, waist, defaulted):
-        with pytest.raises(ValueError, match=f"^extent: .* the default {defaulted}, ") as refused:
-            OpticsConfig(128, 1e308, waist)
-        assert "np." not in str(refused.value)
+        assert small.waist == small.fiber_waist == self_fourier_waist(256)
+        given = OpticsConfig(128, 0.25, 1)
+        assert [type(v) for v in (given.waist, given.fiber_waist)] == [float] * 2
 
     def test_conjugate_waist_roundtrip(self, cfg):
         w = 0.08
@@ -155,7 +142,7 @@ class TestModeFields:
         # the squared waist underflows to 0, so the samples are NaN: refused where made
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="^field contains non-finite samples$"):
-            build(OpticsConfig(128, 1.0, 1e-300))
+            build(OpticsConfig(128, 1e-300))
 
 
 class TestInPlaceBuilders:
@@ -164,7 +151,7 @@ class TestInPlaceBuilders:
 
     @pytest.fixture(scope="class")
     def small(self):
-        return matched_config(128, 1.0)
+        return matched_config(128)
 
     def test_mode_fields_match_out_of_place_construction(self, small):
         for l in MODE_WINDINGS:
@@ -178,7 +165,7 @@ class TestInPlaceBuilders:
                                        [1e-3, 1, 1j]])
     def test_superposition_matches_out_of_place_construction(self, small, state):
         psi = np.array(state, dtype=complex) / np.linalg.norm(state)
-        for cfg in (small, matched_config(512, 1.0)):
+        for cfg in (small, matched_config(512)):
             field = superposition_field(psi, cfg)
             before = field.copy()
             assert field.tobytes() == superposition_samples(psi, cfg).tobytes()
@@ -191,15 +178,17 @@ class TestInPlaceBuilders:
     def test_power_is_numpys_pairwise_sum(self, n, scale, monkeypatch):
         # the norm sums |s|^2 over 32 row blocks and adds the block sums pairwise:
         # numpy's pairwise sum of the whole grid, bit for bit, with subnormal and
-        # huge entries too; at cell area 1 the root is taken of that sum itself
+        # huge entries too; the root is taken of that sum times the cell area
         rng = np.random.default_rng(n)
         s = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         s.flat[rng.integers(0, n * n, n)] = 1e-310 * rng.standard_normal(n)
         roots, sqrt = [], np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda x: roots.append(x) or sqrt(x))
-        optics._normalized(s.copy(), OpticsConfig(n, n / 2, 1.0, 1.0))
+        cfg = OpticsConfig(n, 0.1, 0.1)
+        optics._normalized(s.copy(), cfg)
         monkeypatch.undo()
-        assert np.float64(roots[0]).tobytes() == (np.abs(s) ** 2).sum().tobytes()
+        power = (np.abs(s) ** 2).sum() * cfg.cell_area
+        assert np.float64(roots[0]).tobytes() == power.tobytes()
 
     def test_phase_only_operators_keep_the_mode_triple(self, small, monkeypatch):
         # the holograms scale copies of the shared LG triple, never the triple itself
@@ -456,8 +445,8 @@ class TestEffectiveOperators:
     @pytest.fixture(scope="class")
     def small(self):
         # waists off the self-Fourier point, so the lens changes the fiber Gaussian
-        w = self_fourier_waist(128, 1.0)
-        return OpticsConfig(128, 1.0, 0.7 * w, 0.9 * w)
+        w = self_fourier_waist(128)
+        return OpticsConfig(128, 0.7 * w, 0.9 * w)
 
     def test_ideal_reproduces_chain(self, small):
         states = canonical_input_states()
@@ -487,7 +476,7 @@ class TestEffectiveOperators:
     def test_default_grid_matches_field_chain(self, phase_only):
         # the CLI's default grid, under the floating-point checks of its optics
         # guard; underflow is left out, as the sampled Gaussian tails underflow
-        cfg = matched_config(512, 1.0)
+        cfg = matched_config(512)
         states = canonical_input_states()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             rho, povm = effective_operators(states, states, cfg, phase_only)
@@ -520,7 +509,7 @@ class TestEffectiveOperators:
         # (ideal) and 6.07 (phase-only).  numpy caches an FFT plan per length on first
         # use, about 0.11 grid at N = 256, so a transform of that size runs before the
         # trace: the bound then holds whichever test ran first
-        cfg = matched_config(256, 1.0)
+        cfg = matched_config(256)
         states = canonical_input_states()
         np.fft.fft2(np.zeros((cfg.grid_size,) * 2, dtype=complex))
         tracemalloc.start()
@@ -538,7 +527,7 @@ class TestEffectiveOperators:
 
     @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
     @pytest.mark.parametrize("cfg", [OpticsConfig(128), OpticsConfig(256),
-                                     OpticsConfig(128, 1.0, None, 0.06)],
+                                     OpticsConfig(128, None, 0.06)],
                              ids=["default-128", "default-256", "fiber-waist-0.06"])
     def test_matches_per_state_reduction(self, cfg, phase_only):
         # one hologram per distinct state, the Gaussian flipped once and LG_0 as the fiber
@@ -552,10 +541,10 @@ class TestEffectiveOperators:
             assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_phase_only_matches_per_state_reduction_at_the_widest_waist(self):
-        # at waist = extent/4 the samples of row and column 0, which the parity flip keeps
+        # at waist = 0.25, the widest, the samples of row and column 0, which the parity flip keeps
         # in place, reach the amplitudes' last bits: there a measurement takes the
         # hologram of its parity-signed state, not the flipped hologram of the state
-        cfg = OpticsConfig(128, 1.0, 0.25, 0.25)
+        cfg = OpticsConfig(128, 0.25, 0.25)
         states = canonical_input_states()
         got = effective_operators(states, states, cfg, phase_only=True)
         want = per_state_operators(states, states, cfg, phase_only=True)
@@ -573,7 +562,7 @@ class TestEffectiveOperators:
                 return _call(*args)
             monkeypatch.setattr(optics, name, counted)
         states = canonical_input_states()
-        for cfg, gaussians in ((matched_config(128, 1.0), 0), (small, 1)):
+        for cfg, gaussians in ((matched_config(128), 0), (small, 1)):
             calls.update(gaussian_field=0, oam_mode_field=0, parity_flip=0)
             effective_operators(states, states, cfg, phase_only)
             assert calls == {"gaussian_field": gaussians, "oam_mode_field": 3,

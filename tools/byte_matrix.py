@@ -7,12 +7,13 @@ The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x 5
 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
 counts it wrote; three runs that fail in `reconstruct-*`; eight `simulate`
-runs of a bad value (--seed -1, a negative fiber waist, the unknown fields
-`source.window` and `source.efficiency`, the field `optics.extent`, a
+runs refused for a bad value (--seed -1, a negative fiber waist, the unknown
+fields `source.window`, `source.efficiency` and `optics.extent`, a
 counts_per_setting above 1e18, the channel `unitary inf`, a 2 x 2 Kraus
-operator); three `simulate` runs whose output path is refused (a NUL byte or
-a lone surrogate in the config's `output.counts` with no --out, and an empty
---out); one `simulate` of a config that carries
+operator); three `simulate` runs with no usable output path (exit 2 for a
+config whose `output.counts` holds a NUL byte or a lone surrogate, given no
+--out, which is required; exit 3 for an empty --out); one `simulate` of a
+config that carries
 `"dimension": 3`; one abstract QPT bootstrap of 3000 samples, more than one
 chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
@@ -113,8 +114,8 @@ def cases():
                                 ("channel-inf", {"channel": "unitary inf"}, []),
                                 ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}}, [])):
         yield f"err-{name}", config, [simulate + flags]
-    # output paths refused (exit 3): a NUL byte or a lone surrogate in the config's,
-    # an empty --out
+    # no usable output path: a config's, holding a NUL byte or a lone surrogate, is not
+    # read without --out (exit 2), and an empty --out is refused (exit 3)
     yield "err-output-nul", {"output": {"counts": "a\0b"}}, [["simulate", "--config", "run.json"]]
     yield "err-output-surrogate", {"output": {"counts": "\ud800x"}}, [
         ["simulate", "--config", "run.json"]]
