@@ -124,7 +124,8 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
     keys names the report kind, the physical matrix, its raw trace and its
     fidelity.  reconstruct, project and score take a leading batch axis, so that a
     bootstrap of B > 0 samples redoes them all on B Poisson resamples of the
-    counts, drawn and scored in chunks of at most BOOTSTRAP_CHUNK.
+    counts, drawn and scored in chunks of at most BOOTSTRAP_CHUNK; a degenerate
+    resample is named by its index among the B.
     """
     kind, matrix_key, trace_key, fidelity_key = keys
     raw = reconstruct(counts)
@@ -142,10 +143,15 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
         # successive draws from one generator continue its stream, so the chunks
         # are the resamples of one draw of all B, held BOOTSTRAP_CHUNK at a time
         rng = np.random.default_rng([cfg.source.seed, 104729])
-        fids = np.concatenate([
-            score(project(reconstruct(rng.poisson(counts, size=(min(BOOTSTRAP_CHUNK, left),)
-                                                  + counts.shape))))
-            for left in range(cfg.bootstrap_samples, 0, -BOOTSTRAP_CHUNK)])
+        fids = []
+        for start in range(0, cfg.bootstrap_samples, BOOTSTRAP_CHUNK):
+            size = (min(BOOTSTRAP_CHUNK, cfg.bootstrap_samples - start),) + counts.shape
+            try:
+                fids.append(score(project(reconstruct(rng.poisson(counts, size=size)))))
+            except DegenerateDataError as exc:  # its "sample k" counts from the chunk's start
+                k, rest = str(exc).removeprefix("sample ").split(", ", 1)
+                raise DegenerateDataError(f"sample {start + int(k)}, {rest}") from exc
+        fids = np.concatenate(fids)
         doc["bootstrap"] = {
             "samples": cfg.bootstrap_samples,
             "fidelity_mean": float(np.mean(fids)),

@@ -437,6 +437,22 @@ class TestReconstructProcess:
         assert err.count("\n") == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize("chunk", [cli.BOOTSTRAP_CHUNK, 4])
+    def test_degenerate_resample_is_named_among_all_samples(self, tmp_path, capsys,
+                                                            monkeypatch, chunk):
+        # one count per setting: the fifth resample is the first with no basis count
+        # for an input; chunks of 4 draw the same resamples, the fifth in the second
+        monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", chunk)
+        cfg = _write_config(tmp_path / "cfg.json", source={}, bootstrap_samples=40)
+        counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
+        counts.write_text("".join(f"{j} {i} 1 0\n" for j in range(1, 10) for i in range(1, 10)))
+        assert main(["reconstruct-process", "--config", cfg, "--counts", str(counts),
+                     "--out", str(report)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("oamtomo: degenerate counts: sample 5, input 5: ")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
     def test_null_channel_exit_5_prints_a_plain_number(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", channel=None)
         counts, report = tmp_path / "counts.txt", tmp_path / "report.json"
