@@ -193,7 +193,7 @@ def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
 
     def output(plane: str, kind: str) -> str:
         path = os.path.join(out_dir, f"{plane}_{kind}.txt")
-        _refuse_input(path, args, "--out")
+        _refuse_input(path, args)
         written.append(path)
         return path
 
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
         handler, _ = COMMANDS[args.command]
         if not args.out:
             raise ConfigError("--out", "the path is empty")
-        _refuse_input(args.out, args, "--out")
+        _refuse_input(args.out, args)
         try:
             handler(cfg, args, args.out, written)
         except OSError as exc:  # --counts faults arrive as CountsFileError
@@ -309,15 +309,15 @@ def main(argv=None) -> int:
         return EXIT_BAD_PARAMS
 
 
-def _refuse_input(path: str, args, field: str) -> None:
-    """Raise ConfigError(field) if path is the file --config or --counts names:
+def _refuse_input(path: str, args) -> None:
+    """Raise ConfigError("--out") if path, an output, is the file --config or --counts names:
     a finished run would overwrite that input, and a failed one delete it.  Its
     other faults are main's (empty, unwritable)."""
     for flag in ("config", "counts"):
         source = getattr(args, flag, None)
         with contextlib.suppress(OSError):  # either path missing: not the same file
             if source is not None and os.path.samefile(path, source):
-                raise ConfigError(field, f"{path!r} is the --{flag} file, an input")
+                raise ConfigError("--out", f"{path!r} is the --{flag} file, an input")
 
 
 def _fail(written, message: str) -> None:
