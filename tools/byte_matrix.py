@@ -7,14 +7,11 @@ The matrix: 3 measurement modes x 4 inputs (QPT, psi4, [1,-1,1], L) x 5
 channels x (seed 1, seed 2, noiseless), at grid_size 128 and
 bootstrap_samples 20, each a `simulate` then a `reconstruct-*` from the
 counts it wrote; three runs that fail in `reconstruct-*`; eight `simulate`
-runs refused for a bad value (--seed -1, a negative fiber waist, the unknown
-fields `source.window`, `source.efficiency` and `optics.extent`, a
+runs refused for a bad value (a negative source.seed, a negative fiber waist,
+the unknown fields `source.window`, `source.efficiency` and `optics.extent`, a
 counts_per_setting above 1e18, the channel `unitary inf`, a 2 x 2 Kraus
-operator); three `simulate` runs with no usable output path (exit 2 for a
-config whose `output.counts` holds a NUL byte or a lone surrogate, given no
---out, which is required; exit 3 for an empty --out); one `simulate` of a
-config that carries
-`"dimension": 3`; one abstract QPT bootstrap of 3000 samples, more than one
+operator); one `simulate` refused for an empty --out (exit 3); one `simulate`
+of a config that carries `"dimension": 3`; one abstract QPT bootstrap of 3000 samples, more than one
 chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
 noiseless) at the benchmark's N = 256; optical-ideal and optical-phase-only
@@ -24,7 +21,8 @@ each a `simulate` then a `reconstruct-process`; and `modes` for psi4, L,
 N = 128 and 512; and seven command-line forms at N = 128:
 `simulate --seed x`, `simulate --mode bogus`, `reconstruct-process` without
 --counts (each exit 2, its usage on stderr), `--conf` for --config,
-`--out=counts.txt`, `--seed 1 --seed 2`, and `modes --state psi4`: 223 cases.
+`--out=counts.txt`, `--mode optical-ideal --mode abstract` (the last wins), and
+`modes --state psi4`: 221 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -105,20 +103,16 @@ def cases():
         yield f"err-{name}", config, [simulate, [command, "--config", "run.json", "--counts",
                                                  "counts.txt", "--out", "report.json"]]
     # bad values (exit 3), each refused naming its field
-    for name, config, flags in (("seed", {}, ["--seed", "-1"]),
-                                ("fiber-waist", {"optics": {"fiber_waist": -1}}, []),
-                                ("window", {"source": {"window": 0}}, []),
-                                ("efficiency", {"source": {"efficiency": 0.5}}, []),
-                                ("extent", {"optics": {"extent": 2.0}}, []),
-                                ("counts-bound", {"source": {"counts_per_setting": 1e19}}, []),
-                                ("channel-inf", {"channel": "unitary inf"}, []),
-                                ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}}, [])):
-        yield f"err-{name}", config, [simulate + flags]
-    # no usable output path: a config's, holding a NUL byte or a lone surrogate, is not
-    # read without --out (exit 2), and an empty --out is refused (exit 3)
-    yield "err-output-nul", {"output": {"counts": "a\0b"}}, [["simulate", "--config", "run.json"]]
-    yield "err-output-surrogate", {"output": {"counts": "\ud800x"}}, [
-        ["simulate", "--config", "run.json"]]
+    for name, config in (("seed", {"source": {"seed": -1}}),
+                         ("fiber-waist", {"optics": {"fiber_waist": -1}}),
+                         ("window", {"source": {"window": 0}}),
+                         ("efficiency", {"source": {"efficiency": 0.5}}),
+                         ("extent", {"optics": {"extent": 2.0}}),
+                         ("counts-bound", {"source": {"counts_per_setting": 1e19}}),
+                         ("channel-inf", {"channel": "unitary inf"}),
+                         ("kraus-shape", {"channel": {"kraus": [[[1, 0], [0, 1]]]}})):
+        yield f"err-{name}", config, [simulate]
+    # an empty --out names no file (exit 3)
     yield "err-out-empty", {}, [
         ["simulate", "--config", "run.json", "--out", ""]]
     yield "dimension-3", {"dimension": 3}, [simulate]
@@ -153,7 +147,7 @@ def cases():
             ("no-counts", ["reconstruct-process", "--config", "run.json", "--out", "report.json"]),
             ("abbreviated", ["simulate", "--conf", "run.json", "--out", "counts.txt"]),
             ("equals", ["simulate", "--config", "run.json", "--out=counts.txt"]),
-            ("seed-twice", simulate + ["--seed", "1", "--seed", "2"]),
+            ("flag-twice", simulate + ["--mode", "optical-ideal", "--mode", "abstract"]),
             ("modes-state", ["modes", "--config", "run.json", "--out", "grids",
                              "--state", "psi4"])):
         yield f"cli-{name}", {"optics": {"grid_size": 128}}, [command]
