@@ -8,11 +8,14 @@ reconstruct-process  counts file -> process matrix report with fidelity
 reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
+The command line names the files and may override measurement_mode (--mode); the
+config alone sets every other value, source.seed and state included.
+
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
 usage text, a missing --out included), 3 invalid parameters (an --out that is empty,
 an input file or unwritable included), 4 incomplete counts, 5 degenerate counts.  A
-failed run removes the files it wrote and no other; identical config and seed give
-byte-identical files.
+failed run removes the files it wrote and no other; an identical config and --mode
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -110,11 +113,11 @@ def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:
     return counts
 
 
-def cmd_simulate(cfg: RunConfig, args, out_path: str, written: list) -> None:
+def cmd_simulate(cfg: RunConfig, args, written: list) -> None:
     make = exact_counts if cfg.noiseless else simulate_counts
     counts = make(_probability_rows(cfg), cfg.source)
-    written.append(out_path)
-    fileio.write_counts(out_path, counts, cfg.echo)
+    written.append(args.out)
+    fileio.write_counts(args.out, counts, cfg.echo)
 
 
 def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
@@ -160,17 +163,17 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
     return doc
 
 
-def cmd_reconstruct_process(cfg: RunConfig, args, out_path: str, written: list) -> None:
+def cmd_reconstruct_process(cfg: RunConfig, args, written: list) -> None:
     counts = _read_counts(args.counts, 9, cfg)
     ideal = np.eye(9)[0]  # ideal storage, chi = e0 e0^dag: weight 1 on the identity
     doc = _report(("process", "chi", "chi_raw_trace", "process_fidelity_vs_ideal"), cfg, counts,
                   lambda c: qpt_linear_inversion(probabilities_from_counts(c)),
                   project_to_physical_process, lambda chi: pure_fidelity(chi, ideal, process=True))
-    written.append(out_path)
-    fileio.write_report(out_path, doc)
+    written.append(args.out)
+    fileio.write_report(args.out, doc)
 
 
-def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) -> None:
+def cmd_reconstruct_state(cfg: RunConfig, args, written: list) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a target state is required for state reconstruction")
     counts = _read_counts(args.counts, 1, cfg)
@@ -178,21 +181,21 @@ def cmd_reconstruct_state(cfg: RunConfig, args, out_path: str, written: list) ->
                   lambda c: qst_linear_inversion(probabilities_from_counts(c)[..., 0, :]),
                   project_to_physical_state, lambda rho: pure_fidelity(rho, cfg.state))
     doc["target_state"] = fileio.complex_pairs(cfg.state)
-    written.append(out_path)
-    fileio.write_report(out_path, doc)
+    written.append(args.out)
+    fileio.write_report(args.out, doc)
 
 
-def cmd_modes(cfg: RunConfig, args, out_dir: str, written: list) -> None:
+def cmd_modes(cfg: RunConfig, args, written: list) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a state is required for mode export")
     with _optics_guard():
         mask = superposition_field(cfg.state, cfg.optics)
     # only once the mask field exists: a bad geometry leaves no directory, and a
     # file of that name is left alone (main names --out)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     def output(plane: str, kind: str) -> str:
-        path = os.path.join(out_dir, f"{plane}_{kind}.txt")
+        path = os.path.join(args.out, f"{plane}_{kind}.txt")
         _refuse_input(path, args)
         written.append(path)
         return path
@@ -221,21 +224,20 @@ def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
 FLAGS = {
     "config": {"required": True, "help": "JSON run configuration"},
     "out": {"required": True, "help": "output path (a directory for modes)"},
-    "seed": {"type": int, "help": "override source.seed"},
     "mode": {"choices": MEASUREMENT_MODES, "help": "override measurement_mode"},
     "counts": {"required": True, "help": "counts file to reconstruct from"},
-    "state": {"help": "state name or JSON amplitude list (overrides config)"},
 }
-_COMMON = ("config", "out", "seed", "mode")
+_COMMON = ("config", "out", "mode")
 
-# command -> (handler, its flags in FLAGS).  Each handler writes to --out (modes into
-# that directory), and lists a file in `written` just before writing it, its work done;
-# a failed run removes those files and no other.
+# command -> (handler, its flags in FLAGS).  A handler, called as handler(cfg, args,
+# written), writes to args.out (modes into that directory), and lists a file in
+# `written` just before writing it, its work done; a failed run removes those files
+# and no other.
 COMMANDS = {
     "simulate": (cmd_simulate, _COMMON),
     "reconstruct-process": (cmd_reconstruct_process, _COMMON + ("counts",)),
     "reconstruct-state": (cmd_reconstruct_state, _COMMON + ("counts",)),
-    "modes": (cmd_modes, _COMMON + ("state",)),
+    "modes": (cmd_modes, _COMMON),
 }
 
 
@@ -264,12 +266,9 @@ def _parse(argv):
         name = flag[2:]
         if flag[:2] != "--" or name not in args or value[:1] == "-":
             return None
-        try:
-            args[name] = FLAGS[name].get("type", str)(value)
-        except ValueError:
+        if value not in FLAGS[name].get("choices", (value,)):
             return None
-        if args[name] not in FLAGS[name].get("choices", (args[name],)):
-            return None
+        args[name] = value
     if any(v is None and FLAGS[f].get("required") for f, v in args.items()):
         return None
     return types.SimpleNamespace(command=argv[0], **args)
@@ -280,14 +279,13 @@ def main(argv=None) -> int:
     args = _parse(argv) or _build_parser().parse_args(argv)
     written: list = []
     try:
-        cfg = load_config(args.config, seed=args.seed, mode=args.mode,
-                          state=getattr(args, "state", None))  # only modes takes --state
+        cfg = load_config(args.config, mode=args.mode)
         handler, _ = COMMANDS[args.command]
         if not args.out:
             raise ConfigError("--out", "the path is empty")
         _refuse_input(args.out, args)
         try:
-            handler(cfg, args, args.out, written)
+            handler(cfg, args, written)
         except OSError as exc:  # --counts faults arrive as CountsFileError
             raise ConfigError("--out", f"cannot write {exc.filename or args.out!r}: "
                                        f"{exc.strerror or exc}")

@@ -2,8 +2,9 @@
 
 This module refuses unknown keys, checks each top-level value's JSON kind and
 holds the rules only the CLI has: dimension (only 3, so not echoed),
-measurement_mode and bootstrap_samples.  It describes the experiment alone:
-output paths are the command line's (--out).  The constructor that owns a
+measurement_mode and bootstrap_samples.  It describes the experiment alone,
+source.seed and state included: output paths are the command line's (--out),
+and the command line overrides measurement_mode alone (--mode).  The constructor that owns a
 section value (SourceConfig, OpticsConfig, state_vector, the channels) alone
 states its rules: kind, default, range and bound; ConfigError passes a refusal
 on with the field path in front.  Every fault of reading the file raises
@@ -173,15 +174,12 @@ def _section(cls, raw: dict, path: str):
         raise ConfigError(*f"{path}{exc}".split(": ", 1))
 
 
-def load_config(path, seed: int | None = None, mode: str | None = None,
-                state: str | None = None) -> RunConfig:
+def load_config(path, mode: str | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    seed, mode and state, when given, override source.seed, measurement_mode
-    and state; state is the text of a state spec, JSON (null, an amplitude
-    list) or a bare state name.  The echoed configuration reflects the
-    effective values.  The file is read as UTF-8; every fault of reading it
-    raises ConfigReadError.
+    mode, when given, overrides measurement_mode, and the echoed configuration
+    holds the effective mode.  The file is read as UTF-8; every fault of
+    reading it raises ConfigReadError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -190,20 +188,12 @@ def load_config(path, seed: int | None = None, mode: str | None = None,
         raise ConfigReadError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    if state is not None:
-        try:
-            raw["state"] = json.loads(state)
-        except (ValueError, RecursionError):  # not JSON: a state name
-            raw["state"] = state
 
     dimension = _require(raw, "dimension", "an integer", 3)
     if dimension != 3:
         raise ConfigError("dimension", f"only dimension 3 is supported, got {dimension}")
 
-    source_raw = dict(_require(raw, "source", "an object", {}))
-    if seed is not None:
-        source_raw["seed"] = seed
-    source = _section(SourceConfig, source_raw, "source.")
+    source = _section(SourceConfig, _require(raw, "source", "an object", {}), "source.")
     optics = _section(OpticsConfig, _require(raw, "optics", "an object", {}), "optics.")
 
     measurement_mode = mode if mode is not None else _require(

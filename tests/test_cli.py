@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -142,30 +143,29 @@ class TestSimulate:
         assert "source" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides, flags, message", [
-        ({"source": {"counts_per_setting": 0}}, [], "source.counts_per_setting: must be positive"),
-        ({"source": {"background": -1}}, [], "source.background: must be nonnegative"),
+    @pytest.mark.parametrize("overrides, message", [
+        ({"source": {"counts_per_setting": 0}}, "source.counts_per_setting: must be positive"),
+        ({"source": {"background": -1}}, "source.background: must be nonnegative"),
         # no model reads a coincidence window, and a loss common to every setting
         # is part of counts_per_setting, so SourceConfig has neither
-        ({"source": {"window": 5e-8}}, [], "source.window: unknown field"),
-        ({"source": {"efficiency": 0.5}}, [], "source.efficiency: unknown field"),
-        ({"source": {"seed": -1}}, [], "source.seed: must be nonnegative"),
-        ({}, ["--seed", "-1"], "source.seed: must be nonnegative"),
-        *[({"optics": {"grid_size": n}}, [],
+        ({"source": {"window": 5e-8}}, "source.window: unknown field"),
+        ({"source": {"efficiency": 0.5}}, "source.efficiency: unknown field"),
+        ({"source": {"seed": -1}}, "source.seed: must be nonnegative"),
+        *[({"optics": {"grid_size": n}},
            f"optics.grid_size: must be a power of two from 128 to 4096, got {n}")
           for n in (64, 300, 8192)],
         # lengths are in units of the grid's half-width, so OpticsConfig has no extent
-        ({"optics": {"extent": 1.0}}, [], "optics.extent: unknown field"),
-        ({"optics": {"waist": -1}}, [], "optics.waist: must be positive"),
-        ({"optics": {"fiber_waist": -1}}, [], "optics.fiber_waist: must be positive"),
-        ({"optics": {"waist": 0.3}}, [],
+        ({"optics": {"extent": 1.0}}, "optics.extent: unknown field"),
+        ({"optics": {"waist": -1}}, "optics.waist: must be positive"),
+        ({"optics": {"fiber_waist": -1}}, "optics.fiber_waist: must be positive"),
+        ({"optics": {"waist": 0.3}},
          "optics.waist: 0.3 exceeds 0.25, a quarter of the grid's half-width (aliasing guard)"),
     ])
-    def test_range_errors_name_the_field(self, tmp_path, capsys, overrides, flags, message):
+    def test_range_errors_name_the_field(self, tmp_path, capsys, overrides, message):
         # every rule of SourceConfig and OpticsConfig, refused before any work
         cfg = _write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "counts.txt"
-        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 3
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"oamtomo: invalid configuration: {message}\n"
         assert not out.exists()
 
@@ -275,15 +275,16 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "c.txt")]) == 2
 
-    def test_seed_flag_overrides(self, tmp_path):
-        cfg = _write_config(tmp_path / "cfg.json")
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        main(["simulate", "--config", cfg, "--out", str(a), "--seed", "11"])
-        main(["simulate", "--config", cfg, "--out", str(b), "--seed", "11"])
-        assert a.read_bytes() == b.read_bytes()
-        c = tmp_path / "c.txt"
-        main(["simulate", "--config", cfg, "--out", str(c), "--seed", "12"])
-        assert a.read_bytes() != c.read_bytes()
+    def test_config_seed_sets_the_counts(self, tmp_path):
+        # equal seeds give equal counts, another seed other counts
+        outs = []
+        for name, seed in (("a", 11), ("b", 11), ("c", 12)):
+            cfg = _write_config(tmp_path / f"{name}.json",
+                                source={"counts_per_setting": 10000, "seed": seed})
+            outs.append(tmp_path / f"{name}.txt")
+            assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        a, b, c = (out.read_bytes() for out in outs)
+        assert a == b and a != c
 
 
 class TestReconstructProcess:
@@ -675,32 +676,6 @@ class TestModes:
         assert np.all(np.diff(center) <= 1e-12)
         assert intensity[64, 64] == intensity.max()
 
-    def test_state_flag_overrides(self, tmp_path):
-        cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": 128})
-        out = tmp_path / "grids"
-        assert main(["modes", "--config", cfg, "--out", str(out), "--state", "R"]) == 0
-        assert main(["modes", "--config", cfg, "--out", str(tmp_path / "g2")]) == 3
-
-    def test_null_state_flag_clears_the_state(self, tmp_path):
-        cfg = _write_config(tmp_path / "cfg.json", state="L",
-                            optics={"grid_size": 128})
-        out = tmp_path / "grids"
-        assert main(["modes", "--config", cfg, "--out", str(out), "--state", "null"]) == 3
-        assert not out.exists()
-        assert load_config(cfg, state="null").echo["state"] is None
-        run = load_config(cfg, state="[1,-1,1]")
-        assert run.echo["state"] == [1, -1, 1]
-        np.testing.assert_array_equal(run.state, np.array([1, -1, 1]) / np.sqrt(3))
-
-    def test_state_flag_overrides_an_invalid_state(self, tmp_path):
-        # --state replaces the config's state before it is checked, as --seed and
-        # --mode replace theirs
-        cfg = _write_config(tmp_path / "cfg.json", state="nonsense",
-                            optics={"grid_size": 128})
-        out = tmp_path / "grids"
-        assert main(["modes", "--config", cfg, "--out", str(out), "--state", "psi4"]) == 0
-        assert len(os.listdir(out)) == 6
-
     def test_invalid_state_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", state="nonsense",
                             optics={"grid_size": 128})
@@ -786,7 +761,8 @@ class TestModes:
             assert image.split("\n") == [header] + [" ".join(row) for row in flipped] + [""]
 
     @pytest.mark.parametrize("n", [256, 512])
-    @pytest.mark.parametrize("state", ["L", "psi4", "[1,1,1]", "[1,-1,1]"])
+    @pytest.mark.parametrize("state", ["L", "psi4", pytest.param([1, 1, 1], id="[1,1,1]"),
+                                       pytest.param([1, -1, 1], id="[1,-1,1]")])
     def test_export_memory(self, tmp_path, state, n):
         # the field summed 1/32 of the rows at a time, the mask transformed in place
         # once its grids are written, and each grid's values and text made 1/32 grid
@@ -797,12 +773,14 @@ class TestModes:
         # with whole modes in the build and whole value grids, 3.16-3.17 with
         # whole-grid temporaries in the field build and buffered takes, 4.03-4.04
         # with out-of-place fields and whole grids of text)
-        cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": n})
-        argv = ["modes", "--config", cfg, "--out", str(tmp_path / "grids"), "--state"]
-        assert main(argv + ["G"]) == 0  # first-use imports and caches stay out of the peak
+        cfg = tmp_path / "cfg.json"
+        argv = ["modes", "--config", str(cfg), "--out", str(tmp_path / "grids")]
+        _write_config(cfg, state="G", optics={"grid_size": n})
+        assert main(argv) == 0  # first-use imports and caches stay out of the peak
+        _write_config(cfg, state=state, optics={"grid_size": n})
         tracemalloc.start()
         try:
-            assert main(argv + [state]) == 0
+            assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1360,20 +1338,18 @@ class TestConfigContract:
         self._check("reconstruct-state", doc, "--counts", valid_counts["reconstruct-state"])
 
     # input text its reader cannot decode, nest or convert: a config that is not
-    # UTF-8, nested too deep or holding an integer beyond int()'s digit limit; such
-    # --state text, which is then a state name; and such a counts record (line 6)
-    @pytest.mark.parametrize("config, state, record, code, prefix", [
-        (b'{"channel": "\xff"}', None, None, 2, "config: {cfg}: "),
-        (b"[" * 100000, None, None, 2, "config: {cfg}: "),
-        (b'{"dimension": ' + b"3" * 5000 + b"}", None, None, 2, "config: {cfg}: "),
-        (None, "[" * 50000, None, 3, "invalid configuration: state: "),
-        (None, "3" * 5000, None, 3, "invalid configuration: state: "),
-        (None, None, b"1 3 10\xff 0", 4, "counts: {counts}:6: "),
-        (None, None, b"1 3 " + b"9" * 5000 + b" 0", 4, "counts: {counts}:6: "),
-    ], ids=["config-not-utf8", "config-nested", "config-long-int", "state-nested",
-            "state-long-int", "counts-not-utf8", "counts-long-int"])
-    def test_undecodable_inputs_exit_cleanly(self, tmp_path, valid_counts, config, state,
-                                             record, code, prefix):
+    # UTF-8, nested too deep or holding an integer beyond int()'s digit limit, and
+    # such a counts record (line 6)
+    @pytest.mark.parametrize("config, record, code, prefix", [
+        (b'{"channel": "\xff"}', None, 2, "config: {cfg}: "),
+        (b"[" * 100000, None, 2, "config: {cfg}: "),
+        (b'{"dimension": ' + b"3" * 5000 + b"}", None, 2, "config: {cfg}: "),
+        (None, b"1 3 10\xff 0", 4, "counts: {counts}:6: "),
+        (None, b"1 3 " + b"9" * 5000 + b" 0", 4, "counts: {counts}:6: "),
+    ], ids=["config-not-utf8", "config-nested", "config-long-int", "counts-not-utf8",
+            "counts-long-int"])
+    def test_undecodable_inputs_exit_cleanly(self, tmp_path, valid_counts, config, record,
+                                             code, prefix):
         cfg = _write_config(tmp_path / "cfg.json", state="psi4")
         if config is not None:
             pathlib.Path(cfg).write_bytes(config)
@@ -1382,9 +1358,7 @@ class TestConfigContract:
         lines[5] = record or lines[5]
         counts.write_bytes(b"\n".join(lines))
         out = tmp_path / "out"
-        command = (["modes", "--state", state] if state is not None
-                   else ["reconstruct-process", "--counts", str(counts)] if record
-                   else ["simulate"])
+        command = ["reconstruct-process", "--counts", str(counts)] if record else ["simulate"]
         run = _fresh(*command, "--config", cfg, "--out", str(out))
         assert run.returncode == code, run.stderr[:300]
         assert run.stderr.startswith("oamtomo: " + prefix.format(cfg=cfg, counts=counts))
@@ -1395,15 +1369,14 @@ class TestConfigContract:
 # words a command line is drawn from: each command's flags, distractors argparse
 # reads otherwise (help, an end of options, abbreviations, --flag=value, a word
 # that is no flag) and values
-_FLAG_WORDS = [f"--{flag}" for flag in cli.FLAGS] + ["-h", "--", "--conf", "--co", "--seed=3",
+_FLAG_WORDS = [f"--{flag}" for flag in cli.FLAGS] + ["-h", "--", "--conf", "--co", "--out=o",
                                                      "++out"]
 _VALUE_WORDS = st.one_of(
     st.sampled_from(["-1", "-x", "", "007", " 3", "٣", "1_000", "x", "run.json", "psi4",
                      *MEASUREMENT_MODES]),
     st.text(max_size=3))
-# values a flag takes more often than others: ints for --seed, modes for --mode
-_VALUES = {"--seed": st.one_of(st.integers(-9, 10**6).map(str), _VALUE_WORDS),
-           "--mode": st.one_of(st.sampled_from(MEASUREMENT_MODES), _VALUE_WORDS)}
+# values a flag takes more often than others: modes for --mode
+_VALUES = {"--mode": st.one_of(st.sampled_from(MEASUREMENT_MODES), _VALUE_WORDS)}
 
 
 @st.composite
@@ -1435,9 +1408,9 @@ def _fresh(*args, script=None):
 class TestCommandLine:
     @hyp_settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(argv=_argvs())
-    @example(argv=["simulate", "--config", "007", "--out", "o", "--seed", "٣", "--seed", " 3",
+    @example(argv=["simulate", "--config", "007", "--out", "o", "--mode", "abstract",
                    "--mode", "optical-ideal"])
-    @example(argv=["modes", "--state", "", "--config", "a", "--seed", "1_000", "--out", "o"])
+    @example(argv=["modes", "--out", "", "--config", "a", "--mode", "abstract"])
     @example(argv=["reconstruct-state", "--counts", "c", "--config", "simulate", "--out", "r"])
     def test_parse_is_argparse_where_it_accepts(self, argv):
         args = cli._parse(argv)
@@ -1448,10 +1421,11 @@ class TestCommandLine:
         [], ["bogus", "--config", "a"], ["simulate", "--config"],
         ["simulate", "--config", "a", "extra"], ["-h"], ["simulate", "-h", "x"],
         ["simulate", "--conf", "a"], ["simulate", "--config=a"], ["simulate", "--config", "-a"],
-        ["simulate", "--config", "a", "--seed", "-1"], ["simulate", "--config", "a", "--", "x"],
+        ["simulate", "--config", "a", "--mode", "-1"], ["simulate", "--config", "a", "--", "x"],
         ["simulate", "--config", "a", "++out", "o"], ["simulate", "--config", "a", "--counts", "c"],
         ["simulate", "--out", "o"], ["reconstruct-process", "--config", "a"],
-        ["simulate", "--config", "a", "--seed", "x"],
+        ["simulate", "--config", "a", "--out", "o", "--seed", "1"],
+        ["modes", "--config", "a", "--out", "o", "--state", "psi4"],
         ["simulate", "--config", "a", "--mode", "bogus"]])
     def test_parse_declines_what_argparse_must_read(self, argv):
         assert cli._parse(argv) is None
@@ -1471,6 +1445,26 @@ class TestCommandLine:
         assert err.startswith(f"usage: oamtomo {command} [-h] --config CONFIG --out OUT")
         assert err.endswith("error: the following arguments are required: --out\n")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--state", "psi4")])
+    def test_seed_and_state_are_no_flags(self, tmp_path, capsys, command, flag, value):
+        # the config alone sets source.seed and state: either flag is a usage error
+        # (exit 2), and nothing is written
+        argv = [command, "--config", _write_config(tmp_path / "cfg.json", state="psi4"),
+                "--out", str(tmp_path / "out"), flag, value]
+        if command.startswith("reconstruct"):
+            argv += ["--counts", str(tmp_path / "cfg.json")]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: oamtomo ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_load_config_takes_no_seed_and_no_state(self):
+        assert list(inspect.signature(load_config).parameters) == ["path", "mode"]
 
     def test_well_formed_commands_load_no_argparse(self, tmp_path):
         # the parse is the gain: argparse, with gettext and locale, costs a fresh
@@ -1513,4 +1507,4 @@ class TestCommandLine:
     def test_help_is_argparse(self, argv, usage):
         run = _fresh(*argv)
         assert run.returncode == 0 and run.stderr == ""
-        assert run.stdout.startswith(usage + " ")
+        assert run.stdout.startswith(usage) and run.stdout[len(usage)] in " \n"

@@ -20,9 +20,9 @@ each a `simulate` then a `reconstruct-process`; and `modes` for psi4, L,
 [1,-1,1], psi9 and the unequal-weight complex state [0.3, [0, -0.5], 0.8] at
 N = 128 and 512; and seven command-line forms at N = 128:
 `simulate --seed x`, `simulate --mode bogus`, `reconstruct-process` without
---counts (each exit 2, its usage on stderr), `--conf` for --config,
-`--out=counts.txt`, `--mode optical-ideal --mode abstract` (the last wins), and
-`modes --state psi4`: 221 cases.
+--counts and `modes --state psi4` (each exit 2, its usage on stderr: the config
+alone sets the seed and the state), `--conf` for --config, `--out=counts.txt`,
+and `--mode optical-ideal --mode abstract` (the last wins): 221 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -139,8 +139,8 @@ def cases():
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
-    # command-line forms: usage errors (exit 2), an abbreviated flag,
-    # --flag=value, a repeated flag (the last wins) and modes' --state
+    # command-line forms: usage errors (exit 2; the command line takes no --seed and
+    # no --state), an abbreviated flag, --flag=value and a repeated flag (the last wins)
     for name, command in (
             ("seed-junk", simulate + ["--seed", "x"]),
             ("mode-bogus", simulate + ["--mode", "bogus"]),
