@@ -8,14 +8,12 @@ reconstruct-process  counts file -> process matrix report with fidelity
 reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
-The command line names the files and may override measurement_mode (--mode); the
-config alone sets every other value, source.seed and state included.
-
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
 usage text, a missing --out included), 3 invalid parameters (an --out that is empty,
-an input file or unwritable included), 4 incomplete counts, 5 degenerate counts.  A
-failed run removes the files it wrote and no other; an identical config and --mode
-give byte-identical files.
+no path, an input file or unwritable included), 4 incomplete counts, 5 degenerate
+counts.  A failed run removes the files it wrote and no other.  The config alone sets
+every value but the --mode override, source.seed and state included: identical
+configs and --mode give byte-identical files.
 """
 
 from __future__ import annotations
@@ -229,10 +227,9 @@ FLAGS = {
 }
 _COMMON = ("config", "out", "mode")
 
-# command -> (handler, its flags in FLAGS).  A handler, called as handler(cfg, args,
-# written), writes to args.out (modes into that directory), and lists a file in
-# `written` just before writing it, its work done; a failed run removes those files
-# and no other.
+# command -> (handler, its flags in FLAGS).  handler(cfg, args, written) writes to
+# args.out (modes into that directory), and lists a file in `written` just before
+# writing it, its work done; a failed run removes those files and no other.
 COMMANDS = {
     "simulate": (cmd_simulate, _COMMON),
     "reconstruct-process": (cmd_reconstruct_process, _COMMON + ("counts",)),
@@ -283,6 +280,11 @@ def main(argv=None) -> int:
         handler, _ = COMMANDS[args.command]
         if not args.out:
             raise ConfigError("--out", "the path is empty")
+        try:  # a NUL byte or a lone surrogate: only a caller in Python can pass either
+            if b"\0" in os.fsencode(args.out):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:
+            raise ConfigError("--out", f"cannot use {args.out!r} as a path: {exc}")
         _refuse_input(args.out, args)
         try:
             handler(cfg, args, written)
@@ -310,12 +312,13 @@ def main(argv=None) -> int:
 def _refuse_input(path: str, args) -> None:
     """Raise ConfigError("--out") if path, an output, is the file --config or --counts names:
     a finished run would overwrite that input, and a failed one delete it.  Its
-    other faults are main's (empty, unwritable)."""
+    other faults are main's (empty, no path, unwritable)."""
     for flag in ("config", "counts"):
-        source = getattr(args, flag, None)
-        with contextlib.suppress(OSError):  # either path missing: not the same file
-            if source is not None and os.path.samefile(path, source):
-                raise ConfigError("--out", f"{path!r} is the --{flag} file, an input")
+        source, same = getattr(args, flag, None), False
+        with contextlib.suppress(OSError, ValueError):  # missing, or no file can have it
+            same = source is not None and os.path.samefile(path, source)
+        if same:  # raised outside: a ConfigError is a ValueError too
+            raise ConfigError("--out", f"{path!r} is the --{flag} file, an input")
 
 
 def _fail(written, message: str) -> None:

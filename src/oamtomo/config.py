@@ -2,13 +2,12 @@
 
 This module refuses unknown keys, checks each top-level value's JSON kind and
 holds the rules only the CLI has: dimension (only 3, so not echoed),
-measurement_mode and bootstrap_samples.  It describes the experiment alone,
-source.seed and state included: output paths are the command line's (--out),
-and the command line overrides measurement_mode alone (--mode).  The constructor that owns a
-section value (SourceConfig, OpticsConfig, state_vector, the channels) alone
-states its rules: kind, default, range and bound; ConfigError passes a refusal
-on with the field path in front.  Every fault of reading the file raises
-ConfigReadError.
+measurement_mode and bootstrap_samples.  It alone describes the experiment,
+source.seed and state included; the command line names the files and may
+override measurement_mode (--mode).  The constructor that owns a section value
+(SourceConfig, OpticsConfig, state_vector, the channels) alone states its
+rules: kind, default, range and bound; ConfigError passes a refusal on with
+the field path in front.  Every fault of reading the file raises ConfigReadError.
 """
 
 from __future__ import annotations

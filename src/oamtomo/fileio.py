@@ -65,7 +65,11 @@ def read_counts(path) -> np.ndarray:
     """
     found = {}
     try:  # a byte that is not UTF-8 reads as U+FFFD, which the digit check refuses
-        with open(path, encoding="utf-8", errors="replace") as fh:
+        try:
+            fh = open(path, encoding="utf-8", errors="replace")
+        except ValueError as exc:  # a NUL byte or a lone surrogate: a path no file can have
+            raise CountsFileError(f"{path!r}: {exc}") from exc
+        with fh:
             for ln, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

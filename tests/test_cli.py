@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -984,6 +985,31 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err == "oamtomo: invalid configuration: --out: the path is empty\n"
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    # only a caller in Python can pass a NUL byte or a lone surrogate; either path is
+    # refused naming its flag, and nothing is written
+    @pytest.mark.parametrize("name, reason", [
+        ("a\0b", "embedded null byte"),
+        ("\ud800x", "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                    "surrogates not allowed")], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("flag", ["--out", "--counts"])
+    def test_path_no_file_can_have_is_refused(self, tmp_path, monkeypatch, capsys, flag, name,
+                                              reason):
+        monkeypatch.chdir(tmp_path)  # relative paths: the reason gives a position in the path
+        _write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", "cfg.json", "--out", "counts.txt"]) == 0
+        paths = {"--out": "report.json", "--counts": "counts.txt", flag: name}
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        code = main(["reconstruct-process", "--config", "cfg.json",
+                     *itertools.chain(*paths.items())])
+        err = capsys.readouterr().err
+        if flag == "--out":
+            assert (code, err) == (3, f"oamtomo: invalid configuration: --out: cannot use "
+                                      f"{name!r} as a path: {reason}\n")
+        else:
+            assert (code, err) == (4, f"oamtomo: counts: {name!r}: {reason}\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("overrides, field", [
