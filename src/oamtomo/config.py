@@ -70,7 +70,7 @@ def parse_channel(spec):
 
     null is the zero channel: nothing is retrieved from the memory.  Named
     families: "identity", "depolarizing p", "dephasing p", "unitary theta".
-    Kraus operators are 3 x 3 nested rows of numbers or [re, im] pairs.
+    Kraus operators are nested rows of numbers or [re, im] pairs (KrausChannel: 3 x 3).
     """
     if spec is None:
         return KrausChannel((np.zeros((3, 3)),))
@@ -93,13 +93,9 @@ def parse_channel(spec):
         raise ConfigError("channel", f"unrecognized channel spec {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"kraus"}:
         try:  # TypeError: a kraus value, operator or row that is not a list
-            ks = tuple(
+            return KrausChannel(tuple(
                 np.array([[parse_complex_entry(e) for e in row] for row in op], dtype=complex)
-                for op in spec["kraus"]
-            )
-            if any(k.shape != (3, 3) for k in ks):
-                raise ValueError("expected 3 x 3 Kraus operators")
-            return KrausChannel(ks)
+                for op in spec["kraus"]))
         except (ValueError, TypeError) as exc:
             raise ConfigError("channel.kraus", str(exc))
     raise ConfigError("channel", f"expected null, a spec string, or a kraus object, got {spec!r}")

@@ -6,9 +6,9 @@ fidelities of states and processes (closed form for a pure reference, which
 the reports use; Uhlmann for a mixed one).
 
 For d = 3 the computational basis is the OAM triple (|L>, |G>, |R>) carrying
-winding numbers +1, 0, -1.  The named channel families (identity, phase
-rotation, depolarizing, dephasing) are qutrit channels, the memory's; the
-basis, KrausChannel and apply_channel_kraus take any d >= 2.  Channels may be
+winding numbers +1, 0, -1.  Channels are qutrit channels, the memory's: the
+named families (identity, phase rotation, depolarizing, dephasing) and every
+KrausChannel; the operator basis takes any d >= 2.  Channels may be
 trace-decreasing (a lossy storage step keeps the algebra valid); fidelities
 normalize traces internally.
 """
@@ -126,7 +126,7 @@ def gell_mann_basis(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A quantum channel as a set of Kraus operators.
+    """A qutrit channel as a set of 3 x 3 Kraus operators.
 
     Trace-decreasing channels are accepted (sum_k K_k^dag K_k <= I within
     tolerance); storage losses then show up as output traces below 1.
@@ -141,10 +141,9 @@ class KrausChannel:
             ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         except OverflowError:  # an int beyond the float range
             raise ValueError("kraus operators must be finite") from None
-        d = ks[0].shape[0]
         for k in ks:
-            if k.shape != (d, d):
-                raise ValueError("Kraus operators must be square matrices of equal dimension")
+            if k.shape != (3, 3):
+                raise ValueError("expected 3 x 3 Kraus operators")
             if not np.isfinite(k).all():
                 raise ValueError("kraus operators must be finite")
         total = sum(k.conj().T @ k for k in ks)
@@ -152,10 +151,6 @@ class KrausChannel:
         if top > 1.0 + 1e-10:
             raise ValueError(f"channel is trace-increasing: max eig of sum K^dag K = {top!r}")
         object.__setattr__(self, "kraus", ks)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
 
 
 def identity_channel() -> KrausChannel:
@@ -212,9 +207,8 @@ def dephasing_channel(p: float) -> KrausChannel:
 def apply_channel_kraus(channel: KrausChannel, rho) -> np.ndarray:
     """sum_k K_k rho K_k^dag, with leading batch axes.  Output trace <= input trace."""
     rho = np.asarray(rho, dtype=complex)
-    d = channel.dim
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"density matrix shape {rho.shape} does not match channel dimension {d}")
+    if rho.shape[-2:] != (3, 3):
+        raise ValueError(f"density matrix shape {rho.shape} is not that of a qutrit")
     out = np.zeros_like(rho)
     for k in channel.kraus:
         out += k @ rho @ dagger(k)

@@ -61,7 +61,7 @@ def chi_from_kraus(channel: KrausChannel, basis: np.ndarray) -> np.ndarray:
     returns chi_mn = sum_k a_km conj(a_kn), which is Hermitian and PSD and
     reproduces the channel through apply_channel_chi.
     """
-    if basis.shape[-1] != channel.dim:
+    if basis.shape[-1] != channel.kraus[0].shape[0]:
         raise ValueError("operator basis dimension does not match channel")
     norms = np.einsum("mab,mba->m", basis, basis).real
     kstack = np.stack(channel.kraus)

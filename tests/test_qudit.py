@@ -149,6 +149,14 @@ class TestKrausChannels:
         with pytest.raises(ValueError):
             apply_channel_kraus(identity_channel(), np.eye(2))
 
+    # a channel is a qutrit channel: a scalar or a qubit operator is refused
+    @pytest.mark.parametrize("op", [5, np.eye(2), np.eye(4), np.ones(3)])
+    def test_rejects_operators_on_no_qutrit(self, op):
+        with pytest.raises(ValueError, match="^expected 3 x 3 Kraus operators$"):
+            KrausChannel((op,))
+        with pytest.raises(ValueError, match="^expected 3 x 3 Kraus operators$"):
+            KrausChannel((np.eye(3) / 2, op))
+
     def test_rejects_trace_increasing(self):
         with pytest.raises(ValueError):
             KrausChannel((np.eye(3) * 1.1,))
@@ -276,17 +284,6 @@ class TestChiRepresentation:
             chi_from_kraus(KrausChannel((np.eye(2),)), self.basis)
         with pytest.raises(ValueError):
             apply_channel_chi(np.eye(4), self.basis, np.eye(3) / 3)
-
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_structural_support_other_dimensions(self, d):
-        rng = np.random.default_rng(d)
-        basis = gell_mann_basis(d)
-        ch = random_cptp_channel(d, 2, rng)
-        chi = chi_from_kraus(ch, basis)
-        rho = random_density_matrix(d, rng)
-        np.testing.assert_allclose(
-            apply_channel_chi(chi, basis, rho), apply_channel_kraus(ch, rho), atol=1e-10
-        )
 
 
 class TestMatrixSqrt:
