@@ -79,10 +79,12 @@ def simulate_counts(probabilities, cfg: SourceConfig) -> np.ndarray:
 
 
 def exact_counts(probabilities, cfg: SourceConfig) -> np.ndarray:
-    """Noise-free counts: rounded expected totals instead of Poisson draws."""
+    """Noise-free counts: rounded expected totals instead of Poisson draws; a mean within
+    1e-6 of a half-integer rounds as it (to even), not on a probability's last bits."""
     means = _mean_table(probabilities, cfg)
     both = np.stack([means, np.full_like(means, cfg.background)], axis=-1)
-    return np.rint(both).astype(np.int64)
+    half = np.floor(both) + 0.5  # from 2^52 on, both is an integer: half is both or 1 away
+    return np.rint(np.where(np.abs(both - half) <= 1e-6, half, both)).astype(np.int64)
 
 
 def subtract_background(counts) -> np.ndarray:

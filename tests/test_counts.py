@@ -161,6 +161,26 @@ class TestExactCounts:
             assert counts[j, i, 0] == int(round(500 * p + 7))
             assert counts[j, i, 1] == 7
 
+    @pytest.mark.parametrize("tie, count", [(1612.5, 1612), (1613.5, 1614)])
+    def test_a_tie_rounds_to_even_from_both_sides(self, tie, count):
+        # within 1e-6 of a half-integer, a mean rounds as the half-integer does; past
+        # that it rounds as it is.  counts_per_setting 2^12 makes each mean exact
+        below, above = np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)
+        near = [below, tie, above, tie - 9e-7, tie + 9e-7]
+        far = [tie - 2e-6, tie + 2e-6]
+        cfg = SourceConfig(counts_per_setting=4096)
+        counts = exact_counts(np.array([near + far + [0.0, 0.0]]) / 4096, cfg)[0, :, 0]
+        assert list(counts) == [count] * 5 + [math.floor(tie), math.ceil(tie), 0, 0]
+
+    @pytest.mark.parametrize("mean", [2.0**52, 2.0**52 + 1, 2.0**52 + 3, 2.0**53, 2.0**53 + 2,
+                                      2.0**59 + 128, 1e17 + 16, 1e18 - 128, 1e18])
+    def test_integer_means_stay(self, mean):
+        # from 2^52 on every float is an integer: the count is the mean, in both columns
+        signal = exact_counts(np.ones((1, 9)), SourceConfig(counts_per_setting=mean))
+        assert (signal[..., 0] == int(mean)).all() and (signal[..., 1] == 0).all()
+        background = exact_counts(np.zeros((1, 9)), SourceConfig(background=mean))
+        assert (background == int(mean)).all()
+
 
 class TestSubtractBackground:
     def test_plain_subtraction(self):
