@@ -198,8 +198,7 @@ def cmd_modes(cfg: RunConfig, args, written: list) -> None:
         written.append(path)
         return path
 
-    # ideal 4-f imaging is the parity flip (optics.parity_flip): the image grids
-    # are the mask grids with rows and values permuted by the parity index
+    # ideal 4-f imaging: the image grids are the mask grids permuted by the parity index
     flip = parity_index(cfg.optics.grid_size)
     kinds = (("intensity", _intensity), ("phase", phase_mask_of))
     for kind, value in kinds:

@@ -12,29 +12,24 @@ standard OAM eigenmodes with closed-form overlaps.
 
 lens_fourier is a centered, unitary 2-D DFT: one ideal lens focal-plane
 transform.  Two of them reproduce the input with coordinates inverted
-(parity_flip), which is why measurement masks are conjugated relative to the
-preparation masks.  By default configurations use the grid's self-Fourier
-waist, for which a fundamental Gaussian is shape-invariant under
+(parity_index on both axes), which is why measurement masks are conjugated
+relative to the preparation masks.  By default configurations use the grid's
+self-Fourier waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
 Modulation is ideal (exact complex fields and masks) or, with phase_only=True,
-phase-only holograms on a Gaussian carrier.  optical_projection_probability
-runs the whole sampled chain for one pure input and one measurement state,
-the reference.  effective_operators reduces it to the qutrit the memory
-stores: a 3x3 effective input per prepared field and a rank-1 POVM element
-per measurement, on the LG triple.  4-f imaging is the parity flip, applied
-to one field, and by Parseval the far-field fiber overlap is an inner product
-with the fiber Gaussian traced back through the lens: one transform in all.
-Ideal modulation is linear in the state, so its inputs follow from the
-triple's 3x3 Gram matrix and its POVM from a 3x3 coupling matrix, one grid
-pass per winding; phase-only takes one per distinct state, its hologram, which
-serves the state's inputs and measurements alike.
+phase-only holograms on a Gaussian carrier.  optical_projection_probability runs
+the whole sampled chain for one pure input and one measurement state, the
+reference.  effective_operators reduces it to the qutrit the memory stores: a 3x3
+effective input per prepared field and a rank-1 POVM element per measurement, on
+the LG triple.  4-f imaging is the parity flip, a permutation of the samples, and
+by Parseval the far-field fiber overlap is an inner product with the fiber
+Gaussian traced back through the lens: one transform, the one whole grid held.
 
 Fields are built and transformed in place, 1/32 of the rows at a time, with the
 bits of the out-of-place expressions: a field's build holds it and a few percent
 of a grid.  A superposition is summed the same way, in a pass for its modes' norms
-and one for the sum, so it holds no whole mode.  Arrays that callers share, such as
-the mode triple, are never written.
+and one for the sum, so it holds no whole mode, and so are the reduction's sums.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ MODE_WINDINGS = (1, 0, -1)
 _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
-# more than about 6.2 of them (optical simulate; modes about 1.7)
+# more than about 1.7 of them (modes; optical simulate about 1.3)
 _MAX_GRID_SIZE = 4096
 
 
@@ -123,12 +118,11 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
-def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], out=None):
+def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], cols=np.s_[:]):
     """Vortex factor (sqrt(2) / waist)(x + i l y) of LG(p=0, l) for l = +1 or -1 of the
-    triple, of the mode waist over the given rows (into out, if given), exact at grid zeros."""
-    x = cfg.axis()
-    y = np.multiply(1j * l, x[rows, None])
-    factor = np.empty((len(y), len(x)), dtype=complex) if out is None else out
+    triple, of the mode waist over the given rows and columns, exact at grid zeros."""
+    y, x = np.multiply(1j * l, cfg.axis()[rows, None]), cfg.axis()[cols]
+    factor = np.empty((len(y), len(x)), dtype=complex)
     factor[...] = y  # broadcast by assignment: a broadcasting ufunc buffers each such operand
     np.add(x, factor, out=factor)
     return np.multiply(np.sqrt(2.0) / cfg.waist, factor, out=factor)
@@ -200,10 +194,9 @@ def gaussian_field(waist: float, cfg: OpticsConfig) -> np.ndarray:
 
 
 def superposition_field(state, cfg: OpticsConfig) -> np.ndarray:
-    """Unit-power field of a qutrit state over the (l=+1, 0, -1) mode triple, the sum
-    of psi_k LG(l_k) over the nonzero amplitudes, made a row block at a time in two
-    passes of one scratch block: the first takes each mode's block powers, the second
-    rebuilds each block, normalizes and scales it and adds it into the field."""
+    """Unit-power field of a qutrit state, the sum of psi_k LG(l_k) over the nonzero
+    amplitudes, made in two passes of one scratch block: the first takes each mode's
+    block powers, the second rebuilds each block, normalizes, scales and adds it."""
     terms = [(c, l) for c, l in zip(_qutrit(state), MODE_WINDINGS) if c != 0]
     n = cfg.grid_size
     block = np.empty((n // 32, n), dtype=complex)
@@ -250,8 +243,9 @@ def _shifted(a: np.ndarray) -> np.ndarray:
     """np.fft.fftshift of a square array of even side, which equals its ifftshift:
     a itself with its diagonal quadrants swapped."""
     h = a.shape[0] // 2
+    quarter = np.empty_like(a[:h, :h])  # one, as a second would be made before the first goes
     for top, bottom in ((np.s_[:h, :h], np.s_[h:, h:]), (np.s_[:h, h:], np.s_[h:, :h])):
-        quarter = a[top].copy()
+        quarter[...] = a[top]
         a[top] = a[bottom]
         a[bottom] = quarter
     return a
@@ -264,16 +258,6 @@ def parity_index(n: int) -> np.ndarray:
     return -np.arange(n) % n
 
 
-def parity_flip(field: np.ndarray, out=None) -> np.ndarray:
-    """Coordinate inversion (x, y) -> (-x, -y) of a field on the centered grid (into
-    out, if given): the parity index on both axes, the permutation a squared DFT
-    realizes."""
-    a, out = field, np.empty_like(field) if out is None else out
-    out[0, 0], out[0, 1:] = a[0, 0], a[0, :0:-1]  # row and column 0 stay, the rest reverse
-    out[1:, 0], out[1:, 1:] = a[:0:-1, 0], a[:0:-1, :0:-1]
-    return out
-
-
 def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
     """Coupling amplitude into the collection Gaussian of waist fiber_waist."""
     if field.shape != (cfg.grid_size,) * 2:
@@ -282,29 +266,27 @@ def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
     return complex((field * g.conj()).sum() * cfg.cell_area)
 
 
-def _conversion_envelope(cfg: OpticsConfig, out=None) -> np.ndarray:
-    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
-    with the exponentials combined before evaluation (into out, if given);
-    requires the back-propagated fiber waist to be at least the mode waist,
-    otherwise E would diverge faster than the fields decay."""
+def _conversion_envelope(cfg: OpticsConfig, rows=np.s_[:]) -> np.ndarray:
+    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian over
+    the given rows, with the exponentials combined before evaluation; E is even, also
+    on the parity index.  Requires the back-propagated fiber waist to be at least the
+    mode waist, otherwise E would diverge faster than the fields decay."""
     w = cfg.waist
     w_conj = cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
-        raise ValueError(
-            "ideal mode conversion needs a back-propagated fiber waist >= mode waist; "
-            f"got {float(w_conj)!r} < {w!r}"
-        )
+        raise ValueError("ideal mode conversion needs a back-propagated fiber waist >= mode "
+                         f"waist; got {float(w_conj)!r} < {w!r}")
     x2 = cfg.axis() ** 2
-    r2 = np.add(x2, x2[:, None], out=out)
+    r2 = np.add(x2, x2[rows, None])
     r2 *= 1.0 / w_conj**2 - 1.0 / w**2
     return np.divide(np.exp(r2, out=r2), np.sqrt(2.0 / np.pi) / w_conj, out=r2)  # by G's peak
 
 
-def _conversion_term(l: int, cfg: OpticsConfig, out=None):
-    """t_l = amp Q_l, the normalized vortex factor of LG_l (into out, if given): t_l E
-    is conj of the conversion mask of the flipped basis mode (-1)^l LG_l."""
+def _conversion_term(l: int, cfg: OpticsConfig, rows=np.s_[:], cols=np.s_[:]):
+    """t_l = amp Q_l, the normalized vortex factor of LG_l, over the given rows and
+    columns: t_l E is conj of the conversion mask of the flipped basis mode (-1)^l LG_l."""
     amp = np.sqrt(2.0 / (np.pi * cfg.waist**2))
-    return amp if l == 0 else np.multiply(amp, _vortex(l, cfg, out=out), out=out)
+    return amp if l == 0 else np.multiply(amp, _vortex(l, cfg, rows, cols))
 
 
 def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
@@ -365,65 +347,81 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     Ideal modulation is linear in the state: a = G psi / sqrt(psi^H G psi) for
     the Gram matrix G_kl = <LG_k | LG_l> dA, and e = B c for the parity-signed
     state c, where column l of B is the e of conj(M) = t_l E (_conversion_term).
-    Phase-only modulation (phase_only=True) is not: one pass over the grid, its
-    hologram, per distinct state serves the state's inputs and measurements.
+    Phase-only modulation (phase_only=True) is not: its hologram per distinct state
+    serves the state's inputs and measurements.  After a pass for the triple's norms,
+    one pass of row blocks adds up the inner products: P maps a block's rows to their
+    mirror, so F^H G is the one grid held whole.
     """
-    inputs = np.array([_qutrit(s) for s in input_states])
-    meas = np.array([_qutrit(s) for s in meas_states])
-    modes = {l: oam_mode_field(l, cfg) for l in MODE_WINDINGS}
-    # with equal waists the fiber Gaussian is LG_0, the same build bit for bit
-    fiber = modes[0] if cfg.fiber_waist == cfg.waist else gaussian_field(cfg.fiber_waist, cfg)
-    back = lens_fourier(fiber, overwrite=fiber is not modes[0])
+    inputs, meas = (np.array([_qutrit(s) for s in v]) for v in (input_states, meas_states))
+    n, p = cfg.grid_size, parity_index(cfg.grid_size)
+    back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
     np.conjugate(back, out=back)
-    work, spare = np.empty_like(back), np.empty_like(back)  # held, also as real scratch
+    # the triple's norms, and its column 0 for P's fixed edge (see below)
+    triple, edge = np.empty((3, n // 32, n), dtype=complex), np.empty((3, n), dtype=complex)
+    powers = []
+    for rows, g in _gaussian_blocks(cfg.waist, cfg):
+        powers.append([_power(_mode_block(g, l, cfg, rows, m))
+                       for l, m in zip(MODE_WINDINGS, triple)])
+        edge[:, rows] = triple[:, :, 0]
+    norms = np.array([_norm(block_powers, cfg) for block_powers in np.array(powers).T])
+    edge /= norms[:, None]
+    # the sums: per input and per measurement, or for ideal modulation G and B^T
+    a, e = (np.zeros((len(v) if phase_only else 3, 3), complex) for v in (inputs, meas))
+    distinct = [(psi, (inputs == psi).all(axis=1), (meas == psi).all(axis=1), psi * _PARITY)
+                for psi in dict.fromkeys(map(tuple, (*inputs, *meas)))]  # by value
+    u, scratch = np.empty_like(triple[0]), np.empty_like(triple[0])
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
-        return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
+        return np.array([np.vdot(m, field) for m in triple])
 
+    for rows, g in _gaussian_blocks(cfg.waist, cfg):
+        for l, m, norm in zip(MODE_WINDINGS, triple, norms):
+            _mode_block(g, l, cfg, rows, m)
+            m /= norm
+        mirror = p[rows]
+        flipped = back[mirror[:, None], p]  # P(back) over the block's rows
+        if not phase_only:
+            # E is even: P(E) = E.  t_l comes first, as in numpy's in-place back *= t_l
+            a += [amplitudes(m) for m in triple]
+            flipped *= _conversion_envelope(cfg, rows)
+            e += [amplitudes(np.multiply(_conversion_term(l, cfg, mirror, p), flipped))
+                  for l in MODE_WINDINGS]
+            continue
+        for psi, js, ks, signed in distinct:
+            h = _hologram(psi, triple, u, scratch)
+            if js.any():
+                a[js] += amplitudes(np.multiply(h, triple[1], out=scratch))  # on LG_0
+            if ks.any():
+                # LG_l(-r) = (-1)^l LG_l(r), so P(hologram(signed) back) = h P(back) but on
+                # row and column 0, which P keeps in place: there the mirrored samples serve
+                field = np.multiply(h, flipped, out=scratch)
+                if rows.start == 0:  # h is spent: u's rows are free
+                    field[0] = _hologram(signed, triple[:, 0, p], *u[:2]) * flipped[0]
+                field[:, 0] = _hologram(signed, edge[:, mirror], *u[:2, :n // 32]) * flipped[:, 0]
+                e[ks] += amplitudes(field)
+    a, e = a * cfg.cell_area, e * cfg.cell_area
     if not phase_only:
-        # amplitudes(LG_l) is column l of G, so row j of a is G psi_j
-        a = inputs @ np.array([amplitudes(m) for m in modes.values()])
+        a = inputs @ a  # row l of the sums is row l of G, so row j of a is G psi_j
         power = np.einsum("jk,jk->j", inputs.conj(), a).real
         if not (power > 0.0).all():
             raise ValueError("cannot normalize a zero field")
         a /= np.sqrt(power)[:, None]
-        back *= _conversion_envelope(cfg, work.view(float)[:, :cfg.grid_size])
-        # likewise row l of coupling is column l of B, so row i of e is B c_i; t_l comes
-        # first, as in numpy's in-place evaluation of back * t_l: the order moves last bits
-        coupling = np.array([amplitudes(parity_flip(np.multiply(
-            _conversion_term(l, cfg, work), back, out=work), spare)) for l in MODE_WINDINGS])
-        e = (meas * _PARITY) @ coupling
-    else:
-        def hologram(psi, u: np.ndarray, scratch: np.ndarray, at=...) -> np.ndarray:
-            """e^{i arg u} in u over the samples at (all of them by default), u = sum psi_k LG_k,
-            arg 0 = 0; Re u and Im u are divided by |u| as real arrays, as a complex division
-            can overflow on subnormals."""
-            u.fill(0.0)
-            for c, l in zip(psi, MODE_WINDINGS):
-                if c != 0:
-                    u += np.multiply(c, modes[l][at], out=scratch)
-            u[u == 0] = 1.0
-            mag = np.abs(u, out=scratch.view(float)[..., :u.shape[-1]])
-            u.real /= mag
-            u.imag /= mag
-            return u
-
-        # LG_l(-r) = (-1)^l LG_l(r), so P(hologram(c) back) = hologram(psi) P(back) off
-        # row and column 0, which P keeps in place: one hologram per distinct state serves
-        # its inputs and its measurements, and back is flipped once, into work's grid
-        back, work, p = parity_flip(back, work), back, parity_index(cfg.grid_size)
-        a, e = np.empty((len(inputs), 3), complex), np.empty((len(meas), 3), complex)
-        for psi in dict.fromkeys(map(tuple, (*inputs, *meas))):  # distinct, by value
-            h = hologram(psi, work, spare)
-            if (js := (inputs == psi).all(axis=1)).any():
-                a[js] = amplitudes(np.multiply(h, modes[0], out=spare))
-            if (ks := (meas == psi).all(axis=1)).any():
-                field = np.multiply(h, back, out=spare)
-                for cut, at in ((np.s_[0], (0, p)), (np.s_[:, 0], (p, 0))):  # P's fixed edge
-                    u = hologram(psi * _PARITY, work[0], work[1], at)  # h is spent: work is free
-                    np.multiply(u, back[cut], out=field[cut])
-                e[ks] = amplitudes(field)
+        e = (meas * _PARITY) @ e  # likewise row i of e is B c_i
     rho, povm = (v[:, :, None] * v[:, None, :].conj() for v in (a, e))
     if not (np.isfinite(rho).all() and np.isfinite(povm).all()):
         raise ValueError("field contains non-finite samples")
     return rho, povm
+
+
+def _hologram(psi, modes, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """e^{i arg v} in u for v = sum psi_k modes[k], arg 0 = 0; Re v and Im v are divided
+    by |v| as real arrays, as a complex division can overflow on subnormals."""
+    u.fill(0.0)
+    for c, m in zip(psi, modes):
+        if c != 0:
+            u += np.multiply(c, m, out=scratch)
+    u[u == 0] = 1.0
+    mag = np.abs(u, out=scratch.view(float)[..., :u.shape[-1]])
+    u.real /= mag
+    u.imag /= mag
+    return u

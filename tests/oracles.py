@@ -3,9 +3,9 @@
 None of this runs in the pipeline: the CLI neither converts Kraus operators
 to a process matrix nor applies one, draws no random channel or state,
 traces no phase winding, measures no field's power, builds no mode field out
-of place, reduces no optics chain one state at a time and computes no
-photon-statistics ratio.  These functions give the tests independent oracles
-and inputs.
+of place, flips no whole field, reduces no optics chain one state at a time
+and computes no photon-statistics ratio.  These functions give the tests
+independent oracles and inputs.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from oamtomo.optics import (
     gaussian_field,
     lens_fourier,
     oam_mode_field,
-    parity_flip,
     self_fourier_waist,
 )
 from oamtomo.qudit import KrausChannel
@@ -113,6 +112,16 @@ def farfield(field: np.ndarray) -> np.ndarray:
     return lens_fourier(field)
 
 
+def parity_flip(field: np.ndarray, out=None) -> np.ndarray:
+    """Coordinate inversion (x, y) -> (-x, -y) of a field on the centered grid (into
+    out, if given): the parity index on both axes, the permutation a squared DFT
+    realizes."""
+    a, out = field, np.empty_like(field) if out is None else out
+    out[0, 0], out[0, 1:] = a[0, 0], a[0, :0:-1]  # row and column 0 stay, the rest reverse
+    out[1:, 0], out[1:, 1:] = a[:0:-1, 0], a[:0:-1, :0:-1]
+    return out
+
+
 def four_f_image(field: np.ndarray) -> np.ndarray:
     """Two successive lens transforms: the parity-inverted input field."""
     return lens_fourier(lens_fourier(field))
@@ -160,27 +169,33 @@ def winding_number(samples: np.ndarray, radius: float, cfg: OpticsConfig) -> int
 
 
 def per_state_operators(input_states, meas_states, cfg: OpticsConfig, phase_only: bool = False):
-    """optics.effective_operators as one grid pass per state: the fiber Gaussian built
-    by gaussian_field whatever its waist and, with phase_only, a hologram for each input
-    and another for each parity-signed measurement state, its product with the
-    back-propagated Gaussian flipped in turn.  The package shares one hologram per
-    distinct state and flips the Gaussian once; its rho and povm have these bits."""
+    """optics.effective_operators as one pass of whole grids per state: the LG triple
+    built whole, the back-propagated fiber Gaussian and, with phase_only, a hologram for
+    each input and another for each parity-signed measurement state, its product with
+    the back-propagated Gaussian flipped whole in turn.  The package makes each sample
+    a row block at a time and holds only the back-propagated Gaussian whole; both add
+    the amplitudes over the same 32 row blocks in the same order, so its rho and povm
+    have these bits."""
     inputs = np.array([_qutrit(s) for s in input_states])
     signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
     back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
     np.conjugate(back, out=back)
     modes = {l: oam_mode_field(l, cfg) for l in MODE_WINDINGS}
     work, spare = np.empty_like(back), np.empty_like(back)
+    n = cfg.grid_size
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
-        return np.array([np.vdot(m, field) for m in modes.values()]) * cfg.cell_area
+        sums = np.zeros(3, complex)
+        for rows in (np.s_[r:r + n // 32] for r in range(0, n, n // 32)):
+            sums += [np.vdot(m[rows], field[rows]) for m in modes.values()]
+        return sums * cfg.cell_area
 
     if not phase_only:
         a = inputs @ np.array([amplitudes(m) for m in modes.values()])
         a /= np.sqrt(np.einsum("jk,jk->j", inputs.conj(), a).real)[:, None]
-        back *= _conversion_envelope(cfg, work.view(float)[:, :cfg.grid_size])
+        back *= _conversion_envelope(cfg)
         coupling = np.array([amplitudes(parity_flip(np.multiply(
-            _conversion_term(l, cfg, work), back, out=work), spare)) for l in MODE_WINDINGS])
+            _conversion_term(l, cfg), back, out=work), spare)) for l in MODE_WINDINGS])
         e = signed @ coupling
     else:
         def hologram(psi, field: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from oamtomo.optics import (
     lens_fourier,
     oam_mode_field,
     optical_projection_probability,
-    parity_flip,
 )
 from oamtomo.qudit import (
     canonical_input_states,
@@ -42,6 +41,7 @@ from oracles import (
     four_f_image,
     ideal_storage_chi,
     matched_config,
+    parity_flip,
     power,
     random_cptp_channel,
 )

@@ -770,7 +770,8 @@ class TestModes:
         # at a time from the complex samples, with unbuffered takes (about 0.55 grids
         # of scratch): the traced peak is 1.71-1.72 complex grids at N = 256 and
         # 1.65-1.66 at N = 512, set while a grid is written; the field build peaks at
-        # 1.15-1.16 / 1.12 and the transform at 1.53-1.54 / 1.51 (2.21 / 2.15-2.16
+        # 1.15-1.16 / 1.12 and the transform, whose quadrant swap reuses one quarter
+        # grid, 0.25 grid below its 1.53-1.54 / 1.51 with two (2.21 / 2.15-2.16
         # with whole modes in the build and whole value grids, 3.16-3.17 with
         # whole-grid temporaries in the field build and buffered takes, 4.03-4.04
         # with out-of-place fields and whole grids of text)

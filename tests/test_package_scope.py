@@ -91,10 +91,11 @@ def test_every_definition_is_loaded_or_traced():
                 if name not in loaded]
     unused = [f"{module}.{name}" for module, name in unloaded if name not in traced]
     assert unused == [], f"defined under src/ but neither loaded there nor traced: {unused}"
-    # the Uhlmann fidelities and the full optical chain stay for the benchmark's
-    # qudit.fidelity and optics.projection layers until it reads spans instead
+    # the Uhlmann fidelities, the full optical chain and the whole-grid LG mode stay for
+    # the benchmark's qudit.fidelity, optics.projection and optics.field layers until it
+    # reads spans instead
     assert {name for _, name in unloaded} == {
-        "optical_projection_probability", "process_fidelity", "state_fidelity"}
+        "oam_mode_field", "optical_projection_probability", "process_fidelity", "state_fidelity"}
 
 
 def test_every_member_is_read_or_traced():
