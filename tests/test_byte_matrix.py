@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import warnings
@@ -53,6 +54,21 @@ def test_outputs_match_the_manifest(tmp_path):
     assert not differing, (
         f"{len(differing)} of {len(expected)} outputs differ from the manifest "
         f"(made with {manifest['versions']}, run with {run['versions']}): {differing}")
+
+
+def test_usage_text_does_not_depend_on_the_terminal_width(tmp_path, monkeypatch):
+    # argparse wraps its usage at the width in COLUMNS, or else the terminal's; the
+    # runner sets 80 columns, so the wrapped usage texts of the manifest hold anywhere
+    with open(byte_matrix.MANIFEST) as fh:
+        manifest = json.load(fh)["outputs"]
+    names = ("cli-mode-bogus", "cli-no-counts")
+    cases = [case for case in byte_matrix.cases() if case[0] in names]
+    monkeypatch.setattr(byte_matrix, "cases", lambda: cases)
+    expected = {k: v for k, v in manifest.items() if k.split("/")[0] in names}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert byte_matrix.run_in_process(str(tmp_path / columns))["outputs"] == expected
+    assert os.environ["COLUMNS"] == "200"
 
 
 def _run(tmp_path, monkeypatch, commands):

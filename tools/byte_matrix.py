@@ -26,8 +26,8 @@ and `--mode optical-ideal --mode abstract` (the last wins): 221 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
-fresh interpreter: a SystemExit gives its code (argparse's usage goes to
-stderr), any other exception prints its traceback and gives exit 1, and a
+fresh interpreter and an 80-column terminal: a SystemExit gives its code
+(argparse's usage goes to stderr, wrapped at 80 columns), any other exception prints its traceback and gives exit 1, and a
 warning shows once per command (warnings.catch_warnings()).  The case's
 log.txt holds its commands, exit codes and stderr texts.
 
@@ -62,6 +62,7 @@ import tarfile
 import tempfile
 import traceback
 import warnings
+from unittest import mock
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS)
@@ -215,11 +216,13 @@ def _exit_status(main, args) -> int:
     return code or 0  # SystemExit(None) is exit 0
 
 
+# argparse wraps its usage text at the width COLUMNS gives, else at the terminal's
+@mock.patch.dict(os.environ, COLUMNS="80")
 def run_in_process(work: str, src: str = os.path.join(ROOT, "src")) -> dict:
     """Run every case under work through oamtomo.cli.main from src, in this
-    interpreter.  Returns {"versions": versions(), "outputs": {case/path:
-    sha256 of each file written but run.json and log.txt, case/$k command:
-    its exit code and stderr text}}."""
+    interpreter, with COLUMNS set to 80.  Returns {"versions": versions(),
+    "outputs": {case/path: sha256 of each file written but run.json and
+    log.txt, case/$k command: its exit code and stderr text}}."""
     if src not in sys.path:
         sys.path.insert(0, src)
     from oamtomo import cli
