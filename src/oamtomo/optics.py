@@ -49,7 +49,7 @@ MODE_WINDINGS = (1, 0, -1)
 _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
-# more than about 1.7 of them (modes; optical simulate about 1.3)
+# more than about 1.7 of them (modes; optical simulate about 1.35)
 _MAX_GRID_SIZE = 4096
 
 
@@ -121,7 +121,8 @@ def _qutrit(state) -> np.ndarray:
 def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], cols=np.s_[:]):
     """Vortex factor (sqrt(2) / waist)(x + i l y) of LG(p=0, l) for l = +1 or -1 of the
     triple, of the mode waist over the given rows and columns, exact at grid zeros."""
-    y, x = np.multiply(1j * l, cfg.axis()[rows, None]), cfg.axis()[cols]
+    x = cfg.axis()
+    y, x = np.multiply(1j * l, x[rows, None]), x[cols]
     factor = np.empty((len(y), len(x)), dtype=complex)
     factor[...] = y  # broadcast by assignment: a broadcasting ufunc buffers each such operand
     np.add(x, factor, out=factor)
@@ -267,10 +268,9 @@ def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
 
 
 def _conversion_envelope(cfg: OpticsConfig, rows=np.s_[:]) -> np.ndarray:
-    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian over
-    the given rows, with the exponentials combined before evaluation; E is even, also
-    on the parity index.  Requires the back-propagated fiber waist to be at least the
-    mode waist, otherwise E would diverge faster than the fields decay."""
+    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian over the
+    given rows, exponentials combined before evaluation; E is even.  The back-propagated
+    fiber waist must be at least the mode waist, else E diverges faster than fields decay."""
     w = cfg.waist
     w_conj = cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
@@ -365,11 +365,11 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         edge[:, rows] = triple[:, :, 0]
     norms = np.array([_norm(block_powers, cfg) for block_powers in np.array(powers).T])
     edge /= norms[:, None]
-    # the sums: per input and per measurement, or for ideal modulation G and B^T
-    a, e = (np.zeros((len(v) if phase_only else 3, 3), complex) for v in (inputs, meas))
-    distinct = [(psi, (inputs == psi).all(axis=1), (meas == psi).all(axis=1), psi * _PARITY)
-                for psi in dict.fromkeys(map(tuple, (*inputs, *meas)))]  # by value
-    u, scratch = np.empty_like(triple[0]), np.empty_like(triple[0])
+    # the sums: G and B^T for ideal modulation, else an input's and a measurement's per
+    # distinct state (by value)
+    distinct, at = np.unique(np.concatenate([inputs, meas]), axis=0, return_inverse=True)
+    a, e = np.zeros((2, len(distinct) if phase_only else 3, 3), complex)
+    u, scratch, columns = *np.empty_like(triple[:2]), np.empty((len(distinct), n), complex)
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
         return np.array([np.vdot(m, field) for m in triple])
@@ -384,23 +384,24 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
             # E is even: P(E) = E.  t_l comes first, as in numpy's in-place back *= t_l
             a += [amplitudes(m) for m in triple]
             flipped *= _conversion_envelope(cfg, rows)
-            e += [amplitudes(np.multiply(_conversion_term(l, cfg, mirror, p), flipped))
+            e += [amplitudes(np.multiply(_conversion_term(l, cfg, mirror, p), flipped, out=u))
                   for l in MODE_WINDINGS]
             continue
-        for psi, js, ks, signed in distinct:
+        for d, psi in enumerate(distinct):
             h = _hologram(psi, triple, u, scratch)
-            if js.any():
-                a[js] += amplitudes(np.multiply(h, triple[1], out=scratch))  # on LG_0
-            if ks.any():
-                # LG_l(-r) = (-1)^l LG_l(r), so P(hologram(signed) back) = h P(back) but on
-                # row and column 0, which P keeps in place: there the mirrored samples serve
-                field = np.multiply(h, flipped, out=scratch)
-                if rows.start == 0:  # h is spent: u's rows are free
-                    field[0] = _hologram(signed, triple[:, 0, p], *u[:2]) * flipped[0]
-                field[:, 0] = _hologram(signed, edge[:, mirror], *u[:2, :n // 32]) * flipped[:, 0]
-                e[ks] += amplitudes(field)
+            a[d] += amplitudes(np.multiply(h, triple[1], out=scratch))  # on LG_0
+            # LG_l(-r) = (-1)^l LG_l(r), so P(hologram(signed) back) = h P(back) but on row
+            # and column 0, which P keeps in place: there the mirrored samples serve
+            field = np.multiply(h, flipped, out=scratch)
+            if rows.start == 0:  # h is spent: u's rows are free; each block reads the column
+                field[0] = _hologram(psi * _PARITY, triple[:, 0, p], *u[:2]) * flipped[0]
+                _hologram(psi * _PARITY, edge[:, p], columns[d], u[0])
+            field[:, 0] = columns[d][rows] * flipped[:, 0]
+            e[d] += amplitudes(field)
     a, e = a * cfg.cell_area, e * cfg.cell_area
-    if not phase_only:
+    if phase_only:  # each input's and each measurement's distinct state
+        a, e = a[at[:len(inputs)]], e[at[len(inputs):]]
+    else:
         a = inputs @ a  # row l of the sums is row l of G, so row j of a is G psi_j
         power = np.einsum("jk,jk->j", inputs.conj(), a).real
         if not (power > 0.0).all():
@@ -416,12 +417,12 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
 def _hologram(psi, modes, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """e^{i arg v} in u for v = sum psi_k modes[k], arg 0 = 0; Re v and Im v are divided
     by |v| as real arrays, as a complex division can overflow on subnormals."""
-    u.fill(0.0)
-    for c, m in zip(psi, modes):
-        if c != 0:
-            u += np.multiply(c, m, out=scratch)
+    terms = [(c, m) for c, m in zip(psi, modes) if c != 0]
+    np.multiply(*terms[0], out=u)  # as 0 + c m would be, but for the sign of a zero
+    for c, m in terms[1:]:
+        u += np.multiply(c, m, out=scratch)
     u[u == 0] = 1.0
     mag = np.abs(u, out=scratch.view(float)[..., :u.shape[-1]])
-    u.real /= mag
-    u.imag /= mag
+    np.divide(u.real, mag, out=u.real)
+    np.divide(u.imag, mag, out=u.imag)
     return u

@@ -489,9 +489,9 @@ class TestEffectiveOperators:
     @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
     def test_memory_stays_flat(self, phase_only):
         # the back-propagated fiber Gaussian is the one whole grid, and the sums take a
-        # row block at a time: the traced peak is 1.30 complex grids at N = 256 and 1.28
-        # at N = 512, in both modes; the bound, in grids at both sizes, leaves 0.1 grid of
-        # margin.  numpy caches an FFT plan per length on first use, about 0.11 grid at
+        # row block at a time: the traced peak is 1.34 complex grids at N = 256 and 1.30
+        # at N = 512, in both modes; the bound, in grids at both sizes, leaves 0.06 grid
+        # of margin.  numpy caches an FFT plan per length on first use, about 0.11 grid at
         # N = 256, so a transform of that size runs before the trace: the bound then holds
         # whichever test ran first
         states = canonical_input_states()
