@@ -204,15 +204,13 @@ def cmd_modes(cfg: RunConfig, args, written: list) -> None:
     for kind, value in kinds:
         fileio.write_grid(output("mask", kind), mask, value)
         fileio.write_grid(output("image", kind), mask, value, flip)
-    with _optics_guard():  # transformed in place: the mask's grids are written
-        fourier = lens_fourier(mask, overwrite=True)
-    del mask
+    fourier = lens_fourier(mask, overwrite=True)  # in place: the mask's grids are written
     for kind, value in kinds:
         fileio.write_grid(output("fourier", kind), fourier, value)
 
 
-def _intensity(samples: np.ndarray, out=None) -> np.ndarray:
-    """|samples|^2 (into out, if given), squared in place."""
+def _intensity(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|samples|^2 into out, squared in place."""
     values = np.abs(samples, out=out)
     return np.square(values, out=values)
 

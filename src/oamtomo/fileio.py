@@ -108,7 +108,7 @@ def write_report(path, doc: dict) -> None:
         fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
 
 
-def write_grid(path, samples, value=None, order=None) -> None:
+def write_grid(path, samples, value, order=None) -> None:
     """np.savetxt's '%.9g' text of a grid's values under an 'N 1' header line (the
     side and the half-width, the unit of lengths), made and written a block of rows
     at a time; value and order are those of gridtext.grid_text."""

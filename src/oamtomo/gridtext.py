@@ -107,13 +107,12 @@ def _decimal(x, floats, ints, flags):
     return e, m, slow
 
 
-def grid_text(samples, value=None, order=None):
+def grid_text(samples, value, order=None):
     """Yield the '%.9g' text of the values of a 2-D array of samples, as
     np.savetxt writes them without a header, in uint8 arrays of one block of
     rows each.  value(block, out) makes the float64 values of a block of
-    samples in out (a row of the block's size); without value the samples are
-    the values.  With order, an index array, line r holds row order[r] with its
-    samples taken at order, gathered one block at a time.
+    samples in out (a row of the block's size).  With order, an index array,
+    line r holds row order[r] with its samples taken at order, per block.
 
     A block is 1/32 of a square grid.  Its scratch, about 273 B a value (136 B
     the byte index of its text), is allocated once and reused for every block;
@@ -147,8 +146,7 @@ def grid_text(samples, value=None, order=None):
         else:
             x = samples[np.ix_(order[r0:r0 + rows], order)].ravel()
         n = x.size
-        if value is not None:
-            x = value(x, floats[0, :n])
+        x = value(x, floats[0, :n])
         e, m, slow = _decimal(x, floats[1:, :n], ints[:2, :n], flags[:, :n])
         a, b, c, key = ints[2:, :n]  # the mantissa's three groups of digits
         np.floor_divide(m, 1000000, out=a)

@@ -370,9 +370,15 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     distinct, at = np.unique(np.concatenate([inputs, meas]), axis=0, return_inverse=True)
     a, e = np.zeros((2, len(distinct) if phase_only else 3, 3), complex)
     u, scratch, columns = *np.empty_like(triple[:2]), np.empty((len(distinct), n), complex)
+    # dots of at most 8192 samples (one per block up to N = 512): OpenBLAS threads a dot
+    # of over 10000, and how its threads split the sum changes the last bits
+    parts = max(1, triple[0].size // 8192)
+    split = triple.reshape(3, parts, -1)
 
     def amplitudes(field: np.ndarray) -> np.ndarray:
-        return np.array([np.vdot(m, field) for m in triple])
+        if parts == 1:
+            return np.array([np.vdot(m, field) for m in triple])
+        return np.array([sum(map(np.vdot, m, field.reshape(parts, -1))) for m in split])
 
     for rows, g in _gaussian_blocks(cfg.waist, cfg):
         for l, m, norm in zip(MODE_WINDINGS, triple, norms):
@@ -403,10 +409,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         a, e = a[at[:len(inputs)]], e[at[len(inputs):]]
     else:
         a = inputs @ a  # row l of the sums is row l of G, so row j of a is G psi_j
-        power = np.einsum("jk,jk->j", inputs.conj(), a).real
-        if not (power > 0.0).all():
-            raise ValueError("cannot normalize a zero field")
-        a /= np.sqrt(power)[:, None]
+        a /= np.sqrt(np.einsum("jk,jk->j", inputs.conj(), a).real)[:, None]
         e = (meas * _PARITY) @ e  # likewise row i of e is B c_i
     rho, povm = (v[:, :, None] * v[:, None, :].conj() for v in (a, e))
     if not (np.isfinite(rho).all() and np.isfinite(povm).all()):

@@ -184,10 +184,17 @@ def per_state_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
     work, spare = np.empty_like(back), np.empty_like(back)
     n = cfg.grid_size
 
+    def dot(a: np.ndarray, b: np.ndarray) -> complex:
+        # beyond N = 512 a block takes dots of 8192 samples, which OpenBLAS runs unthreaded
+        parts = max(1, a.size // 8192)
+        if parts == 1:
+            return np.vdot(a, b)
+        return sum(map(np.vdot, a.reshape(parts, -1), b.reshape(parts, -1)))
+
     def amplitudes(field: np.ndarray) -> np.ndarray:
         sums = np.zeros(3, complex)
         for rows in (np.s_[r:r + n // 32] for r in range(0, n, n // 32)):
-            sums += [np.vdot(m[rows], field[rows]) for m in modes.values()]
+            sums += [dot(m[rows], field[rows]) for m in modes.values()]
         return sums * cfg.cell_area
 
     if not phase_only:

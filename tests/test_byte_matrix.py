@@ -2,8 +2,13 @@ import importlib.util
 import json
 import os
 import pathlib
+import platform
 import re
+import subprocess
+import sys
 import warnings
+
+import pytest
 
 from oamtomo import cli
 
@@ -54,6 +59,20 @@ def test_outputs_match_the_manifest(tmp_path):
     assert not differing, (
         f"{len(differing)} of {len(expected)} outputs differ from the manifest "
         f"(made with {manifest['versions']}, run with {run['versions']}): {differing}")
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or byte_matrix.versions()["blas_core"] is None,
+                    reason="Nehalem is an x86_64 kernel of OpenBLAS")
+def test_versions_name_the_kernel_openblas_chose():
+    # OpenBLAS picks its kernel for the CPU when loaded, or takes OPENBLAS_CORETYPE's;
+    # Nehalem's (SSE4.2) runs on the x86_64 CPUs of today
+    script = ("import importlib.util, sys; "
+              "spec = importlib.util.spec_from_file_location('byte_matrix', sys.argv[1]); "
+              "module = importlib.util.module_from_spec(spec); spec.loader.exec_module(module); "
+              "print(module.versions()['blas_core'])")
+    run = subprocess.run([sys.executable, "-c", script, str(_PATH)], capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, OPENBLAS_CORETYPE="Nehalem"))
+    assert (run.returncode, run.stdout) == (0, "Nehalem\n"), run.stderr
 
 
 def test_usage_text_does_not_depend_on_the_terminal_width(tmp_path, monkeypatch):

@@ -161,9 +161,16 @@ class TestSimulate:
         ({"optics": {"fiber_waist": -1}}, "optics.fiber_waist: must be positive"),
         ({"optics": {"waist": 0.3}},
          "optics.waist: 0.3 exceeds 0.25, a quarter of the grid's half-width (aliasing guard)"),
+        ({"bootstrap_samples": -1}, "bootstrap_samples: must be nonnegative"),
+        ({"channel": "depolarizing abc"}, "channel: non-numeric parameter in 'depolarizing abc'"),
+        ({"channel": "depolarizing 2.0"},
+         "channel: depolarizing strength must be in [0, 1], got 2.0"),
+        ({"channel": "dephasing -0.5"},
+         "channel: dephasing strength must be in [0, 1], got -0.5"),
     ])
     def test_range_errors_name_the_field(self, tmp_path, capsys, overrides, message):
-        # every rule of SourceConfig and OpticsConfig, refused before any work
+        # every rule of SourceConfig and OpticsConfig, and of the run's other numbers,
+        # refused before any work
         cfg = _write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "counts.txt"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
@@ -271,6 +278,15 @@ class TestSimulate:
         header = out.read_text().splitlines()[1]
         assert '"optics":{"fiber_waist":1.0,"grid_size":128,"waist":0.25}' in header
 
+    def test_config_that_is_no_object_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "oamtomo: invalid configuration: <root>: configuration must be a JSON object\n")
+        assert not out.exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -357,17 +373,22 @@ class TestReconstructProcess:
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct-process", "reconstruct-state"])
-    @pytest.mark.parametrize("kind", ["directory", "missing"])
-    def test_unreadable_counts_exit_4(self, tmp_path, capsys, command, kind):
+    @pytest.mark.parametrize("kind, after_path", [
+        ("directory", ": "), ("missing", ": "),  # then the system's reason
+        ("long-number", ":1: a number is too long to read\n"),  # beyond int()'s digit limit
+    ], ids=["directory", "missing", "long-number"])
+    def test_unreadable_counts_exit_4(self, tmp_path, capsys, command, kind, after_path):
         cfg = _write_config(tmp_path / "cfg.json", state="psi4")
         counts = tmp_path / "adir"
         if kind == "directory":
             counts.mkdir()
+        elif kind == "long-number":
+            counts.write_text("1 1 " + "9" * 5000 + " 0\n")
         report = tmp_path / "report.json"
         assert main([command, "--config", cfg, "--counts", str(counts),
                      "--out", str(report)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"oamtomo: counts: {counts}: ") and err.count("\n") == 1
+        assert err.startswith(f"oamtomo: counts: {counts}{after_path}") and err.count("\n") == 1
         assert not report.exists()
 
     def test_state_counts_exit_4(self, tmp_path, capsys):
@@ -683,11 +704,14 @@ class TestModes:
         assert main(["modes", "--config", cfg, "--out", str(tmp_path / "grids")]) == 3
 
     @pytest.mark.parametrize("command", ["modes", "simulate"])
-    @pytest.mark.parametrize("waist", [1e-160, 1e-200])
-    def test_unrealizable_scale_exits_3(self, tmp_path, capsys, command, waist):
-        # the squared waist is subnormal or zero: the optics guard turns the first
-        # overflow or division by zero into one error line, with no numpy warning
-        # before it and no output behind it
+    @pytest.mark.parametrize("waist, reason", [
+        (1e-100, "cannot normalize a zero field"), (1e-160, ""), (1e-200, ""),
+    ], ids=["1e-100", "1e-160", "1e-200"])
+    def test_unrealizable_scale_exits_3(self, tmp_path, capsys, command, waist, reason):
+        # the vortex modes' samples underflow to 0, or the squared waist is subnormal or
+        # zero: the zero field is refused, or the optics guard turns the first overflow
+        # or division by zero into one error line (numpy's), with no numpy warning before
+        # it and no output behind it
         cfg = _write_config(tmp_path / "cfg.json", state="psi4", measurement_mode="optical-ideal",
                             optics={"grid_size": 128, "waist": waist})
         out = tmp_path / "out"
@@ -695,7 +719,8 @@ class TestModes:
             warnings.simplefilter("error")
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("oamtomo: invalid configuration: optics: ") and err.count("\n") == 1
+        assert err.startswith(f"oamtomo: invalid configuration: optics: {reason}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_failed_export_keeps_an_existing_directory(self, tmp_path):
@@ -806,7 +831,8 @@ def _around(values):
 
 
 def _grid_text(values) -> str:
-    return b"".join(bytes(block) for block in gridtext.grid_text(values)).decode()
+    blocks = gridtext.grid_text(values, np.positive)
+    return b"".join(bytes(block) for block in blocks).decode()
 
 
 def _percent_text(values) -> str:
@@ -819,6 +845,7 @@ def _decimal(x):
 
 
 class TestGridFile:
+    # a grid of floats is written with np.positive as its value: the floats themselves
     VALUES = np.array([
         [0.0, -0.0, 5e-324, -5e-324],
         [1.7976931348623157e308, -1.7976931348623157e308, 1e-5, -1.23456789e-5],
@@ -828,7 +855,7 @@ class TestGridFile:
 
     def test_text_equals_savetxt(self, tmp_path):
         path = tmp_path / "grid.txt"
-        write_grid(path, self.VALUES)
+        write_grid(path, self.VALUES, np.positive)
         assert path.read_text() == _savetxt(self.VALUES, "4 1")
 
     def test_order_permutes_rows_and_values(self, tmp_path):
@@ -836,7 +863,7 @@ class TestGridFile:
         # differ in length here
         for order in (np.array([2, 0, 3, 1]), np.array([3, 2, 1, 0])):
             path = tmp_path / "grid.txt"
-            write_grid(path, self.VALUES, order=order)
+            write_grid(path, self.VALUES, np.positive, order)
             assert path.read_text() == _savetxt(self.VALUES[np.ix_(order, order)], "4 1")
 
     def test_values_made_per_block_from_complex_samples(self, tmp_path):

@@ -140,8 +140,12 @@ class TestSimulateCounts:
 
     def test_rejects_bad_table(self):
         cfg = SourceConfig(counts_per_setting=100)
-        with pytest.raises(ValueError):
-            simulate_counts(np.full((9, 9), 1.5), cfg)
+        for table, message in (
+                (np.full((9, 9), 1.5), r"^probabilities outside \[0, 1\] beyond"),
+                (np.full((10, 9), 0.1),
+                 r"^expected a \(rows<=9, 9\) probability table, got shape \(10, 9\)$")):
+            with pytest.raises(ValueError, match=message):
+                simulate_counts(table, cfg)
 
     @pytest.mark.parametrize("count", [simulate_counts, exact_counts])
     def test_rejects_nan_probabilities(self, count):

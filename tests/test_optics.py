@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -134,12 +138,18 @@ class TestModeFields:
             with pytest.raises(ValueError, match=r"^l: must be one of \(1, 0, -1\), got "):
                 oam_mode_field(l, cfg)
 
+    def test_gaussian_refuses_a_nonpositive_waist(self, cfg):
+        with pytest.raises(ValueError, match="^waist must be positive$"):
+            gaussian_field(-1.0, cfg)
+
     @pytest.mark.parametrize("build", [
         lambda cfg: oam_mode_field(0, cfg),
         lambda cfg: superposition_field(canonical_input_states()[3], cfg),
-    ], ids=["mode", "psi4"])
+        lambda cfg: effective_operators(*[canonical_input_states()] * 2, cfg, phase_only=True),
+    ], ids=["mode", "psi4", "phase-only-operators"])
     def test_rejects_a_geometry_with_non_finite_samples(self, build):
-        # the squared waist underflows to 0, so the samples are NaN: refused where made
+        # the squared waist underflows to 0, so the samples are NaN: refused where made,
+        # or by the reduction, which checks the operators it returns
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="^field contains non-finite samples$"):
             build(OpticsConfig(128, 1e-300))
@@ -534,6 +544,38 @@ class TestEffectiveOperators:
         got = effective_operators(states, states, cfg, phase_only=True)
         want = per_state_operators(states, states, cfg, phase_only=True)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_ideal_matches_per_state_reduction_in_dots_of_8192(self):
+        # at N = 1024 a row block is 32768 samples, which both add up in 4 dots of 8192
+        cfg = OpticsConfig(1024)
+        states = canonical_input_states()
+        got = effective_operators(states, states, cfg)
+        want = per_state_operators(states, states, cfg)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS threads a dot of over 10000 samples, and how it splits the sum among
+        # threads changes the last bits; a row block is 32768 samples at N = 1024.  It
+        # reads its thread count once loaded, so each count runs in a fresh interpreter
+        # (on a host of one CPU both run one thread)
+        script = "\n".join([
+            "from oamtomo.optics import OpticsConfig, effective_operators",
+            "from oamtomo.qudit import canonical_input_states",
+            "states = canonical_input_states()",
+            "for phase_only in (False, True):",
+            "    for v in effective_operators(states, states, OpticsConfig(1024), phase_only):",
+            "        print(v.tobytes().hex())",
+        ])
+        src = str(pathlib.Path(optics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
     def test_builds_and_flips(self, small, phase_only, monkeypatch):

@@ -154,6 +154,15 @@ class TestBatchAxis:
             one = qst_linear_inversion(probabilities_from_counts(counts))
             np.testing.assert_allclose(rho, project_to_physical_state(one), atol=1e-14)
 
+    @pytest.mark.parametrize("invert, shape, message", [
+        (qst_linear_inversion, (8,), r"^expected 9 probabilities per state, got shape \(8,\)$"),
+        (qpt_linear_inversion, (9, 8),
+         r"^expected a 9 x 9 probability table, got shape \(9, 8\)$"),
+    ], ids=["qst", "qpt"])
+    def test_refuses_a_table_of_another_shape(self, invert, shape, message):
+        with pytest.raises(ValueError, match=message):
+            invert(np.full(shape, 1 / 3))
+
     def test_degenerate_sample_is_named(self, batch):
         bad = batch.copy()
         bad[4, 2, :3] = 0

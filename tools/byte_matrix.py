@@ -40,13 +40,15 @@ the exit status is 1 if there was any difference, else 0.
 
 With --write-manifest, the matrix runs in this interpreter with the working
 tree's src/, and MANIFEST records each output file's sha256, each command's
-exit code and stderr text, and the Python, numpy and BLAS versions.  Tier-1
-(tests/test_byte_matrix.py) checks the matrix against MANIFEST; a change made
-on purpose rewrites it in the same commit.  Standard library and numpy only.
+exit code and stderr text, the Python, numpy and BLAS versions, and the kernel
+OpenBLAS chose for the CPU.  Tier-1 (tests/test_byte_matrix.py) checks the
+matrix against MANIFEST; a change made on purpose rewrites it in the same
+commit.  Standard library and numpy only.
 """
 
 import argparse
 import contextlib
+import ctypes
 import filecmp
 import hashlib
 import io
@@ -195,12 +197,20 @@ def json_difference(base_path: str, head_path: str) -> str | None:
 
 
 def versions() -> dict:
-    """The Python, numpy and BLAS versions of this interpreter, and its machine."""
+    """The Python, numpy and BLAS versions of this interpreter, its machine, and the
+    kernel OpenBLAS chose for its CPU (None unless numpy bundles scipy-openblas)."""
     import numpy
+    from numpy._core import _multiarray_umath
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # the symbol is looked up in numpy's core and the libraries it loaded, its BLAS among them
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine()}
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_core": corename and corename().decode(), "machine": platform.machine()}
 
 
 def _exit_status(main, args) -> int:
