@@ -9,11 +9,11 @@ reconstruct-state    counts file -> density matrix report with fidelity
 modes                export intensity/phase grids of the three imaging planes
 
 Exit codes: 0 success, 2 unreadable config or a usage error (argparse's, after its
-usage text, a missing --out included), 3 invalid parameters (an --out that is empty,
-no path, an input file or unwritable included), 4 incomplete counts, 5 degenerate
-counts.  A failed run removes the files it wrote and no other.  The config alone sets
-every value but the --mode override, source.seed and state included: identical
-configs and --mode give byte-identical files.
+usage text, a missing --out included), 3 invalid parameters (an optics geometry the
+grid cannot resolve, and an --out that is empty, no path, an input file or unwritable
+included), 4 incomplete counts, 5 degenerate counts.  A failed run removes the files it
+wrote and no other.  The config alone sets every value but the --mode override,
+source.seed and state included: identical configs and --mode give byte-identical files.
 """
 
 from __future__ import annotations
@@ -63,18 +63,6 @@ EXIT_DEGENERATE = 5
 BOOTSTRAP_CHUNK = 1000
 
 
-@contextlib.contextmanager
-def _optics_guard():
-    """Turn a failure of the sampled optics chain, floating-point overflow, division
-    by zero and invalid values included, into ConfigError("optics"): the
-    geometry is one the chain cannot realize."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError("optics", str(exc))
-
-
 def _probability_rows(cfg: RunConfig) -> np.ndarray:
     """Projection probabilities Tr(mu_i C(rho_j)) of the configured channel C, one
     row per input: the nine canonical inputs, or the stored state when one is declared.
@@ -82,17 +70,20 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
     Abstract mode takes the input projectors and the scheme's projectors.
     The optical modes take the chain's effective operators
     (optics.effective_operators): each input's prepared field reduced to the
-    LG triple the memory stores, and the measurement chain as a POVM on it.
+    LG triple the memory stores, and the measurement chain as a POVM on it.  Ideal
+    mode's own rule on the waists is refused here as optics.fiber_waist.
     """
     if cfg.measurement_mode == "abstract":  # None: the scheme's projectors
         rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
     else:
         inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
-        with _optics_guard():
+        try:
             rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics,
                                                cfg.measurement_mode == "optical-phase-only")
+        except ValueError as exc:  # the message starts with the field it refuses
+            raise ConfigError(*f"optics.{exc}".split(": ", 1))
     table = predict_probabilities(cfg.channel, rho_in, povm)
-    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: only an unresolved optics grid gets here
+    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: no grid OpticsConfig accepts fails
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
     return table
 
@@ -186,10 +177,8 @@ def cmd_reconstruct_state(cfg: RunConfig, args, written: list) -> None:
 def cmd_modes(cfg: RunConfig, args, written: list) -> None:
     if cfg.state is None:
         raise ConfigError("state", "a state is required for mode export")
-    with _optics_guard():
-        mask = superposition_field(cfg.state, cfg.optics)
-    # only once the mask field exists: a bad geometry leaves no directory, and a
-    # file of that name is left alone (main names --out)
+    mask = superposition_field(cfg.state, cfg.optics)
+    # a file of the directory's name is left alone (main names --out)
     os.makedirs(args.out, exist_ok=True)
 
     def output(plane: str, kind: str) -> str:

@@ -161,6 +161,17 @@ class TestSimulate:
         ({"optics": {"fiber_waist": -1}}, "optics.fiber_waist: must be positive"),
         ({"optics": {"waist": 0.3}},
          "optics.waist: 0.3 exceeds 0.25, a quarter of the grid's half-width (aliasing guard)"),
+        # the grid resolves every width of 3 grid steps or more, 0.046875 at N = 128: the
+        # waist, the fiber waist and the fiber's image through the lens, which bounds the
+        # fiber waist by 2 / (3 pi) at every N
+        *[({"optics": {"grid_size": 128, field: value}},
+           f"optics.{field}: {text} is below 0.046875, 3 grid steps (resolution rule)")
+          for field, value, text in (("waist", 1e-100, "1e-100"),
+                                     ("waist", 2.9 * 2 / 128, "0.0453125"))],
+        *[({"optics": {"grid_size": 128, "fiber_waist": value}},
+           f"optics.fiber_waist: {text} exceeds 0.2122065907891938, where its lens image is "
+           "3 grid steps (resolution rule)")
+          for value, text in ((1e200, "1e+200"), (10, "10.0"), (0.5, "0.5"))],
         ({"bootstrap_samples": -1}, "bootstrap_samples: must be nonnegative"),
         ({"channel": "depolarizing abc"}, "channel: non-numeric parameter in 'depolarizing abc'"),
         ({"channel": "depolarizing 2.0"},
@@ -270,13 +281,20 @@ class TestSimulate:
         assert run.source == SourceConfig()
         assert run.optics == OpticsConfig()
 
-    def test_integer_lengths_echo_as_floats(self, tmp_path):
+    def test_integer_lengths_echo_as_floats(self, tmp_path, capsys):
+        # the resolution rule bounds both lengths below 1, so an integer length is read as
+        # a number and refused as its float; a default length echoes as one too
         cfg = _write_config(tmp_path / "cfg.json",
                             optics={"grid_size": 128, "waist": 0.25, "fiber_waist": 1})
         out = tmp_path / "counts.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "oamtomo: invalid configuration: optics.fiber_waist: 1.0 exceeds ")
+        cfg = _write_config(tmp_path / "cfg.json", optics={"grid_size": 128, "waist": 0.25})
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         header = out.read_text().splitlines()[1]
-        assert '"optics":{"fiber_waist":1.0,"grid_size":128,"waist":0.25}' in header
+        assert ('"optics":{"fiber_waist":0.09973557010035818,"grid_size":128,"waist":0.25}'
+                in header)
 
     def test_config_that_is_no_object_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -704,23 +722,20 @@ class TestModes:
         assert main(["modes", "--config", cfg, "--out", str(tmp_path / "grids")]) == 3
 
     @pytest.mark.parametrize("command", ["modes", "simulate"])
-    @pytest.mark.parametrize("waist, reason", [
-        (1e-100, "cannot normalize a zero field"), (1e-160, ""), (1e-200, ""),
-    ], ids=["1e-100", "1e-160", "1e-200"])
-    def test_unrealizable_scale_exits_3(self, tmp_path, capsys, command, waist, reason):
-        # the vortex modes' samples underflow to 0, or the squared waist is subnormal or
-        # zero: the zero field is refused, or the optics guard turns the first overflow
-        # or division by zero into one error line (numpy's), with no numpy warning before
-        # it and no output behind it
+    @pytest.mark.parametrize("waist", [1e-100, 1e-160, 1e-200], ids=["1e-100", "1e-160", "1e-200"])
+    def test_unrealizable_scale_exits_3(self, tmp_path, capsys, command, waist):
+        # the vortex modes' samples would underflow to 0, or the squared waist be
+        # subnormal or zero: the resolution rule refuses the waist as the config is
+        # read, in one error line naming it, with no numpy warning and no output
         cfg = _write_config(tmp_path / "cfg.json", state="psi4", measurement_mode="optical-ideal",
                             optics={"grid_size": 128, "waist": waist})
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, "--config", cfg, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"oamtomo: invalid configuration: optics: {reason}")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"oamtomo: invalid configuration: optics.waist: {waist!r} is below 0.046875, "
+            "3 grid steps (resolution rule)\n")
         assert not out.exists()
 
     def test_failed_export_keeps_an_existing_directory(self, tmp_path):
@@ -732,7 +747,7 @@ class TestModes:
         assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
         assert os.listdir(out) == ["keep.txt"]
 
-    # one run fails for want of a state, the other in the optics guard
+    # one run fails for want of a state, the other for a waist the grid cannot resolve
     @pytest.mark.parametrize("state, waist", [(None, None), ("psi4", 1e-160)])
     @pytest.mark.parametrize("kind", ["file", "symlink"])
     def test_failed_export_keeps_an_existing_path(self, tmp_path, state, waist, kind):
@@ -961,12 +976,13 @@ class TestOutputs:
         assert err.count("\n") == 1
         assert out.is_dir() if kind == "directory" else not out.parent.exists()
 
-    # runs that would fail (no state; the optics guard) and runs that would succeed
+    # runs that would fail (no state; ideal mode's fiber-waist rule) and runs that would
+    # succeed
     @pytest.mark.parametrize("command, out, overrides", [
         ("reconstruct-state", "counts", {}),
         ("reconstruct-process", "counts", {}),
         ("simulate", "config", {"measurement_mode": "optical-ideal",
-                                "optics": {"grid_size": 128, "waist": 1e-160}}),
+                                "optics": {"grid_size": 128, "fiber_waist": 0.15}}),
         ("simulate", "config", {}),
         ("simulate", "link to config", {}),
         ("modes", "grids holding config", {"state": "L", "optics": {"grid_size": 128}}),
@@ -1061,7 +1077,7 @@ class TestOutputs:
         ("reconstruct-process", {"channel": None}, "background only", 5, "degenerate counts"),
         ("simulate", {"measurement_mode": "optical-ideal",
                       "optics": {"grid_size": 128, "fiber_waist": 0.2}}, None, 3,
-         "invalid configuration: optics"),
+         "invalid configuration: optics.fiber_waist"),
     ])
     def test_failed_run_keeps_an_earlier_output(self, tmp_path, capsys, command, overrides,
                                                 counts, code, refusal):
@@ -1127,12 +1143,14 @@ class TestOpticalModes:
         assert _report(report)["process_fidelity_vs_ideal"] == pytest.approx(1.0, abs=1e-6)
 
     def test_narrow_fiber_exits_3_with_plain_numbers(self, tmp_path, capsys):
-        # a wide far-field fiber traces back to a Gaussian narrower than the modes
+        # a wide far-field fiber, which the grid resolves, traces back to a Gaussian
+        # narrower than the modes: ideal mode refuses it, naming the field
         cfg = _write_config(tmp_path / "cfg.json", measurement_mode="optical-ideal",
-                            optics={"grid_size": 128, "fiber_waist": 0.5})
+                            optics={"grid_size": 128, "fiber_waist": 0.15})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "c.txt")]) == 3
         err = capsys.readouterr().err
-        assert re.search(r"fiber waist >= mode waist; got 0\.0198\d* < 0\.0997", err), err
+        assert err.startswith("oamtomo: invalid configuration: optics.fiber_waist: ideal mode ")
+        assert re.search(r"fiber waist >= mode waist; got 0\.0663\d* < 0\.0997\d*$", err), err
         assert "np.float64" not in err
 
     def test_phase_only_routing_loses_fidelity(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oamtomo import optics
+from oamtomo.cli import _intensity
 from oamtomo.optics import (
     MODE_WINDINGS,
     OpticsConfig,
@@ -28,6 +30,7 @@ from oamtomo.optics import (
     superposition_field,
 )
 from oamtomo.qudit import canonical_input_states
+from oamtomo.tomography import canonical_settings
 from oracles import (
     farfield,
     four_f_image,
@@ -102,8 +105,44 @@ class TestConfig:
         assert OpticsConfig() == OpticsConfig(512, w, w)
         small = OpticsConfig(grid_size=256)
         assert small.waist == small.fiber_waist == self_fourier_waist(256)
-        given = OpticsConfig(128, 0.25, 1)
+        given = OpticsConfig(128, np.float64(0.25), np.float64(0.2))
         assert [type(v) for v in (given.waist, given.fiber_waist)] == [float] * 2
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048, 4096])
+    def test_self_fourier_waist_is_a_plain_float(self, n):
+        # math.sqrt gives numpy's bits, and a float that messages print as a number
+        w = self_fourier_waist(n)
+        assert type(w) is float and w == 2.0 / np.sqrt(np.pi * n)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"waist": 1e-100}, "waist: 1e-100 is below 0.046875"),
+        ({"waist": 2.9 * 2 / 128}, "waist: 0.0453125 is below 0.046875"),
+        ({"fiber_waist": 1e-100}, "fiber_waist: 1e-100 is below 0.046875"),
+        ({"waist": 1e-300, "fiber_waist": 1e200}, "waist: 1e-300 is below 0.046875"),
+        *[({"fiber_waist": value}, f"fiber_waist: {text} exceeds 0.2122065907891938, where its "
+           "lens image is") for value, text in ((1e200, "1e+200"), (10, "10.0"), (0.5, "0.5"))],
+    ], ids=["waist-1e-100", "waist-2.9-steps", "fiber-1e-100", "field-order", "fiber-1e200",
+            "fiber-10", "fiber-0.5"])
+    def test_refuses_a_width_the_grid_cannot_resolve(self, kwargs, message):
+        # the waist, the fiber waist and the fiber's image through the lens must each
+        # be 3 grid steps (0.046875 at N = 128) or more, checked in field order
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            OpticsConfig(128, **kwargs)
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048, 4096])
+    def test_resolution_rule_bounds(self, n):
+        # 3 grid steps is accepted, and the widest fiber waist, about 2 / (3 pi) at
+        # every N, has an image through the lens of 3 grid steps
+        least = 3 * 2.0 / n
+        OpticsConfig(n, least, least)
+        widest = OpticsConfig(n, None, least).conjugate_waist(least)
+        assert widest == pytest.approx(2 / (3 * np.pi), rel=1e-15)
+        cfg = OpticsConfig(n, None, widest)
+        assert cfg.conjugate_waist(cfg.fiber_waist) == pytest.approx(least, rel=1e-15)
+        for kwargs in ({"waist": np.nextafter(least, 0)}, {"fiber_waist": np.nextafter(least, 0)},
+                       {"fiber_waist": np.nextafter(widest, 1)}):
+            with pytest.raises(ValueError, match="resolution rule"):
+                OpticsConfig(n, **kwargs)
 
     def test_conjugate_waist_roundtrip(self, cfg):
         w = 0.08
@@ -142,17 +181,12 @@ class TestModeFields:
         with pytest.raises(ValueError, match="^waist must be positive$"):
             gaussian_field(-1.0, cfg)
 
-    @pytest.mark.parametrize("build", [
-        lambda cfg: oam_mode_field(0, cfg),
-        lambda cfg: superposition_field(canonical_input_states()[3], cfg),
-        lambda cfg: effective_operators(*[canonical_input_states()] * 2, cfg, phase_only=True),
-    ], ids=["mode", "psi4", "phase-only-operators"])
-    def test_rejects_a_geometry_with_non_finite_samples(self, build):
-        # the squared waist underflows to 0, so the samples are NaN: refused where made,
-        # or by the reduction, which checks the operators it returns
+    def test_rejects_a_geometry_with_non_finite_samples(self):
+        # gaussian_field takes a waist the OpticsConfig has not checked: its square
+        # underflows to 0, so the samples are NaN, refused where made
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="^field contains non-finite samples$"):
-            build(OpticsConfig(128, 1e-300))
+            gaussian_field(1e-300, OpticsConfig(128))
 
 
 class TestInPlaceBuilders:
@@ -442,6 +476,35 @@ class TestEffectiveOperators:
         w = self_fourier_waist(128)
         return OpticsConfig(128, 0.7 * w, 0.9 * w)
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_corners_of_the_resolution_rule_are_clean(self, n):
+        # at each corner of the accepted waists, {3 steps, 0.25} x {3 steps, the widest fiber
+        # waist}, both modes' operators and the modes export's grids come with no overflow,
+        # division by zero or invalid value, p <= 1 to rounding and ideal POVMs equal to
+        # the projectors; the one refusal left is ideal mode's fiber-waist rule
+        least = 3 * 2.0 / n
+        widest = OpticsConfig(n, None, least).conjugate_waist(least)
+        states, projectors = canonical_input_states(), canonical_settings().projectors
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for waist in (least, 0.25):
+                for fiber_waist in (least, widest):
+                    cfg = OpticsConfig(n, waist, fiber_waist)
+                    for phase_only in (False, True):
+                        narrow = cfg.conjugate_waist(fiber_waist) < waist * (1 - 1e-12)
+                        if narrow and not phase_only:
+                            with pytest.raises(ValueError, match="^fiber_waist: ideal mode "):
+                                effective_operators(states, states, cfg)
+                            continue
+                        rho, povm = effective_operators(states, states, cfg, phase_only)
+                        assert np.einsum("iab,jba->ji", povm, rho).real.max() <= 1 + 1e-14
+                        if not phase_only:
+                            assert np.abs(povm - projectors).max() <= 1e-14
+                grid = np.empty((n, n))
+                for psi in states:
+                    fourier = lens_fourier(superposition_field(psi, cfg), overwrite=True)
+                    assert np.isfinite(_intensity(fourier, grid)).all()
+                    assert np.isfinite(phase_mask_of(fourier, grid)).all()
+
     def test_ideal_reproduces_chain(self, small):
         states = canonical_input_states()
         rho, povm = effective_operators(states, states, small)
@@ -468,8 +531,8 @@ class TestEffectiveOperators:
 
     @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
     def test_default_grid_matches_field_chain(self, phase_only):
-        # the CLI's default grid, under the floating-point checks of its optics
-        # guard; underflow is left out, as the sampled Gaussian tails underflow
+        # the CLI's default grid makes no overflow, division by zero or invalid value;
+        # underflow is left out, as the sampled Gaussian tails underflow
         cfg = matched_config(512)
         states = canonical_input_states()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -539,7 +602,7 @@ class TestEffectiveOperators:
         # at waist = 0.25, the widest, the samples of row and column 0, which the parity flip keeps
         # in place, reach the amplitudes' last bits: there a measurement takes the
         # hologram of its parity-signed state, not the flipped hologram of the state
-        cfg = OpticsConfig(128, 0.25, 0.25)
+        cfg = OpticsConfig(128, 0.25, 0.2)
         states = canonical_input_states()
         got = effective_operators(states, states, cfg, phase_only=True)
         want = per_state_operators(states, states, cfg, phase_only=True)
