@@ -1,7 +1,8 @@
 """File formats: line-oriented counts files, JSON reports, plain-text grids.
 
 All floating-point output is fixed to 9 significant digits so identical
-inputs produce byte-identical files.  Grid text is an 'N 1' header and np.savetxt's
+inputs produce byte-identical files; a report's computed numbers also to 1e-12,
+so that its bytes do not depend on the BLAS kernel (_resolved).  Grid text is an 'N 1' header and np.savetxt's
 '%.9g', made by numpy (oamtomo.gridtext) and written a block of rows at a time.
 """
 
@@ -28,14 +29,22 @@ def complex_pairs(array) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _rounded(doc):
+def _resolved(x) -> float:
+    """x to 9 significant digits and, below 1e-4, to 12 decimals, -0.0 read as 0.0: the
+    digits under 1e-12 are round-off that another BLAS kernel moves, and even at 1e18
+    counts per setting a probability's shot noise is about 1e-9."""
+    x = float(x)
+    return round_sig(round(x, 12) + 0.0 if abs(x) < 1e-4 else x)
+
+
+def _rounded(doc, rule):
     if isinstance(doc, dict):
-        return {k: _rounded(v) for k, v in doc.items()}
+        return {k: _rounded(v, rule) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
-        return [_rounded(v) for v in doc]
+        return [_rounded(v, rule) for v in doc]
     if isinstance(doc, bool) or doc is None or isinstance(doc, (int, str)):
         return doc
-    return round_sig(doc)
+    return rule(doc)
 
 
 def write_counts(path, counts, echo: dict) -> None:
@@ -104,8 +113,11 @@ def read_counts(path) -> np.ndarray:
 
 
 def write_report(path, doc: dict) -> None:
+    """The report as sorted JSON: its config echo to 9 significant digits, each number
+    it computed to 9 significant digits and 1e-12 (_resolved)."""
+    doc = {k: _rounded(v, round_sig if k == "config" else _resolved) for k, v in doc.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_rounded(doc), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_grid(path, samples, value, order=None) -> None:

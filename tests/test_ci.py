@@ -58,3 +58,17 @@ def test_workflow_runs_the_traced_memory_tests_alone():
     assert len(memory) == 1, runs
     assert "python -m pytest" in memory[0]
     assert re.findall(r'"(tests/[^"]+)"', memory[0]) == tests
+
+
+def test_workflow_runs_the_byte_matrix_under_other_kernels():
+    # a report's bytes must not depend on the OpenBLAS kernel: CI reruns the byte-matrix
+    # test with the kernel forced to Haswell (AVX2) and to Prescott (SSE3)
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step["run"] for job in workflow["jobs"].values() for step in job["steps"]
+            if "run" in step]
+    for kernel in ("Haswell", "Prescott"):
+        forced = [run for run in runs if f"OPENBLAS_CORETYPE={kernel} " in run]
+        assert len(forced) == 1, runs
+        assert "python -m pytest" in forced[0]
+        assert forced[0].split()[-1] == "tests/test_byte_matrix.py"

@@ -19,7 +19,7 @@ from hypothesis import (HealthCheck, Phase, example, given, settings as hyp_sett
                         strategies as st)
 from hypothesis.extra import numpy as hnp
 
-from oamtomo import cli, gridtext
+from oamtomo import cli, fileio, gridtext
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import MEASUREMENT_MODES, ConfigError, load_config
 from oamtomo.counts import SourceConfig
@@ -1122,6 +1122,27 @@ class TestDeterminism:
             ) == 0
             pairs.append((counts.read_bytes(), report.read_bytes()))
         assert pairs[0] == pairs[1]
+
+    def test_report_bytes_do_not_depend_on_round_off(self, tmp_path):
+        # another BLAS kernel moves a computed number by round-off: here 1e-15 on a chi
+        # entry near 1e-8, the 8th of its 9 digits, and the sign of a zero imaginary part.
+        # Below 1e-4 a report keeps no digit under 1e-12, so both write the same bytes;
+        # the config echo keeps its 9 digits
+        echo = {"optics": {"grid_size": 128, "waist": 0.123456789012}, "state": [1e-160, 1, 0]}
+        chi = np.zeros((9, 9), complex)
+        chi[0, 0], chi[1, 2] = 1.0 - 8.28e-20j, 6.4400644e-08
+        texts = []
+        for name, delta in (("one", 0.0), ("two", 1e-15 + 1.6e-19j)):
+            doc = {"config": echo, "chi": fileio.complex_pairs(chi + delta),
+                   "min_eigenvalue_pre_projection": -2.5e-13 + delta.real}
+            fileio.write_report(tmp_path / f"{name}.json", doc)
+            texts.append((tmp_path / f"{name}.json").read_text())
+        assert texts[0] == texts[1]
+        report = json.loads(texts[0])
+        assert report["chi"][0][0] == [1.0, 0.0] and report["chi"][1][2][0] == 6.4401e-08
+        assert report["min_eigenvalue_pre_projection"] == 0.0 and '-0.0' not in texts[0]
+        assert report["config"] == {"optics": {"grid_size": 128, "waist": 0.123456789},
+                                    "state": [1e-160, 1, 0]}
 
 
 class TestOpticalModes:
