@@ -83,7 +83,7 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
         except ValueError as exc:  # the message starts with the field it refuses
             raise ConfigError(*f"optics.{exc}".split(": ", 1))
     table = predict_probabilities(cfg.channel, rho_in, povm)
-    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: no grid OpticsConfig accepts fails
+    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: modes the grid cannot resolve
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
     return table
 

@@ -1,9 +1,9 @@
 """File formats: line-oriented counts files, JSON reports, plain-text grids.
 
-All floating-point output is fixed to 9 significant digits so identical
-inputs produce byte-identical files; a report's computed numbers also to 1e-12,
-so that its bytes do not depend on the BLAS kernel (_resolved).  Grid text is an 'N 1' header and np.savetxt's
-'%.9g', made by numpy (oamtomo.gridtext) and written a block of rows at a time.
+All floating-point output is fixed to 9 significant digits so identical inputs
+produce byte-identical files, whatever the BLAS kernel: a report's computed numbers
+also to 1e-12.  Grid text is an 'N 1' header and np.savetxt's '%.9g', made by numpy
+(oamtomo.gridtext) and written a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ def read_counts(path) -> np.ndarray:
 
 
 def write_report(path, doc: dict) -> None:
-    """The report as sorted JSON: its config echo to 9 significant digits, each number
-    it computed to 9 significant digits and 1e-12 (_resolved)."""
+    """Sorted JSON: the config echo to 9 significant digits, computed numbers _resolved."""
     doc = {k: _rounded(v, round_sig if k == "config" else _resolved) for k, v in doc.items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

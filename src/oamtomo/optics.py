@@ -88,7 +88,7 @@ class OpticsConfig:
                 f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         least = _MIN_WAIST_STEPS * self.step
         rule = f"{_MIN_WAIST_STEPS} grid steps (resolution rule)"
-        # a fiber waist's image through the lens narrows to least at least's image
+        # the fiber's image through the lens narrows as it widens: to least at least's image
         widest = {"waist": (0.25, "a quarter of the grid's half-width (aliasing guard)"),
                   "fiber_waist": (self.conjugate_waist(least), f"where its lens image is {rule}")}
         for name in ("waist", "fiber_waist"):
