@@ -16,13 +16,16 @@ chunk of cli.BOOTSTRAP_CHUNK;
 optical-ideal and optical-phase-only `simulate` of QPT and psi4 (seed 1 and
 noiseless) at the benchmark's N = 256; optical-ideal and optical-phase-only
 QPT (seed 1) at N = 128 with fiber_waist 0.08, unequal to the mode waist,
-each a `simulate` then a `reconstruct-process`; and `modes` for psi4, L,
+each a `simulate` then a `reconstruct-process`; at N = 128 with fiber_waist
+0.15, whose lens image is narrower than the mode waist, an optical-ideal
+`simulate` (refused, exit 3), an abstract `simulate` and an optical-ideal
+`reconstruct-process` of its counts, and `modes` for psi4; and `modes` for psi4, L,
 [1,-1,1], psi9 and the unequal-weight complex state [0.3, [0, -0.5], 0.8] at
 N = 128 and 512; and seven command-line forms at N = 128:
 `simulate --seed x`, `simulate --mode bogus`, `reconstruct-process` without
 --counts and `modes --state psi4` (each exit 2, its usage on stderr: the config
 alone sets the seed and the state), `--conf` for --config, `--out=counts.txt`,
-and `--mode optical-ideal --mode abstract` (the last wins): 221 cases.
+and `--mode optical-ideal --mode abstract` (the last wins): 223 cases.
 
 Each case runs through oamtomo.cli.main in its own directory, so paths in
 messages agree, and each command runs as `python -m oamtomo.cli` would in a
@@ -139,6 +142,15 @@ def cases():
         yield f"m{m}-fiber-waist", config, [simulate, [
             "reconstruct-process", "--config", "run.json", "--counts", "counts.txt",
             "--out", "report.json"]]
+    # a fiber waist whose lens image is narrower than the mode waist: ideal mode conversion
+    # refuses it in simulate alone, so reconstruct-process and modes take the config
+    narrow = {"channel": CHANNELS[1], "optics": {"grid_size": 128, "fiber_waist": 0.15},
+              "source": {"counts_per_setting": 100000, "background": 50.0, "seed": 1}}
+    yield "narrow-fiber", narrow, [simulate + ["--mode", "optical-ideal"], simulate, [
+        "reconstruct-process", "--config", "run.json", "--counts", "counts.txt",
+        "--out", "report.json", "--mode", "optical-ideal"]]
+    yield "modes-narrow-fiber", {**narrow, "state": "psi4"}, [
+        ["modes", "--config", "run.json", "--out", "grids"]]
     for (k, state), n in itertools.product(enumerate(MODE_STATES), MODE_GRIDS):
         config = {"state": state, "optics": {"grid_size": n}}
         yield f"modes-i{k}-n{n}", config, [["modes", "--config", "run.json", "--out", "grids"]]
