@@ -35,6 +35,7 @@ from .config import (
 )
 from .counts import exact_counts, simulate_counts
 from .optics import (
+    check_ideal_conversion,
     effective_operators,
     lens_fourier,
     parity_index,
@@ -67,21 +68,24 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
     """Projection probabilities Tr(mu_i C(rho_j)) of the configured channel C, one
     row per input: the nine canonical inputs, or the stored state when one is declared.
 
-    Abstract mode takes the input projectors and the scheme's projectors.
-    The optical modes take the chain's effective operators
-    (optics.effective_operators): each input's prepared field reduced to the
-    LG triple the memory stores, and the measurement chain as a POVM on it.  Ideal
-    mode's own rule on the waists is refused here as optics.fiber_waist.
+    Abstract and optical-ideal modes take the input projectors and the scheme's
+    projectors: ideal complex mode conversion projects onto the LG triple's states,
+    an identity the tests check against the sampled chain.  Ideal mode's own rule on
+    the waists (optics.check_ideal_conversion) is refused here as optics.fiber_waist.
+    Phase-only mode takes the chain's effective operators (optics.effective_operators):
+    each input's hologram reduced to the LG triple the memory stores, and the
+    measurement chain as a POVM on it.
     """
-    if cfg.measurement_mode == "abstract":  # None: the scheme's projectors
-        rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
-    else:
-        inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
-        try:
-            rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics,
-                                               cfg.measurement_mode == "optical-phase-only")
-        except ValueError as exc:  # the message starts with the field it refuses
-            raise ConfigError(*f"optics.{exc}".split(": ", 1))
+    # None: the scheme's projectors
+    rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
+    try:  # the message starts with the field it refuses
+        if cfg.measurement_mode == "optical-ideal":
+            check_ideal_conversion(cfg.optics)
+        elif cfg.measurement_mode == "optical-phase-only":
+            inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
+            rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics)
+    except ValueError as exc:
+        raise ConfigError(*f"optics.{exc}".split(": ", 1))
     table = predict_probabilities(cfg.channel, rho_in, povm)
     if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: modes the grid cannot resolve
         raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")

@@ -17,14 +17,16 @@ relative to the preparation masks.  By default configurations use the grid's
 self-Fourier waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
-Modulation is ideal (exact complex fields and masks) or, with phase_only=True,
-phase-only holograms on a Gaussian carrier.  optical_projection_probability runs
-the whole sampled chain for one pure input and one measurement state, the
-reference.  effective_operators reduces it to the qutrit the memory stores: a 3x3
-effective input per prepared field and a rank-1 POVM element per measurement, on
-the LG triple.  4-f imaging is the parity flip, a permutation of the samples, and
-by Parseval the far-field fiber overlap is an inner product with the fiber
-Gaussian traced back through the lens: one transform, the one whole grid held.
+Modulation is ideal (exact complex fields and masks) or phase-only (holograms on a
+Gaussian carrier).  optical_projection_probability runs the whole sampled chain for
+one pure input and one measurement state, the reference.  Ideal modulation projects
+onto the states of the LG triple, by an identity the tests check, so it is the
+abstract model; check_ideal_conversion states its one rule.  effective_operators
+reduces the phase-only chain to the qutrit the memory stores: a 3x3 effective input
+per hologram and a rank-1 POVM element per measurement, on the LG triple.  4-f
+imaging is the parity flip, and by Parseval the far-field fiber overlap is an inner
+product with the fiber Gaussian traced back through the lens: one transform, the
+one whole grid held.
 
 Fields are built and transformed in place, 1/32 of the rows at a time, with the
 bits of the out-of-place expressions: a field's build holds it and a few percent
@@ -131,11 +133,11 @@ def _qutrit(state) -> np.ndarray:
     return psi
 
 
-def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:], cols=np.s_[:]):
+def _vortex(l: int, cfg: OpticsConfig, rows=np.s_[:]):
     """Vortex factor (sqrt(2) / waist)(x + i l y) of LG(p=0, l) for l = +1 or -1 of the
-    triple, of the mode waist over the given rows and columns, exact at grid zeros."""
+    triple, of the mode waist over the given rows, exact at grid zeros."""
     x = cfg.axis()
-    y, x = np.multiply(1j * l, x[rows, None]), x[cols]
+    y = np.multiply(1j * l, x[rows, None])
     factor = np.empty((len(y), len(x)), dtype=complex)
     factor[...] = y  # broadcast by assignment: a broadcasting ufunc buffers each such operand
     np.add(x, factor, out=factor)
@@ -277,26 +279,32 @@ def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
     return complex((field * g.conj()).sum() * cfg.cell_area)
 
 
-def _conversion_envelope(cfg: OpticsConfig, rows=np.s_[:]) -> np.ndarray:
-    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian over the
-    given rows, exponentials combined before evaluation; E is even.  The back-propagated
-    fiber waist must be at least the mode waist, else E diverges faster than fields decay."""
-    w = cfg.waist
-    w_conj = cfg.conjugate_waist(cfg.fiber_waist)
+def check_ideal_conversion(cfg: OpticsConfig) -> None:
+    """Refuse a geometry ideal mode conversion cannot serve: the back-propagated fiber
+    waist must be at least the mode waist, else the conversion mask diverges faster
+    than fields decay (_conversion_envelope)."""
+    w, w_conj = cfg.waist, cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
         raise ValueError("fiber_waist: ideal mode conversion needs a back-propagated fiber "
                          f"waist >= mode waist; got {w_conj!r} < {w!r}")
+
+
+def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
+    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
+    exponentials combined before evaluation; E is even."""
+    check_ideal_conversion(cfg)
+    w, w_conj = cfg.waist, cfg.conjugate_waist(cfg.fiber_waist)
     x2 = cfg.axis() ** 2
-    r2 = np.add(x2, x2[rows, None])
+    r2 = np.add(x2, x2[:, None])
     r2 *= 1.0 / w_conj**2 - 1.0 / w**2
     return np.divide(np.exp(r2, out=r2), np.sqrt(2.0 / np.pi) / w_conj, out=r2)  # by G's peak
 
 
-def _conversion_term(l: int, cfg: OpticsConfig, rows=np.s_[:], cols=np.s_[:]):
-    """t_l = amp Q_l, the normalized vortex factor of LG_l, over the given rows and
-    columns: t_l E is conj of the conversion mask of the flipped basis mode (-1)^l LG_l."""
+def _conversion_term(l: int, cfg: OpticsConfig):
+    """t_l = amp Q_l, the normalized vortex factor of LG_l: t_l E is conj of the
+    conversion mask of the flipped basis mode (-1)^l LG_l."""
     amp = np.sqrt(2.0 / (np.pi * cfg.waist**2))
-    return amp if l == 0 else np.multiply(amp, _vortex(l, cfg, rows, cols))
+    return amp if l == 0 else np.multiply(amp, _vortex(l, cfg))
 
 
 def _conversion_field(meas_state: np.ndarray, cfg: OpticsConfig) -> np.ndarray:
@@ -342,25 +350,23 @@ def optical_projection_probability(
     return abs(fiber_overlap(lens_fourier(field), cfg)) ** 2
 
 
-def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only: bool = False):
-    """The projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
+def effective_operators(input_states, meas_states, cfg: OpticsConfig):
+    """The phase-only projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
 
     Returns (rho, povm).  rho[j] = a a^H with a_k = <LG_k | prepared field of
-    input j> dA; a phase-only hologram leaves power outside the triple, so its
-    rho[j] is sub-normalized.  povm[i] = e e^H with e_k = <LG_k | P(conj(M) F^H
-    G)> dA for the measurement mask M of meas_states[i]: 4-f imaging is the
-    parity flip P, and by Parseval the far-field fiber overlap <G | F g> is
-    <F^H G | g>, with F^H G = conj(F G) for the real fiber Gaussian G.  For a
-    channel C on the stored qutrit, Tr(povm[i] C(rho[j])) is the probability
-    of setting (j, i).
+    input j> dA, the phase-only hologram of the state on a Gaussian carrier; it
+    leaves power outside the triple, so rho[j] is sub-normalized.  povm[i] = e e^H
+    with e_k = <LG_k | P(conj(M) F^H G)> dA for the phase mask M of the parity-signed
+    meas_states[i]: 4-f imaging is the parity flip P, and by Parseval the far-field
+    fiber overlap <G | F g> is <F^H G | g>, with F^H G = conj(F G) for the real fiber
+    Gaussian G.  For a channel C on the stored qutrit, Tr(povm[i] C(rho[j])) is the
+    probability of setting (j, i).  (Ideal complex modulation needs no reduction: its
+    rho and povm are the states' projectors, to 1e-14 on every geometry
+    check_ideal_conversion accepts, as tests/oracles.per_state_operators shows.)
 
-    Ideal modulation is linear in the state: a = G psi / sqrt(psi^H G psi) for
-    the Gram matrix G_kl = <LG_k | LG_l> dA, and e = B c for the parity-signed
-    state c, where column l of B is the e of conj(M) = t_l E (_conversion_term).
-    Phase-only modulation (phase_only=True) is not: its hologram per distinct state
-    serves the state's inputs and measurements.  After a pass for the triple's norms,
-    one pass of row blocks adds up the inner products: P maps a block's rows to their
-    mirror, so F^H G is the one grid held whole.
+    One hologram per distinct state serves the state's inputs and measurements.
+    After a pass for the triple's norms, one pass of row blocks adds up the inner
+    products: P maps a block's rows to their mirror, so F^H G is the one grid held whole.
     """
     inputs, meas = (np.array([_qutrit(s) for s in v]) for v in (input_states, meas_states))
     n, p = cfg.grid_size, parity_index(cfg.grid_size)
@@ -375,10 +381,9 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         edge[:, rows] = triple[:, :, 0]
     norms = np.array([_norm(block_powers, cfg) for block_powers in np.array(powers).T])
     edge /= norms[:, None]
-    # the sums: G and B^T for ideal modulation, else an input's and a measurement's per
-    # distinct state (by value)
+    # the sums: an input's and a measurement's per distinct state (by value)
     distinct, at = np.unique(np.concatenate([inputs, meas]), axis=0, return_inverse=True)
-    a, e = np.zeros((2, len(distinct) if phase_only else 3, 3), complex)
+    a, e = np.zeros((2, len(distinct), 3), complex)
     u, scratch, columns = *np.empty_like(triple[:2]), np.empty((len(distinct), n), complex)
     # dots of at most 8192 samples (one per block up to N = 512): OpenBLAS threads a dot
     # of over 10000, and how its threads split the sum changes the last bits
@@ -394,15 +399,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
         for l, m, norm in zip(MODE_WINDINGS, triple, norms):
             _mode_block(g, l, cfg, rows, m)
             m /= norm
-        mirror = p[rows]
-        flipped = back[mirror[:, None], p]  # P(back) over the block's rows
-        if not phase_only:
-            # E is even: P(E) = E.  t_l comes first, as in numpy's in-place back *= t_l
-            a += [amplitudes(m) for m in triple]
-            flipped *= _conversion_envelope(cfg, rows)
-            e += [amplitudes(np.multiply(_conversion_term(l, cfg, mirror, p), flipped, out=u))
-                  for l in MODE_WINDINGS]
-            continue
+        flipped = back[p[rows][:, None], p]  # P(back) over the block's rows
         for d, psi in enumerate(distinct):
             h = _hologram(psi, triple, u, scratch)
             a[d] += amplitudes(np.multiply(h, triple[1], out=scratch))  # on LG_0
@@ -415,12 +412,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig, phase_only
             field[:, 0] = columns[d][rows] * flipped[:, 0]
             e[d] += amplitudes(field)
     a, e = a * cfg.cell_area, e * cfg.cell_area
-    if phase_only:  # each input's and each measurement's distinct state
-        a, e = a[at[:len(inputs)]], e[at[len(inputs):]]
-    else:
-        a = inputs @ a  # row l of the sums is row l of G, so row j of a is G psi_j
-        a /= np.sqrt(np.einsum("jk,jk->j", inputs.conj(), a).real)[:, None]
-        e = (meas * _PARITY) @ e  # likewise row i of e is B c_i
+    a, e = a[at[:len(inputs)]], e[at[len(inputs):]]  # each input's and measurement's state
     return tuple(v[:, :, None] * v[:, None, :].conj() for v in (a, e))
 
 

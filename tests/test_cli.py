@@ -19,7 +19,7 @@ from hypothesis import (HealthCheck, Phase, example, given, settings as hyp_sett
                         strategies as st)
 from hypothesis.extra import numpy as hnp
 
-from oamtomo import cli, fileio, gridtext
+from oamtomo import cli, fileio, gridtext, optics
 from oamtomo.cli import _probability_rows, main
 from oamtomo.config import MEASUREMENT_MODES, ConfigError, load_config
 from oamtomo.counts import SourceConfig
@@ -1207,6 +1207,29 @@ class TestOpticalModes:
         assert len(bodies[0]) == (9 if state else 81)
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("state", [None, "psi4"])
+    def test_ideal_builds_no_grid(self, tmp_path, monkeypatch, state):
+        # optical-ideal mode takes the projectors, as abstract mode does: its simulate
+        # reduces no chain, transforms no field and samples no Gaussian
+        calls = dict.fromkeys(("effective_operators", "lens_fourier", "_gaussian_blocks"), 0)
+        for name in calls:
+            def counted(*args, _call=getattr(optics, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            for module in (optics, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        cfg = _write_config(tmp_path / "cfg.json", measurement_mode="optical-ideal",
+                            state=state, optics={"grid_size": 128})
+        ideal, abstract = tmp_path / "ideal.txt", tmp_path / "abstract.txt"
+        assert main(["simulate", "--config", cfg, "--out", str(ideal)]) == 0
+        assert calls == dict.fromkeys(calls, 0)
+        assert main(["simulate", "--config", cfg, "--out", str(abstract),
+                     "--mode", "abstract"]) == 0
+        bodies = [[ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
+                  for out in (ideal, abstract)]
+        assert bodies[0] == bodies[1]
+
     def test_phase_only_rows_are_trace_of_effective_operators(self, tmp_path):
         cfg = load_config(_write_config(
             tmp_path / "cfg.json",
@@ -1217,8 +1240,7 @@ class TestOpticalModes:
         ))
         settings = canonical_settings()
         row = _probability_rows(cfg)[0]
-        rho, povm = effective_operators([settings.inputs[3]], settings.inputs, cfg.optics,
-                                        phase_only=True)
+        rho, povm = effective_operators([settings.inputs[3]], settings.inputs, cfg.optics)
         # one operator per side, so no eigenbasis of the channel output enters the row
         expected = np.einsum("iab,ba->i", povm, apply_channel_kraus(cfg.channel, rho[0])).real
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)

@@ -18,6 +18,7 @@ from oamtomo.optics import (
     OpticsConfig,
     _conversion_field,
     apply_phase_mask,
+    check_ideal_conversion,
     effective_operators,
     fiber_overlap,
     gaussian_field,
@@ -29,7 +30,7 @@ from oamtomo.optics import (
     self_fourier_waist,
     superposition_field,
 )
-from oamtomo.qudit import canonical_input_states
+from oamtomo.qudit import canonical_input_states, projector_of
 from oamtomo.tomography import canonical_settings
 from oracles import (
     farfield,
@@ -467,8 +468,24 @@ class TestProjectionChain:
         assert p_leak > 1e-3
 
 
+def _corners(n):
+    """The corners of the waists OpticsConfig accepts at grid size n: {3 steps, 0.25}
+    x {3 steps, the widest fiber waist}."""
+    least = 3 * 2.0 / n
+    widest = OpticsConfig(n, None, least).conjugate_waist(least)
+    return [OpticsConfig(n, w, f) for w in (least, 0.25) for f in (least, widest)]
+
+
+def _ideal_refuses(cfg):
+    """Whether ideal mode conversion refuses cfg: the fiber's lens image is narrower
+    than the mode waist, beyond 1e-12 of it."""
+    return cfg.conjugate_waist(cfg.fiber_waist) < cfg.waist * (1 - 1e-12)
+
+
 class TestEffectiveOperators:
-    """The 3x3 reduction against the full FFT chain it replaces."""
+    """The 3x3 reductions against the full FFT chain they replace: the phase-only one
+    of the package, and the ideal one of the per-state oracle, whose operators are the
+    projectors the CLI takes in optical-ideal mode."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -478,36 +495,47 @@ class TestEffectiveOperators:
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_corners_of_the_resolution_rule_are_clean(self, n):
-        # at each corner of the accepted waists, {3 steps, 0.25} x {3 steps, the widest fiber
-        # waist}, both modes' operators and the modes export's grids come with no overflow,
-        # division by zero or invalid value, p <= 1 to rounding and ideal POVMs equal to
-        # the projectors; the one refusal left is ideal mode's fiber-waist rule
-        least = 3 * 2.0 / n
-        widest = OpticsConfig(n, None, least).conjugate_waist(least)
-        states, projectors = canonical_input_states(), canonical_settings().projectors
+        # at each corner of the accepted waists, both modes' operators (the ideal ones of
+        # the per-state oracle) and the modes export's grids come with no overflow,
+        # division by zero or invalid value, and p <= 1 to rounding; the one refusal left
+        # is ideal mode's fiber-waist rule
+        states = canonical_input_states()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for waist in (least, 0.25):
-                for fiber_waist in (least, widest):
-                    cfg = OpticsConfig(n, waist, fiber_waist)
-                    for phase_only in (False, True):
-                        narrow = cfg.conjugate_waist(fiber_waist) < waist * (1 - 1e-12)
-                        if narrow and not phase_only:
-                            with pytest.raises(ValueError, match="^fiber_waist: ideal mode "):
-                                effective_operators(states, states, cfg)
-                            continue
-                        rho, povm = effective_operators(states, states, cfg, phase_only)
-                        assert np.einsum("iab,jba->ji", povm, rho).real.max() <= 1 + 1e-14
-                        if not phase_only:
-                            assert np.abs(povm - projectors).max() <= 1e-14
-                grid = np.empty((n, n))
+            for cfg in _corners(n):
+                for reduce in (per_state_operators, effective_operators):
+                    if reduce is per_state_operators and _ideal_refuses(cfg):
+                        with pytest.raises(ValueError, match="^fiber_waist: ideal mode "):
+                            reduce(states, states, cfg)
+                        continue
+                    rho, povm = reduce(states, states, cfg)
+                    assert np.einsum("iab,jba->ji", povm, rho).real.max() <= 1 + 1e-14
+                grid = np.empty((cfg.grid_size,) * 2)
                 for psi in states:
                     fourier = lens_fourier(superposition_field(psi, cfg), overwrite=True)
                     assert np.isfinite(_intensity(fourier, grid)).all()
                     assert np.isfinite(phase_mask_of(fourier, grid)).all()
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_ideal_operators_are_the_projectors(self, n):
+        # the identity optical-ideal mode rests on: where ideal mode accepts a corner of
+        # the accepted waists, ideal conversion's inputs and POVM are the projectors of
+        # the states to 1e-14, and elsewhere check_ideal_conversion refuses the corner
+        states, projectors = canonical_input_states(), canonical_settings().projectors
+        for cfg in _corners(n):
+            if _ideal_refuses(cfg):
+                with pytest.raises(ValueError, match=r"^fiber_waist: ideal mode conversion "
+                                                     r"needs a back-propagated fiber waist >= "
+                                                     r"mode waist; got \S+ < \S+$"):
+                    check_ideal_conversion(cfg)
+                continue
+            check_ideal_conversion(cfg)
+            rho, povm = per_state_operators(states, states, cfg)
+            assert np.abs(rho - projectors).max() <= 1e-14
+            assert np.abs(povm - projectors).max() <= 1e-14
+
     def test_ideal_reproduces_chain(self, small):
         states = canonical_input_states()
-        rho, povm = effective_operators(states, states, small)
+        rho, povm = per_state_operators(states, states, small)
         table = np.einsum("iab,jba->ji", povm, rho).real
         chain = np.array([[optical_projection_probability(a, b, small) for b in states]
                           for a in states])
@@ -516,7 +544,7 @@ class TestEffectiveOperators:
     def test_phase_only_operators_match_fft_chain(self, small):
         states = canonical_input_states()
         modes = [oam_mode_field(l, small) for l in (1, 0, -1)]
-        rho, povm = effective_operators(states, states, small, phase_only=True)
+        rho, povm = effective_operators(states, states, small)
         carrier = gaussian_field(small.waist, small)
         for j, psi in enumerate(states):
             field = apply_phase_mask(carrier, phase_mask_of(superposition_field(psi, small)))
@@ -533,10 +561,12 @@ class TestEffectiveOperators:
     def test_default_grid_matches_field_chain(self, phase_only):
         # the CLI's default grid makes no overflow, division by zero or invalid value;
         # underflow is left out, as the sampled Gaussian tails underflow
+        # (the ideal operators are the per-state oracle's)
         cfg = matched_config(512)
         states = canonical_input_states()
+        reduce = effective_operators if phase_only else per_state_operators
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rho, povm = effective_operators(states, states, cfg, phase_only)
+            rho, povm = reduce(states, states, cfg)
         modes = [oam_mode_field(l, cfg) for l in (1, 0, -1)]
         imaged = [four_f_image(m) for m in modes]
         carrier = gaussian_field(cfg.waist, cfg)
@@ -559,11 +589,10 @@ class TestEffectiveOperators:
         ref_table = np.einsum("iab,jba->ji", np.array(ref_povm), np.array(ref_rho)).real
         np.testing.assert_allclose(table, ref_table, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
-    def test_memory_stays_flat(self, phase_only):
+    def test_memory_stays_flat(self):
         # the back-propagated fiber Gaussian is the one whole grid, and the sums take a
         # row block at a time: the traced peak is 1.34 complex grids at N = 256 and 1.30
-        # at N = 512, in both modes; the bound, in grids at both sizes, leaves 0.06 grid
+        # at N = 512; the bound, in grids at both sizes, leaves 0.06 grid
         # of margin.  numpy caches an FFT plan per length on first use, about 0.11 grid at
         # N = 256, so a transform of that size runs before the trace: the bound then holds
         # whichever test ran first
@@ -572,7 +601,7 @@ class TestEffectiveOperators:
             np.fft.fft2(np.zeros((n, n), dtype=complex))
             tracemalloc.start()
             try:
-                effective_operators(states, states, matched_config(n), phase_only)
+                effective_operators(states, states, matched_config(n))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -588,15 +617,21 @@ class TestEffectiveOperators:
                                      OpticsConfig(128, None, 0.06)],
                              ids=["default-128", "default-256", "fiber-waist-0.06"])
     def test_matches_per_state_reduction(self, cfg, phase_only):
-        # one hologram per distinct state, the Gaussian flipped once and LG_0 as the fiber
-        # Gaussian give the bits of a pass per state; states are inputs and measurements,
-        # inputs only (the stored state) and measurements only, in different orders
+        # phase-only: one hologram per distinct state, the Gaussian flipped once and LG_0
+        # as the fiber Gaussian give the bits of a pass per state; ideal: a pass per state
+        # gives the states' projectors to 1e-14, which the CLI takes.  States are inputs
+        # and measurements, inputs only (the stored state) and measurements only, in
+        # different orders
         canonical = list(canonical_input_states())
         stored = np.array([0.3, -0.5j, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
         for inputs, meas in (([*canonical, stored], canonical[::-1]), ([stored], canonical)):
-            got = effective_operators(inputs, meas, cfg, phase_only)
-            want = per_state_operators(inputs, meas, cfg, phase_only)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+            got = per_state_operators(inputs, meas, cfg, phase_only)
+            if phase_only:
+                want = effective_operators(inputs, meas, cfg)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+            else:
+                want = [np.array([projector_of(s) for s in v]) for v in (inputs, meas)]
+                assert all(np.abs(g - w).max() <= 1e-14 for g, w in zip(got, want, strict=True))
 
     def test_phase_only_matches_per_state_reduction_at_the_widest_waist(self):
         # at waist = 0.25, the widest, the samples of row and column 0, which the parity flip keeps
@@ -604,16 +639,25 @@ class TestEffectiveOperators:
         # hologram of its parity-signed state, not the flipped hologram of the state
         cfg = OpticsConfig(128, 0.25, 0.2)
         states = canonical_input_states()
-        got = effective_operators(states, states, cfg, phase_only=True)
+        got = effective_operators(states, states, cfg)
         want = per_state_operators(states, states, cfg, phase_only=True)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_ideal_matches_per_state_reduction_in_dots_of_8192(self):
-        # at N = 1024 a row block is 32768 samples, which both add up in 4 dots of 8192
+        # at N = 1024 a row block is 32768 samples, which the per-state oracle adds up in
+        # 4 dots of 8192: its ideal operators are still the projectors to 1e-14
+        cfg = OpticsConfig(1024)
+        states, projectors = canonical_input_states(), canonical_settings().projectors
+        rho, povm = per_state_operators(states, states, cfg)
+        assert np.abs(rho - projectors).max() <= 1e-14
+        assert np.abs(povm - projectors).max() <= 1e-14
+
+    def test_phase_only_matches_per_state_reduction_in_dots_of_8192(self):
+        # the package's sums over blocks of 32768 samples take the oracle's 4 dots of 8192
         cfg = OpticsConfig(1024)
         states = canonical_input_states()
         got = effective_operators(states, states, cfg)
-        want = per_state_operators(states, states, cfg)
+        want = per_state_operators(states, states, cfg, phase_only=True)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
@@ -625,9 +669,8 @@ class TestEffectiveOperators:
             "from oamtomo.optics import OpticsConfig, effective_operators",
             "from oamtomo.qudit import canonical_input_states",
             "states = canonical_input_states()",
-            "for phase_only in (False, True):",
-            "    for v in effective_operators(states, states, OpticsConfig(1024), phase_only):",
-            "        print(v.tobytes().hex())",
+            "for v in effective_operators(states, states, OpticsConfig(1024)):",
+            "    print(v.tobytes().hex())",
         ])
         src = str(pathlib.Path(optics.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -640,8 +683,7 @@ class TestEffectiveOperators:
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("phase_only", [False, True], ids=["ideal", "phase_only"])
-    def test_builds_and_flips(self, small, phase_only, monkeypatch):
+    def test_builds_and_flips(self, small, monkeypatch):
         # the fiber Gaussian is the one whole grid built and transformed, equal waists or
         # not; the LG triple is made a row block at a time, in a pass for its norms and
         # one for the sums, and no whole grid is flipped
@@ -655,7 +697,7 @@ class TestEffectiveOperators:
         states = canonical_input_states()
         for cfg in (matched_config(128), small):
             calls.update(dict.fromkeys(names, 0))
-            effective_operators(states, states, cfg, phase_only)
+            effective_operators(states, states, cfg)
             assert calls == {"gaussian_field": 1, "oam_mode_field": 0, "_mode_samples": 1,
                              "_gaussian_blocks": 3, "lens_fourier": 1}
         assert not hasattr(optics, "parity_flip")
