@@ -13,7 +13,6 @@ the field path in front.  Every fault of reading the file raises ConfigReadError
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -26,6 +25,7 @@ from .qudit import (
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    is_finite,
     phase_rotation_channel,
     state_vector,
 )
@@ -126,7 +126,7 @@ def parse_state(spec):
 def _finite_number(value) -> bool:
     """A finite JSON number: not a boolean, NaN, an infinity or an integer beyond floats."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+            and is_finite(value))
 
 
 def parse_complex_entry(entry) -> complex:

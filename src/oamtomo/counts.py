@@ -10,10 +10,11 @@ regardless of evaluation order.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .qudit import is_finite
 
 # counts_per_setting + background then stays below numpy's Poisson limit, about 9.2e18
 _MAX_MEAN_COUNTS = 1e18
@@ -38,9 +39,9 @@ class SourceConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, an int beyond floats
+            if not is_finite(value):
                 raise ValueError(f"{name}: must be finite, got {value!r}")
-            if value > _MAX_MEAN_COUNTS:
+            if float(value) > _MAX_MEAN_COUNTS:
                 raise ValueError(f"{name}: must be at most {_MAX_MEAN_COUNTS:g}, "
                                  f"so that counts fit int64; got {value!r}")
         if self.counts_per_setting <= 0:

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import state_vector
+from .qudit import is_finite, state_vector
 
 # winding numbers of the qutrit basis (|L>, |G>, |R>)
 MODE_WINDINGS = (1, 0, -1)
@@ -99,11 +98,11 @@ class OpticsConfig:
                 value = self_fourier_waist(n)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name}: must be a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+            if not is_finite(value):
                 raise ValueError(f"{name}: must be finite, got {value!r}")
+            value, (most, why) = float(value), widest[name]
             if value <= 0:
                 raise ValueError(f"{name}: must be positive")
-            value, (most, why) = float(value), widest[name]
             if value < least:
                 raise ValueError(f"{name}: {value!r} is below {least!r}, {rule}")
             if value > most:

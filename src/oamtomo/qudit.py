@@ -16,7 +16,6 @@ normalize traces internally.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,16 @@ _HERM_ATOL = 1e-8
 _STATE_TRACE = (lambda t: abs(t - 1.0) > 0.1,
                 "density matrix trace {!r} deviates from 1 by more than 10%")
 _PROCESS_TRACE = (lambda t: t <= 1e-12, "process matrix has non-positive trace")
+
+
+def is_finite(value) -> bool:
+    """Whether the real number value is finite as a float (NaN, the infinities and an
+    integer beyond the float range are not); numpy scalars of every width convert
+    without a warning."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int beyond floats
+        return False
 
 
 def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
@@ -160,7 +169,7 @@ def identity_channel() -> KrausChannel:
 
 def phase_rotation_channel(theta: float) -> KrausChannel:
     """Unitary qutrit channel diag(1, 1, e^{i theta}) phasing |R>."""
-    if not abs(theta) <= sys.float_info.max:  # NaN, inf, an int beyond floats
+    if not is_finite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     u = np.eye(3, dtype=complex)
     u[2, 2] = np.exp(1j * theta)

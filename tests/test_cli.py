@@ -32,7 +32,12 @@ from oamtomo.optics import (
     phase_mask_of,
     superposition_field,
 )
-from oamtomo.qudit import apply_channel_kraus, depolarizing_channel, process_fidelity
+from oamtomo.qudit import (
+    apply_channel_kraus,
+    depolarizing_channel,
+    phase_rotation_channel,
+    process_fidelity,
+)
 from oamtomo.tomography import (
     canonical_settings,
     probabilities_from_counts,
@@ -280,6 +285,28 @@ class TestSimulate:
         run = load_config(_write_config(tmp_path / "cfg.json", source={}))
         assert run.source == SourceConfig()
         assert run.optics == OpticsConfig()
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.int64])
+    def test_numpy_scalars_are_numbers(self, kind):
+        # each constructor takes a numpy scalar of any width, or refuses it naming its
+        # field (a float for an integer, np.float16(1e5), which is inf, or np.int64(0.1),
+        # which is 0), and no check warns of an overflowing cast
+        with np.errstate(over="ignore"):
+            small, large = kind(0.1), kind(1e5)
+        for field, build, value in (
+                ("grid_size", OpticsConfig, kind(128)),
+                ("waist", lambda v: OpticsConfig(128, v), small),
+                ("fiber_waist", lambda v: OpticsConfig(128, None, v), small),
+                ("counts_per_setting", lambda v: SourceConfig(counts_per_setting=v), large),
+                ("background", lambda v: SourceConfig(background=v), large),
+                ("seed", lambda v: SourceConfig(seed=v), kind(3)),
+                ("theta", phase_rotation_channel, kind(0.5))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    build(value)
+                except ValueError as exc:
+                    assert str(exc).startswith(field), exc
 
     def test_integer_lengths_echo_as_floats(self, tmp_path, capsys):
         # the resolution rule bounds both lengths below 1, so an integer length is read as
