@@ -144,9 +144,8 @@ def _report(keys, cfg: RunConfig, counts, reconstruct, project, score) -> dict:
             size = (min(BOOTSTRAP_CHUNK, cfg.bootstrap_samples - start),) + counts.shape
             try:
                 fids.append(score(project(reconstruct(rng.poisson(counts, size=size)))))
-            except DegenerateDataError as exc:  # its "sample k" counts from the chunk's start
-                k, rest = str(exc).removeprefix("sample ").split(", ", 1)
-                raise DegenerateDataError(f"sample {start + int(k)}, {rest}") from exc
+            except DegenerateDataError as exc:  # its sample counts from the chunk's start
+                raise DegenerateDataError(exc.message, start + exc.sample) from exc
         fids = np.concatenate(fids)
         doc["bootstrap"] = {
             "samples": cfg.bootstrap_samples,

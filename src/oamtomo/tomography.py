@@ -36,7 +36,12 @@ from .qudit import (
 
 class DegenerateDataError(ValueError):
     """Corrected counts give a basis-row sum or a raw process-matrix trace that is not
-    positive."""
+    positive.  sample is the 1-based index of the failing one in a batch (over its
+    leading axes, flattened), None for one unbatched; the message then starts with it."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message if sample is None else f"sample {sample}, {message}")
+        self.message, self.sample = message, sample
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,11 @@ def probabilities_from_counts(counts) -> np.ndarray:
     corrected = subtract_background(counts)
     norms = corrected[..., :3].sum(axis=-1)
     if np.any(norms <= 0.0):
-        *batch, j = np.argwhere(norms <= 0.0)[0]
-        where = "".join(f"sample {b + 1}, " for b in batch)
-        raise DegenerateDataError(
-            f"{where}input {j + 1}: corrected counts for the basis projectors sum to "
-            f"{float(norms[(*batch, j)])!r}"
-        )
+        rows = norms.reshape(-1, norms.shape[-1])  # one per sample
+        b, j = np.argwhere(rows <= 0.0)[0]
+        raise DegenerateDataError(f"input {j + 1}: corrected counts for the basis projectors "
+                                  f"sum to {float(rows[b, j])!r}",
+                                  int(b) + 1 if norms.ndim > 1 else None)
     return corrected / norms[..., None]
 
 
@@ -221,8 +225,8 @@ def project_to_physical_process(chi) -> np.ndarray:
     w, v = _clamped_eigs(chi, "process matrix")
     total = w.sum(axis=-1, keepdims=True)
     if np.any(vanished := (total <= 1e-12) | (trace_in <= 1e-12)):
-        *batch, _ = np.argwhere(vanished)[0]
-        where = "".join(f"sample {b + 1}, " for b in batch)
-        raise DegenerateDataError(f"{where}process matrix trace vanished under physicality "
-                                  f"projection: raw trace {float(trace_in[(*batch, 0)])!r}")
+        b = np.flatnonzero(vanished)[0]
+        raise DegenerateDataError("process matrix trace vanished under physicality "
+                                  f"projection: raw trace {float(trace_in.flat[b])!r}",
+                                  int(b) + 1 if chi.ndim > 2 else None)
     return (v * (w * (trace_in / total))[..., None, :]) @ dagger(v)

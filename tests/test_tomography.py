@@ -166,15 +166,24 @@ class TestBatchAxis:
     def test_degenerate_sample_is_named(self, batch):
         bad = batch.copy()
         bad[4, 2, :3] = 0
-        with pytest.raises(DegenerateDataError, match="sample 5, input 3"):
+        with pytest.raises(DegenerateDataError, match="sample 5, input 3") as raised:
             probabilities_from_counts(bad)
+        # the index is data, which a caller can offset, and the message follows it
+        assert (raised.value.sample, raised.value.message[:8]) == (5, "input 3:")
+        with pytest.raises(DegenerateDataError, match="^input 3: ") as raised:
+            probabilities_from_counts(bad[4])
+        assert raised.value.sample is None
 
     def test_vanished_trace_sample_is_named(self, batch):
         chis = qpt_linear_inversion(probabilities_from_counts(batch))
         chis[2] *= -1
         with pytest.raises(DegenerateDataError, match=r"^sample 3, process matrix trace "
-                                                      r"vanished .*: raw trace -"):
+                                                      r"vanished .*: raw trace -") as raised:
             project_to_physical_process(chis)
+        assert raised.value.sample == 3
+        with pytest.raises(DegenerateDataError, match=r"^process matrix trace ") as raised:
+            project_to_physical_process(chis[2])
+        assert raised.value.sample is None
 
 
 class TestQstInversion:
