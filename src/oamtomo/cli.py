@@ -68,15 +68,12 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
     """Projection probabilities Tr(mu_i C(rho_j)) of the configured channel C, one
     row per input: the nine canonical inputs, or the stored state when one is declared.
 
-    Abstract and optical-ideal modes take the input projectors and the scheme's
-    projectors: ideal complex mode conversion projects onto the LG triple's states,
-    an identity the tests check against the sampled chain.  Ideal mode's own rule on
-    the waists (optics.check_ideal_conversion) is refused here as optics.fiber_waist.
-    Phase-only mode takes the chain's effective operators (optics.effective_operators):
-    each input's hologram reduced to the LG triple the memory stores, and the
-    measurement chain as a POVM on it.
+    Abstract and optical-ideal modes take the input projectors and the scheme's (None),
+    as ideal mode conversion projects onto the LG triple's states, a tested identity;
+    ideal mode's one rule is refused here as optics.fiber_waist.  Phase-only mode takes
+    the chain's effective operators: each input's hologram and each measurement
+    reduced to the triple the memory stores (optics.effective_operators).
     """
-    # None: the scheme's projectors
     rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
     try:  # the message starts with the field it refuses
         if cfg.measurement_mode == "optical-ideal":
@@ -86,10 +83,7 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
             rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics)
     except ValueError as exc:
         raise ConfigError(*f"optics.{exc}".split(": ", 1))
-    table = predict_probabilities(cfg.channel, rho_in, povm)
-    if not table.max() <= 1.0 + 1e-9:  # p > 1 or NaN: modes the grid cannot resolve
-        raise ConfigError("optics", f"the grid cannot represent the modes: p = {table.max():.9g}")
-    return table
+    return predict_probabilities(cfg.channel, rho_in, povm)
 
 
 def _read_counts(path: str, n_in: int, cfg: RunConfig) -> np.ndarray:

@@ -125,8 +125,7 @@ def parse_state(spec):
 
 def _finite_number(value) -> bool:
     """A finite JSON number: not a boolean, NaN, an infinity or an integer beyond floats."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and is_finite(value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and is_finite(value)
 
 
 def parse_complex_entry(entry) -> complex:

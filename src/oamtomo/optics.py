@@ -18,15 +18,13 @@ self-Fourier waist, for which a fundamental Gaussian is shape-invariant under
 lens_fourier and mode fields stay equally well resolved in every plane.
 
 Modulation is ideal (exact complex fields and masks) or phase-only (holograms on a
-Gaussian carrier).  optical_projection_probability runs the whole sampled chain for
-one pure input and one measurement state, the reference.  Ideal modulation projects
-onto the states of the LG triple, by an identity the tests check, so it is the
-abstract model; check_ideal_conversion states its one rule.  effective_operators
-reduces the phase-only chain to the qutrit the memory stores: a 3x3 effective input
-per hologram and a rank-1 POVM element per measurement, on the LG triple.  4-f
+Gaussian carrier).  optical_projection_probability runs the whole chain for one input
+and one measurement state, the reference.  Ideal modulation projects onto the triple's
+states, by an identity the tests check: it is the abstract model, with one rule,
+check_ideal_conversion.  effective_operators reduces the phase-only chain to a 3x3
+input per hologram and a rank-1 POVM element per measurement on the triple.  4-f
 imaging is the parity flip, and by Parseval the far-field fiber overlap is an inner
-product with the fiber Gaussian traced back through the lens: one transform, the
-one whole grid held.
+product with the fiber Gaussian traced back through the lens: one transform.
 
 Fields are built and transformed in place, 1/32 of the rows at a time, with the
 bits of the out-of-place expressions: a field's build holds it and a few percent
@@ -51,7 +49,7 @@ MODE_WINDINGS = (1, 0, -1)
 _PARITY = np.array([(-1.0) ** l for l in MODE_WINDINGS])
 
 # largest grid_size: one complex grid is then 268 MB, and no command holds
-# more than about 1.7 of them (modes; optical simulate about 1.35)
+# more than about 1.7 of them (modes; phase-only simulate about 1.35)
 _MAX_GRID_SIZE = 4096
 
 # fewest grid steps across the waist, the fiber waist and the fiber's image through the
@@ -279,9 +277,7 @@ def fiber_overlap(field: np.ndarray, cfg: OpticsConfig) -> complex:
 
 
 def check_ideal_conversion(cfg: OpticsConfig) -> None:
-    """Refuse a geometry ideal mode conversion cannot serve: the back-propagated fiber
-    waist must be at least the mode waist, else the conversion mask diverges faster
-    than fields decay (_conversion_envelope)."""
+    """Ideal mode conversion's rule: the back-propagated fiber waist is at least the mode waist."""
     w, w_conj = cfg.waist, cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
         raise ValueError("fiber_waist: ideal mode conversion needs a back-propagated fiber "
@@ -289,8 +285,8 @@ def check_ideal_conversion(cfg: OpticsConfig) -> None:
 
 
 def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:
-    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian,
-    exponentials combined before evaluation; E is even."""
+    """Real ratio E of the back-propagated fiber Gaussian to the mode Gaussian, exponentials
+    combined first; E is even, and grows faster than fields decay unless the rule holds."""
     check_ideal_conversion(cfg)
     w, w_conj = cfg.waist, cfg.conjugate_waist(cfg.fiber_waist)
     x2 = cfg.axis() ** 2
@@ -352,16 +348,14 @@ def optical_projection_probability(
 def effective_operators(input_states, meas_states, cfg: OpticsConfig):
     """The phase-only projection chain reduced to 3x3 operators on the (l=+1, 0, -1) triple.
 
-    Returns (rho, povm).  rho[j] = a a^H with a_k = <LG_k | prepared field of
-    input j> dA, the phase-only hologram of the state on a Gaussian carrier; it
-    leaves power outside the triple, so rho[j] is sub-normalized.  povm[i] = e e^H
-    with e_k = <LG_k | P(conj(M) F^H G)> dA for the phase mask M of the parity-signed
-    meas_states[i]: 4-f imaging is the parity flip P, and by Parseval the far-field
-    fiber overlap <G | F g> is <F^H G | g>, with F^H G = conj(F G) for the real fiber
-    Gaussian G.  For a channel C on the stored qutrit, Tr(povm[i] C(rho[j])) is the
-    probability of setting (j, i).  (Ideal complex modulation needs no reduction: its
-    rho and povm are the states' projectors, to 1e-14 on every geometry
-    check_ideal_conversion accepts, as tests/oracles.per_state_operators shows.)
+    Returns (rho, povm).  rho[j] = a a^H with a_k = <LG_k | prepared field of input j> dA,
+    the state's hologram on a Gaussian carrier, which leaves power outside the triple: rho[j]
+    is sub-normalized.  povm[i] = e e^H with e_k = <LG_k | P(conj(M) F^H G)> dA for the
+    measurement mask M of meas_states[i]: 4-f imaging is the parity flip P, and by Parseval
+    the far-field fiber overlap <G | F g> is <F^H G | g>, with F^H G = conj(F G) for the real
+    fiber Gaussian G.  For a channel C on the stored qutrit, Tr(povm[i] C(rho[j])) is the
+    probability of setting (j, i).  Ideal modulation needs no reduction: its operators are
+    the projectors, a tested identity, where check_ideal_conversion holds.
 
     One hologram per distinct state serves the state's inputs and measurements.
     After a pass for the triple's norms, one pass of row blocks adds up the inner
@@ -410,8 +404,7 @@ def effective_operators(input_states, meas_states, cfg: OpticsConfig):
                 _hologram(psi * _PARITY, edge[:, p], columns[d], u[0])
             field[:, 0] = columns[d][rows] * flipped[:, 0]
             e[d] += amplitudes(field)
-    a, e = a * cfg.cell_area, e * cfg.cell_area
-    a, e = a[at[:len(inputs)]], e[at[len(inputs):]]  # each input's and measurement's state
+    a, e = a[at[:len(inputs)]] * cfg.cell_area, e[at[len(inputs):]] * cfg.cell_area
     return tuple(v[:, :, None] * v[:, None, :].conj() for v in (a, e))
 
 

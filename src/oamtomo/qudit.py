@@ -30,9 +30,7 @@ _PROCESS_TRACE = (lambda t: t <= 1e-12, "process matrix has non-positive trace")
 
 
 def is_finite(value) -> bool:
-    """Whether the real number value is finite as a float (NaN, the infinities and an
-    integer beyond the float range are not); numpy scalars of every width convert
-    without a warning."""
+    """Whether a real number, numpy's of any width too, is finite as a float."""
     try:
         return math.isfinite(float(value))
     except OverflowError:  # an int beyond floats

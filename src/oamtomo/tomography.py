@@ -36,8 +36,8 @@ from .qudit import (
 
 class DegenerateDataError(ValueError):
     """Corrected counts give a basis-row sum or a raw process-matrix trace that is not
-    positive.  sample is the 1-based index of the failing one in a batch (over its
-    leading axes, flattened), None for one unbatched; the message then starts with it."""
+    positive.  sample, which the message starts with, is the failing one's 1-based
+    index in a batch (its leading axes flattened), None without one."""
 
     def __init__(self, message: str, sample: int | None = None):
         super().__init__(message if sample is None else f"sample {sample}, {message}")

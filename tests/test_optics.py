@@ -497,8 +497,10 @@ class TestEffectiveOperators:
     def test_corners_of_the_resolution_rule_are_clean(self, n):
         # at each corner of the accepted waists, both modes' operators (the ideal ones of
         # the per-state oracle) and the modes export's grids come with no overflow,
-        # division by zero or invalid value, and p <= 1 to rounding; the one refusal left
-        # is ideal mode's fiber-waist rule
+        # division by zero or invalid value, and p <= 1 to rounding: every rank-1 rho and
+        # povm element has trace at most 1, so p <= Tr povm[i] Tr C(rho[j]) <= 1 for every
+        # channel C that does not increase the trace; the one refusal left is ideal
+        # mode's fiber-waist rule
         states = canonical_input_states()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for cfg in _corners(n):
@@ -509,6 +511,8 @@ class TestEffectiveOperators:
                         continue
                     rho, povm = reduce(states, states, cfg)
                     assert np.einsum("iab,jba->ji", povm, rho).real.max() <= 1 + 1e-14
+                    traces = np.einsum("...aa->...", np.concatenate([rho, povm])).real
+                    assert traces.max() <= 1 + 1e-14
                 grid = np.empty((cfg.grid_size,) * 2)
                 for psi in states:
                     fourier = lens_fourier(superposition_field(psi, cfg), overwrite=True)
