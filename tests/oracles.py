@@ -169,13 +169,15 @@ def winding_number(samples: np.ndarray, radius: float, cfg: OpticsConfig) -> int
 
 
 def per_state_operators(input_states, meas_states, cfg: OpticsConfig, phase_only: bool = False):
-    """optics.effective_operators as one pass of whole grids per state: the LG triple
+    """The chain's 3x3 operators as one pass of whole grids per state: the LG triple
     built whole, the back-propagated fiber Gaussian and, with phase_only, a hologram for
     each input and another for each parity-signed measurement state, its product with
-    the back-propagated Gaussian flipped whole in turn.  The package makes each sample
-    a row block at a time and holds only the back-propagated Gaussian whole; both add
-    the amplitudes over the same 32 row blocks in the same order, so its rho and povm
-    have these bits."""
+    the back-propagated Gaussian flipped whole in turn.  optics.effective_operators makes
+    each sample a row block at a time and holds only the back-propagated Gaussian whole;
+    both add the amplitudes over the same 32 row blocks in the same order, so its rho and
+    povm have these bits.  Without phase_only this is the ideal reduction, linear in the
+    state (the triple's Gram matrix and the conversion terms' couplings), whose operators
+    the CLI takes as the projectors, the identity the tests check."""
     inputs = np.array([_qutrit(s) for s in input_states])
     signed = np.array([_qutrit(s) for s in meas_states]) * _PARITY
     back = lens_fourier(gaussian_field(cfg.fiber_waist, cfg), overwrite=True)
