@@ -6,9 +6,8 @@ density matrices (from 9 probabilities) and process matrices (from the full
 81-entry table), followed by eigenvalue clamping to restore physicality.
 Reconstruction parameterizes the unknown by real Hermitian coordinates, so
 inverted matrices are Hermitian exactly.  The maps are constants of the
-scheme, built once per process (MeasurementSettings): the QST map inverts its
-real 9 x 9 design, and the QPT map is QST of each input's output followed by
-the fixed Choi -> chi change of basis, MeasurementSettings.chi_from_choi.
+scheme, built once per process (MeasurementSettings): each inverts its real
+square design, and design_inverse builds the QPT one from any operator set.
 The scheme is not an argument: the forward model and the inversions read
 canonical_settings().
 Counts, probabilities and matrices may carry leading batch axes (bootstrap
@@ -30,7 +29,6 @@ from .qudit import (
     dagger,
     gell_mann_basis,
     hermitian_part,
-    projector_of,
 )
 
 
@@ -52,8 +50,8 @@ class MeasurementSettings:
     projectors, so projectors[j] is also the projector of inputs[j].  The
     only instance is the one canonical_settings() returns, which the
     inversions and the forward model read; its arrays are read-only, each
-    inversion map is built once, on first use (QPT from QST, with no 81 x 81
-    solve), and the designs' rank and conditioning are pinned by tests.
+    inversion map is built once, on first use, by inverting its full-rank
+    real design, and the designs' rank and conditioning are pinned by tests.
     """
 
     inputs: np.ndarray      # (9, 3) state vectors, one per row
@@ -65,37 +63,27 @@ class MeasurementSettings:
         """(9, 9) map from nine probabilities to the flattened 3 x 3 rho."""
         coords = hermitian_basis(3)
         design = np.einsum("iab,Kba->iK", self.projectors, coords).real
-        out = coords.reshape(9, 9).T @ np.linalg.pinv(design)
+        out = coords.reshape(9, 9).T @ np.linalg.inv(design)
         out.flags.writeable = False
         return out
 
     @functools.cached_property
     def qpt_map(self) -> np.ndarray:
-        """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi.
-
-        A = qst_map is conj(V)^-1 for V the rows vec(mu_i), which are also the
-        inputs, so a table P gives the superoperator S = A P^T A^H, vec(C(X)) =
-        S vec(X), whose reshuffle is the Choi matrix.  The map keeps the real
-        parts of chi's coordinates in hermitian_basis(9): chi is Hermitian exactly.
-        """
-        a = self.qst_map
-        # S of the unit table E_ji is the outer product of columns i and j of A
-        s = np.einsum("xi,yj->jixy", a, a.conj()).reshape(81, 3, 3, 3, 3)
-        chi = self.chi_from_choi(s.swapaxes(2, 3).reshape(81, 9, 9))
-        coords = hermitian_basis(9).reshape(81, 81)
-        out = coords.T @ (coords.conj() @ chi.reshape(81, 81).T).real
+        """(81, 81) map from the flattened 9 x 9 probability table to the flattened chi."""
+        out = design_inverse(self.projectors, self.projectors, self.basis)
         out.flags.writeable = False
         return out
 
-    def chi_from_choi(self, choi) -> np.ndarray:
-        """Process matrices chi in the scheme's basis of Choi matrices J, shape (..., 9, 9).
 
-        J = sum_k vec(K_k) vec(K_k)^H for Kraus operators K_k (row-major vec) is
-        L chi L^H for L the orthogonal columns vec(op_m), so chi = W^H J W with
-        W = L diag(1 / Tr(op_m^2)).  Leading axes are batch axes."""
-        lam = self.basis.reshape(9, 9).T
-        w = lam / (np.abs(lam) ** 2).sum(axis=0)
-        return dagger(w) @ choi @ w
+def design_inverse(rho_in, povm, basis) -> np.ndarray:
+    """(81, 81) map from a flattened table p[j, i] = Tr(mu_i C(rho_j)) of rho_in and povm
+    to the flattened chi of C(rho) = sum_mn chi_mn op_m rho op_n^H, op = basis: the inverse
+    of the real design D[(j, i), K] = Re sum_mn Tr(mu_i op_m rho_j op_n^H) H_K[m, n] over
+    hermitian_basis(9), square and, for an informationally complete operator set, of full
+    rank.  The map keeps chi's real Hermitian coordinates, so chi is Hermitian exactly."""
+    coords = hermitian_basis(9).reshape(81, 81)
+    transfer = np.einsum("imab,jnba->jimn", povm[:, None] @ basis, rho_in[:, None] @ dagger(basis))
+    return coords.T @ np.linalg.inv((transfer.reshape(81, 81) @ coords.T).real)
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -131,7 +119,7 @@ def canonical_settings() -> MeasurementSettings:
     trace-preserving channels.
     """
     states = canonical_input_states()
-    projectors = np.stack([projector_of(s) for s in states])
+    projectors = states[:, :, None] * states[:, None, :].conj()
     basis = gell_mann_basis(3)
     for array in (states, projectors, basis):
         array.flags.writeable = False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oamtomo.counts import SourceConfig, simulate_counts
+from oamtomo.optics import OpticsConfig, effective_operators
 from oamtomo.qudit import (
     depolarizing_channel,
     identity_channel,
@@ -12,6 +13,7 @@ from oamtomo.qudit import (
 from oamtomo.tomography import (
     DegenerateDataError,
     canonical_settings,
+    design_inverse,
     hermitian_basis,
     predict_probabilities,
     probabilities_from_counts,
@@ -254,16 +256,23 @@ class TestQptInversion:
             assert np.array_equal(chi, np.swapaxes(chi, -1, -2).conj())
 
 
-class TestChiFromChoi:
-    def test_matches_kraus_oracle(self, settings):
-        # J = sum_k vec(K_k) vec(K_k)^H, row-major vec
+class TestDesignInverse:
+    # the canonical projectors, and the phase-only chain's sub-normalized inputs and
+    # rank-1 POVM at N = 128: condition numbers 23.8 and 30.5
+    @pytest.mark.parametrize("operators", ["canonical", "phase_only"])
+    def test_noiseless_table_inverts_to_kraus_oracle(self, settings, operators):
+        rho_in = povm = settings.projectors
+        if operators == "phase_only":
+            rho_in, povm = effective_operators(settings.inputs, settings.inputs, OpticsConfig(128))
+        inverse = design_inverse(rho_in, povm, settings.basis)
+        assert inverse.shape == (81, 81) and np.linalg.matrix_rank(inverse) == 81
         rng = np.random.default_rng(1997)
-        channels = [random_cptp_channel(3, n, rng) for n in (1, 2, 3, 4, 9)]
-        choi = np.stack([sum(np.outer(k.ravel(), k.ravel().conj()) for k in ch.kraus)
-                         for ch in channels])
-        expected = np.stack([chi_from_kraus(ch, settings.basis) for ch in channels])
-        np.testing.assert_allclose(settings.chi_from_choi(choi), expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(settings.chi_from_choi(choi[2]), expected[2], rtol=0, atol=1e-12)
+        for n in (1, 2, 3, 4, 9):
+            channel = random_cptp_channel(3, n, rng)
+            table = predict_probabilities(channel, rho_in, povm)
+            np.testing.assert_allclose((inverse @ table.reshape(81)).reshape(9, 9),
+                                       chi_from_kraus(channel, settings.basis), rtol=0, atol=1e-12)
+
 
 class TestPhysicalityProjection:
     def test_state_noop_on_physical(self):
