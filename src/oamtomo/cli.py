@@ -42,7 +42,7 @@ from .optics import (
     phase_mask_of,
     superposition_field,
 )
-from .qudit import projector_of, pure_fidelity
+from .qudit import FieldError, projector_of, pure_fidelity
 from .tomography import (
     DegenerateDataError,
     canonical_settings,
@@ -75,14 +75,14 @@ def _probability_rows(cfg: RunConfig) -> np.ndarray:
     reduced to the triple the memory stores (optics.effective_operators).
     """
     rho_in, povm = None if cfg.state is None else projector_of(cfg.state)[None], None
-    try:  # the message starts with the field it refuses
+    try:
         if cfg.measurement_mode == "optical-ideal":
             check_ideal_conversion(cfg.optics)
         elif cfg.measurement_mode == "optical-phase-only":
             inputs = canonical_settings().inputs if cfg.state is None else [cfg.state]
             rho_in, povm = effective_operators(inputs, canonical_settings().inputs, cfg.optics)
-    except ValueError as exc:
-        raise ConfigError(*f"optics.{exc}".split(": ", 1))
+    except FieldError as exc:
+        raise ConfigError(f"optics.{exc.field}", exc.reason)
     return predict_probabilities(cfg.channel, rho_in, povm)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .counts import SourceConfig
 from .optics import OpticsConfig
 from .qudit import (
+    FieldError,
     KrausChannel,
     canonical_input_states,
     dephasing_channel,
@@ -46,11 +47,8 @@ class ConfigReadError(Exception):
     as JSON (nested too deep or holding an integer int() cannot read included)."""
 
 
-class ConfigError(ValueError):
-    """A configuration value is invalid; message starts with the field path."""
-
-    def __init__(self, field_path: str, message: str):
-        super().__init__(f"{field_path}: {message}")
+class ConfigError(FieldError):
+    """A configuration value is invalid; field is its path."""
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ def _section(cls, raw: dict, path: str):
     _refuse_unknown(raw, (f.name for f in fields(cls)), path)
     try:
         return cls(**raw)
-    except ValueError as exc:  # the message starts with the field it refuses
-        raise ConfigError(*f"{path}{exc}".split(": ", 1))
+    except FieldError as exc:
+        raise ConfigError(f"{path}{exc.field}", exc.reason)
 
 
 def load_config(path, mode: str | None = None) -> RunConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import is_finite
+from .qudit import FieldError, is_finite
 
 # counts_per_setting + background then stays below numpy's Poisson limit, about 9.2e18
 _MAX_MEAN_COUNTS = 1e18
@@ -27,7 +27,7 @@ class SourceConfig:
     counts_per_setting is the expected signal coincidence total at unit
     probability, every loss common to all settings folded in; background the
     expected accidental total per setting; both at most 1e18, so that counts
-    fit int64.  Each refusal starts with the name of the field it refuses.
+    fit int64.  Each refusal is a FieldError naming its field.
     """
 
     counts_per_setting: float = 10000
@@ -38,20 +38,20 @@ class SourceConfig:
         for name in ("counts_per_setting", "background"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: must be a number, got {value!r}")
+                raise FieldError(name, f"must be a number, got {value!r}")
             if not is_finite(value):
-                raise ValueError(f"{name}: must be finite, got {value!r}")
+                raise FieldError(name, f"must be finite, got {value!r}")
             if float(value) > _MAX_MEAN_COUNTS:
-                raise ValueError(f"{name}: must be at most {_MAX_MEAN_COUNTS:g}, "
-                                 f"so that counts fit int64; got {value!r}")
+                raise FieldError(name, f"must be at most {_MAX_MEAN_COUNTS:g}, "
+                                       f"so that counts fit int64; got {value!r}")
         if self.counts_per_setting <= 0:
-            raise ValueError("counts_per_setting: must be positive")
+            raise FieldError("counts_per_setting", "must be positive")
         if self.background < 0:
-            raise ValueError("background: must be nonnegative")
+            raise FieldError("background", "must be nonnegative")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed: must be an integer, got {self.seed!r}")
+            raise FieldError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
-            raise ValueError("seed: must be nonnegative")
+            raise FieldError("seed", "must be nonnegative")
 
 
 def _mean_table(probabilities: np.ndarray, cfg: SourceConfig) -> np.ndarray:

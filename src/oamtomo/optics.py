@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qudit import is_finite, state_vector
+from .qudit import FieldError, is_finite, state_vector
 
 # winding numbers of the qutrit basis (|L>, |G>, |R>)
 MODE_WINDINGS = (1, 0, -1)
@@ -71,7 +71,7 @@ class OpticsConfig:
     half-width.  Each waist left as None becomes the grid's self-Fourier waist.  The
     waists are checked in field order, each in full, and stored as floats: the grid
     must resolve them (_MIN_WAIST_STEPS), which bounds fiber_waist by 2 / (3 pi), and
-    waist is at most 0.25 (aliasing guard).  Each refusal starts with its field's name.
+    waist is at most 0.25 (aliasing guard).  Each refusal is a FieldError naming its field.
     """
 
     grid_size: int = 512
@@ -81,10 +81,10 @@ class OpticsConfig:
     def __post_init__(self):
         n = self.grid_size
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"grid_size: must be an integer, got {n!r}")
+            raise FieldError("grid_size", f"must be an integer, got {n!r}")
         if not 128 <= n <= _MAX_GRID_SIZE or (n & (n - 1)) != 0:
-            raise ValueError(
-                f"grid_size: must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
+            raise FieldError(
+                "grid_size", f"must be a power of two from 128 to {_MAX_GRID_SIZE}, got {n}")
         least = _MIN_WAIST_STEPS * self.step
         rule = f"{_MIN_WAIST_STEPS} grid steps (resolution rule)"
         # the fiber's image through the lens narrows as it widens: to least at least's image
@@ -95,16 +95,16 @@ class OpticsConfig:
             if value is None:
                 value = self_fourier_waist(n)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: must be a number, got {value!r}")
+                raise FieldError(name, f"must be a number, got {value!r}")
             if not is_finite(value):
-                raise ValueError(f"{name}: must be finite, got {value!r}")
+                raise FieldError(name, f"must be finite, got {value!r}")
             value, (most, why) = float(value), widest[name]
             if value <= 0:
-                raise ValueError(f"{name}: must be positive")
+                raise FieldError(name, "must be positive")
             if value < least:
-                raise ValueError(f"{name}: {value!r} is below {least!r}, {rule}")
+                raise FieldError(name, f"{value!r} is below {least!r}, {rule}")
             if value > most:
-                raise ValueError(f"{name}: {value!r} exceeds {most!r}, {why}")
+                raise FieldError(name, f"{value!r} exceeds {most!r}, {why}")
             object.__setattr__(self, name, value)
 
     @property
@@ -280,8 +280,8 @@ def check_ideal_conversion(cfg: OpticsConfig) -> None:
     """Ideal mode conversion's rule: the back-propagated fiber waist is at least the mode waist."""
     w, w_conj = cfg.waist, cfg.conjugate_waist(cfg.fiber_waist)
     if w_conj < w * (1.0 - 1e-12):
-        raise ValueError("fiber_waist: ideal mode conversion needs a back-propagated fiber "
-                         f"waist >= mode waist; got {w_conj!r} < {w!r}")
+        raise FieldError("fiber_waist", "ideal mode conversion needs a back-propagated "
+                                        f"fiber waist >= mode waist; got {w_conj!r} < {w!r}")
 
 
 def _conversion_envelope(cfg: OpticsConfig) -> np.ndarray:

@@ -16,6 +16,7 @@ normalize traces internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ _HERM_ATOL = 1e-8
 _STATE_TRACE = (lambda t: abs(t - 1.0) > 0.1,
                 "density matrix trace {!r} deviates from 1 by more than 10%")
 _PROCESS_TRACE = (lambda t: t <= 1e-12, "process matrix has non-positive trace")
+
+
+class FieldError(ValueError):
+    """A refused value: field names it and reason says why; the message is "field: reason"."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
 
 
 def is_finite(value) -> bool:
@@ -167,6 +176,8 @@ def identity_channel() -> KrausChannel:
 
 def phase_rotation_channel(theta: float) -> KrausChannel:
     """Unitary qutrit channel diag(1, 1, e^{i theta}) phasing |R>."""
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+        raise ValueError(f"theta must be a real number, got {theta!r}")
     if not is_finite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     u = np.eye(3, dtype=complex)

@@ -107,3 +107,25 @@ def test_every_member_is_read_or_traced():
     unused = [f"{module}.{cls}.{name}" for module, tree in trees.items()
               for cls, name in _members(tree) if name not in read | traced]
     assert unused == [], f"members under src/ that no package code reads: {unused}"
+
+
+def _calls(trees: dict):
+    """(module, dotted callee, first argument's source) of every call in the package."""
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                arg = ast.unparse(node.args[0]) if node.args else ""
+                yield module, ast.unparse(node.func), arg
+
+
+def test_no_pseudo_inverse():
+    # both designs are square and full rank: np.linalg.inv, as pinv starts OpenBLAS's
+    # thread pool on a matrix as small as 81 x 81
+    assert [(m, f) for m, f, _ in _calls(_modules()) if f.endswith("pinv")] == []
+
+
+def test_no_error_text_parsed():
+    # a refusal carries its field and its sample as data (FieldError, DegenerateDataError)
+    parsed = [(m, f, a) for m, f, a in _calls(_modules())
+              if f.endswith(".removeprefix") or (f.endswith(".split") and a.startswith("': "))]
+    assert parsed == []

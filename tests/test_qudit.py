@@ -190,6 +190,18 @@ class TestKrausChannels:
     def test_rejects_ints_beyond_floats(self, build, message, bad):
         self.test_rejects_non_finite(build, message, bad)
 
+    # complex, str, bool or None: refused naming theta, not by float() or np.exp
+    @pytest.mark.parametrize("bad", [1j, 1 + 0j, "0.5", True, np.True_, None])
+    def test_rejects_a_theta_that_is_no_real_number(self, bad):
+        self.test_rejects_non_finite(phase_rotation_channel, "theta must be a real number", bad)
+
+    @pytest.mark.parametrize("theta", [np.float32(0.5), np.float16(0.5), np.int64(1), 2])
+    def test_accepts_numpy_real_scalars(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = phase_rotation_channel(theta).kraus[0]
+        assert u[2, 2] == pytest.approx(np.exp(1j * float(theta)), abs=1e-6)
+
     def test_trace_preserved_for_cptp(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
